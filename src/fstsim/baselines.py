@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 @dataclass
 class SyncTaskState:
     spec: TaskSpec
+    #: read-only; each aggregation binds a new array, since in-flight
+    #: requests hold the old one by reference
     model: np.ndarray
     round: int = 0
     finished: bool = False
@@ -60,6 +62,8 @@ class MmSyncServer:
         self.warnings: list[str] = []
         self._alloc0 = {t.task_id: int(allocation[t.task_id]) for t in tasks}
         self._states = {t.task_id: SyncTaskState(spec=t, model=t.new_model()) for t in tasks}
+        for st in self._states.values():
+            st.model.setflags(write=False)
         self._round = 0
         self._round_start = 0.0
         self._barrier_scheduled = False
@@ -110,6 +114,7 @@ class MmSyncServer:
                 st.model = st.model - st.spec.eta_s * st.spec.eta_c * st.spec.tau * stack.mean(
                     axis=0
                 )
+                st.model.setflags(write=False)
                 if not np.all(np.isfinite(st.model)):
                     raise SimulationError(
                         f"aggregate produced non-finite model on task {st.spec.task_id} "

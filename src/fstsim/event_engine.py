@@ -5,10 +5,15 @@ monotone sequence number breaks simultaneous-event ties by scheduling
 order, so reruns are bit-reproducible. Clients are single-threaded queues:
 a request dispatched to a busy client starts when the client frees up.
 
-Requests are computed eagerly at dispatch: the model snapshot is frozen,
-the per-request RNG streams are derived from (seed, task, client, dispatch
-counter), and the finished update is placed on the event heap at its
-arrival time. Nothing that happens later can change the result.
+Requests are trained lazily. At dispatch the engine keys the request by
+(seed, task, client, dispatch counter), builds only its delay stream to
+sample the duration, and places an update on the event heap at its arrival
+time that holds the model snapshot by reference (server models are
+read-only, so it cannot change), the client's shard and the request key.
+The local training runs the first time a server reads the update's delta,
+from a training stream built from the same key, so its result is what
+training at dispatch would have produced; updates no server reads are
+never trained.
 
 A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
@@ -62,6 +67,25 @@ class Event:
     payload: Any = None
 
 
+@dataclass(slots=True)
+class TrainRequest:
+    """What one dispatched request needs to compute its delta.
+
+    ``snapshot`` is the server's read-only model at dispatch, held by
+    reference. ``train`` calls this module's ``local_train`` with a training
+    stream built from ``key``.
+    """
+
+    task: TaskSpec
+    snapshot: np.ndarray
+    shard: ClientShard
+    key: rng_tree.RequestKey
+
+    def train(self) -> np.ndarray:
+        rng = rng_tree.request_stream(self.key, rng_tree.TRAIN)
+        return local_train(self.task, self.snapshot, self.shard, rng)
+
+
 @dataclass
 class ClientState:
     profile: ClientProfile
@@ -99,7 +123,11 @@ class ServerPolicy(Protocol):
 
     def handle_barrier(self, engine: "Engine") -> None: ...
 
-    def model_snapshot(self, task_id: int) -> np.ndarray: ...
+    def model_snapshot(self, task_id: int) -> np.ndarray:
+        """The task's current model. The engine keeps it by reference until
+        the requests dispatched from it are trained, so it must never be
+        mutated in place: a new model is a new array."""
+        ...
 
     def current_round(self, task_id: int) -> int: ...
 
@@ -243,28 +271,29 @@ class Engine:
             return
         client_id = forced_client if forced_client is not None else self.sample_clients(1)[0]
         task = self.tasks[task_id]
-        snapshot = np.array(policy.model_snapshot(task_id), copy=True)
         dispatch_round = policy.current_round(task_id)
 
-        key = (task_id, client_id)
-        dispatch_no = self._dispatch_counts.get(key, 0)
-        self._dispatch_counts[key] = dispatch_no + 1
-        train_rng, delay_rng = rng_tree.request_rngs(self.seed, task_id, client_id, dispatch_no)
+        pair = (task_id, client_id)
+        dispatch_no = self._dispatch_counts.get(pair, 0)
+        self._dispatch_counts[pair] = dispatch_no + 1
+        streams = rng_tree.request_rngs(self.seed, task_id, client_id, dispatch_no)
 
         client = self.clients[client_id]
-        duration = sample_duration(client.profile, task, delay_rng, self.delay)
+        duration = sample_duration(client.profile, task, streams.delay, self.delay)
         start = max(self.now, client.busy_until)
         completion = start + duration
         client.busy_until = completion
 
-        delta = local_train(task, snapshot, self.shards[task_id][client_id], train_rng)
+        request = TrainRequest(
+            task, policy.model_snapshot(task_id), self.shards[task_id][client_id], streams.key
+        )
         update = Update(
             task_id=task_id,
             client_id=client_id,
-            delta=delta,
             dispatch_round=dispatch_round,
             dispatch_time=self.now,
             arrival_time=completion,
+            request=request,
         )
         self._push(completion, EventKind.UPDATE_ARRIVAL, update)
         if self.trace is not None:

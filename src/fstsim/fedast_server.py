@@ -111,6 +111,8 @@ class ServerTaskState:
     """Mutable per-task server bookkeeping."""
 
     spec: TaskSpec
+    #: read-only; each aggregation binds a new array, since in-flight
+    #: requests hold the old one by reference
     model: np.ndarray
     round: int = 0
     buffer: list[Update] = field(default_factory=list)
@@ -196,9 +198,11 @@ class FedAstServer:
                     raise ValueError(msg)
                 logger.warning(msg)
                 self.warnings.append(msg)
+            model = task.new_model()
+            model.setflags(write=False)
             self._states[tid] = ServerTaskState(
                 spec=task,
-                model=task.new_model(),
+                model=model,
                 r_target=r0[tid],
                 b=b0[tid],
                 history=deque(maxlen=history_size),
@@ -235,7 +239,7 @@ class FedAstServer:
             st.dropped += 1
         else:
             st.buffer.append(update)
-            st.history.append(np.array(update.delta, copy=True))
+            st.history.append(update.delta)
             st.staleness_count += 1
             st.staleness_total += staleness
             if staleness > st.staleness_max:
@@ -321,6 +325,7 @@ class FedAstServer:
         stack = np.stack([u.delta for u in st.buffer])
         mean_delta = stack.mean(axis=0)
         st.model = st.model - st.step_scale * mean_delta
+        st.model.setflags(write=False)
         if not np.all(np.isfinite(st.model)):
             raise SimulationError(
                 f"aggregate produced non-finite model on task {st.spec.task_id} "

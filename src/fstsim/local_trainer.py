@@ -9,7 +9,7 @@ floating point as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -32,22 +32,65 @@ class DivergenceError(RuntimeError):
         self.step_index = step_index
 
 
-@dataclass(eq=False)
+class PendingTraining(Protocol):
+    """The work behind an update that has not been trained yet."""
+
+    def train(self) -> np.ndarray: ...
+
+
 class Update:
     """A dispatched training request and, once computed, its result.
 
     ``dispatch_round`` is the server round of the model snapshot the client
     trained on; ``staleness`` is filled in by the server at arrival time as
     (current round - dispatch_round).
+
+    An update is built either with its ``delta`` or with a ``request`` that
+    computes it. A request is trained the first time ``delta`` is read and
+    is released afterwards, so an update that no server reads (dropped,
+    discarded, late or still in flight when the run ends) is never trained
+    and a DivergenceError surfaces only from the read that trains it.
     """
 
-    task_id: int
-    client_id: int
-    delta: np.ndarray
-    dispatch_round: int
-    dispatch_time: float
-    arrival_time: float
-    staleness: int = field(default=-1)
+    __slots__ = (
+        "task_id",
+        "client_id",
+        "dispatch_round",
+        "dispatch_time",
+        "arrival_time",
+        "staleness",
+        "request",
+        "_delta",
+    )
+
+    def __init__(
+        self,
+        task_id: int,
+        client_id: int,
+        dispatch_round: int,
+        dispatch_time: float,
+        arrival_time: float,
+        delta: np.ndarray | None = None,
+        request: PendingTraining | None = None,
+        staleness: int = -1,
+    ):
+        if (delta is None) == (request is None):
+            raise ValueError("an update needs exactly one of delta and request")
+        self.task_id = task_id
+        self.client_id = client_id
+        self.dispatch_round = dispatch_round
+        self.dispatch_time = dispatch_time
+        self.arrival_time = arrival_time
+        self.staleness = staleness
+        self.request = request
+        self._delta = delta
+
+    @property
+    def delta(self) -> np.ndarray:
+        if self._delta is None:
+            self._delta = self.request.train()
+            self.request = None
+        return self._delta
 
 
 def local_train(

@@ -3,7 +3,8 @@
 One record is emitted per task per evaluation tick. Files come in two
 equivalent flavours with identical field order: CSV (one header row) and
 JSON lines. Floats are serialized with ``repr`` so identical runs produce
-byte-identical files.
+byte-identical files; in JSON lines a non-finite float is written as
+``Infinity``, ``-Infinity`` or ``NaN``, which ``json`` reads back.
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ FIELD_ORDER = tuple(f.name for f in fields(MetricsRecord))
 _FLOAT_FIELDS = {"sim_time", "loss", "accuracy", "staleness_mean"}
 
 
+def _typed(name: str, value) -> float | int:
+    return float(value) if name in _FLOAT_FIELDS else int(value)
+
+
 def _cell(name: str, value) -> str:
-    if name in _FLOAT_FIELDS:
-        return repr(float(value))
-    return str(int(value))
+    return repr(_typed(name, value))
 
 
 def write_csv(path: str | Path, records: Iterable[MetricsRecord]) -> None:
@@ -73,11 +76,10 @@ def read_csv(path: str | Path) -> list[MetricsRecord]:
 
 
 def write_jsonl(path: str | Path, records: Iterable[MetricsRecord]) -> None:
-    lines = []
-    for rec in records:
-        d = asdict(rec)
-        pairs = ", ".join(f'"{name}": {_cell(name, d[name])}' for name in FIELD_ORDER)
-        lines.append("{" + pairs + "}")
+    lines = [
+        json.dumps({name: _typed(name, getattr(rec, name)) for name in FIELD_ORDER})
+        for rec in records
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

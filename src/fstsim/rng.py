@@ -41,15 +41,55 @@ def server_rng(seed: int) -> Generator:
     return _generator(seed, (_SERVER,))
 
 
+#: Index of each stream under one request's key.
+TRAIN = 0
+DELAY = 1
+
+#: (seed, task_id, client_id, dispatch_no): the identity of one request.
+RequestKey = tuple[int, int, int, int]
+
+
+def request_stream(key: RequestKey, stream: int) -> Generator:
+    """Build one stream (TRAIN or DELAY) of the request ``key``.
+
+    It is child ``stream`` of ``SeedSequence(seed, spawn_key=(_REQUEST,
+    task_id, client_id, dispatch_no)).spawn(2)``, built directly from the
+    child's spawn key, so neither the root nor the other child is built.
+    """
+    seed, task_id, client_id, dispatch_no = key
+    return _generator(seed, (_REQUEST, task_id, client_id, dispatch_no, stream))
+
+
+class RequestStreams:
+    """The two streams of one request; unpacks and indexes as (training, delay).
+
+    The delay stream is built once, here. The training stream is built
+    afresh, at its start, each time it is indexed; a caller that trains
+    later can keep only ``key`` and build it with ``request_stream``.
+    """
+
+    __slots__ = ("key", "delay")
+
+    def __init__(self, key: RequestKey):
+        self.key = key
+        self.delay = request_stream(key, DELAY)
+
+    def __getitem__(self, stream: int) -> Generator:
+        if stream == TRAIN:
+            return request_stream(self.key, TRAIN)
+        if stream == DELAY:
+            return self.delay
+        raise IndexError(stream)
+
+
 def request_rngs(
     seed: int, task_id: int, client_id: int, dispatch_no: int
-) -> tuple[Generator, Generator]:
+) -> RequestStreams:
     """Streams for one dispatched training request.
 
-    Returns ``(training, delay)`` generators keyed by the request identity
-    (task, client, per-pair dispatch counter). Event-processing order can
-    never change which batches a given request samples or how long it runs.
+    They are keyed by the request identity (task, client, per-pair dispatch
+    counter), so event-processing order can never change which batches a
+    given request samples or how long it runs. Only the delay stream is
+    built by this call; see RequestStreams.
     """
-    root = SeedSequence(seed, spawn_key=(_REQUEST, task_id, client_id, dispatch_no))
-    train_seq, delay_seq = root.spawn(2)
-    return Generator(Philox(train_seq)), Generator(Philox(delay_seq))
+    return RequestStreams((seed, task_id, client_id, dispatch_no))

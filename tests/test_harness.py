@@ -1,6 +1,8 @@
 """Config round-trips, experiment orchestration, comparison, CLI."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +135,14 @@ class TestMetricsFiles:
         path = tmp_path / "m.jsonl"
         write_jsonl(path, self.records())
         assert read_jsonl(path) == self.records()
+
+    def test_jsonl_round_trips_non_finite_floats(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        diverged = MetricsRecord(2.0, 0, 3, math.inf, math.nan, 4, 2, 0.5, 1, 9, 0)
+        write_jsonl(path, [diverged])
+        (back,) = read_jsonl(path)
+        assert back.loss == math.inf and math.isnan(back.accuracy)
+        assert back == dataclasses.replace(diverged, accuracy=back.accuracy)
 
     def test_writes_are_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,0 +1,141 @@
+"""Lazy request training: an update is trained only when a server consumes it,
+and the delta it gets is the one training at dispatch would have produced."""
+
+import numpy as np
+import pytest
+
+import fstsim.event_engine as event_engine
+from fstsim.baselines import MmSyncServer
+from fstsim.config import ExperimentConfig, TaskConfig
+from fstsim.event_engine import Engine, EventKind, StopConditions
+from fstsim.harness import build_policy, build_scenario
+from fstsim.local_trainer import local_train
+from fstsim import rng
+from fstsim.rng import request_rngs
+
+SEED = 3
+
+#: Each case exercises a way an update can go unconsumed: staleness drops
+#: (no_buffer), over-k and cancelled requests (mm_sync), late stragglers of
+#: the task that reaches max_rounds first, and requests still in flight at
+#: the end of the run (all).
+ALGORITHMS = {
+    "fedast_static": dict(algorithm="fedast_static"),
+    "fedast_dynamic": dict(algorithm="fedast_dynamic", c_period=10),
+    "no_buffer": dict(algorithm="no_buffer", tau_max=1, drop_enforcement=True),
+    "mm_sync": dict(algorithm="mm_sync", k_sync=3),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, task_id, client_id, dispatch_no", [(1, 0, 0, 0), (7919, 2, 999, 41)]
+)
+def test_request_streams_equal_the_spawned_children(seed, task_id, client_id, dispatch_no):
+    """Each stream, built directly from its own key, is the child that
+    SeedSequence.spawn(2) of the request's key gives, draw for draw."""
+    root = np.random.SeedSequence(seed, spawn_key=(rng._REQUEST, task_id, client_id, dispatch_no))
+    train, delay = request_rngs(seed, task_id, client_id, dispatch_no)
+    for got, child in zip((train, delay), root.spawn(2)):
+        want = np.random.Generator(np.random.Philox(child))
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.normal(size=8), want.normal(size=8))
+        assert np.array_equal(got.integers(1000, size=8), want.integers(1000, size=8))
+
+
+def small_config(algorithm: str, **extra) -> ExperimentConfig:
+    b0 = 1 if algorithm == "no_buffer" else 2
+    tasks = (
+        TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=3, mu=1.0,
+                   sigma_g=1.0, r0=5, b0=b0, target_kind="loss", target_metric=1e-12),
+        TaskConfig(task_id=1, kind="logistic", tau=3, eta_c=0.1, n_features=3,
+                   n_classes=3, batch_size=2, n_train=96, n_eval=32, base_beta=2.0,
+                   r0=4, b0=b0, target_kind="loss", target_metric=1e-12),
+    )
+    return ExperimentConfig(tasks=tasks, algorithm=algorithm, n_clients=12,
+                            availability=0.8, eval_interval=1.0, stop_on_targets=False,
+                            max_rounds=12, **extra)
+
+
+def instrumented_run(name, monkeypatch):
+    """Run one small simulation and return (engine, policy, updates, eager
+    deltas by update id, number of local_train calls the run made)."""
+    cfg = small_config(**ALGORITHMS[name])
+    scenario = build_scenario(cfg, SEED)
+    policy = build_policy(cfg, scenario.tasks)
+    engine = Engine(
+        tasks=scenario.tasks, shards=scenario.shards, eval_sets=scenario.eval_sets,
+        profiles=scenario.profiles, seed=SEED, availability_p=cfg.availability,
+        delay=scenario.delay, eval_interval=cfg.eval_interval,
+        stop=StopConditions(stop_on_targets=False, max_rounds=cfg.max_rounds),
+    )
+
+    updates, eager, dispatch_counts = [], {}, {}
+    push = engine._push
+
+    def push_training_eagerly(time, kind, payload=None):
+        # An arrival is pushed by the dispatch that created it, so the
+        # policy's model is still the one the request was dispatched from.
+        if kind is EventKind.UPDATE_ARRIVAL:
+            tid, cid = payload.task_id, payload.client_id
+            dispatch_no = dispatch_counts.get((tid, cid), 0)
+            dispatch_counts[(tid, cid)] = dispatch_no + 1
+            updates.append(payload)
+            eager[id(payload)] = local_train(
+                engine.tasks[tid], np.array(policy.model_snapshot(tid)),
+                engine.shards[tid][cid], request_rngs(SEED, tid, cid, dispatch_no)[0],
+            )
+        push(time, kind, payload)
+
+    trained = 0
+
+    def counted_local_train(*args):
+        nonlocal trained
+        trained += 1
+        return local_train(*args)
+
+    engine._push = push_training_eagerly
+    monkeypatch.setattr(event_engine, "local_train", counted_local_train)
+    engine.run(policy)
+    return engine, policy, updates, eager, trained
+
+
+def consumed_count(policy) -> int:
+    states = [policy.state(tid) for tid in (0, 1)]
+    if isinstance(policy, MmSyncServer):
+        return sum(st.aggregated_total for st in states)
+    return sum(st.staleness_count for st in states)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_consumed_deltas_equal_training_at_dispatch(name, monkeypatch):
+    _, _, updates, eager, trained = instrumented_run(name, monkeypatch)
+    consumed = [u for u in updates if u.request is None]
+    assert len(consumed) == trained > 0
+    for update in consumed:
+        assert update.delta.tobytes() == eager[id(update)].tobytes()
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_only_consumed_updates_are_trained(name, monkeypatch):
+    _, policy, updates, _, trained = instrumented_run(name, monkeypatch)
+    assert trained == consumed_count(policy)
+    assert trained < len(updates)
+    if name == "no_buffer":
+        assert sum(policy.state(t).dropped for t in (0, 1)) > 0
+    if name == "mm_sync":
+        assert policy.updates_discarded > 0
+    else:
+        assert sum(policy.state(t).late_discards for t in (0, 1)) > 0
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_server_models_are_read_only(name, monkeypatch):
+    cfg = small_config(**ALGORITHMS[name])
+    fresh = build_policy(cfg, build_scenario(cfg, SEED).tasks)
+    with pytest.raises(ValueError):
+        fresh.model_snapshot(0)[0] = 1.0
+    _, policy, _, _, _ = instrumented_run(name, monkeypatch)
+    assert policy.current_round(0) > 0
+    for tid in (0, 1):
+        with pytest.raises(ValueError):
+            policy.model_snapshot(tid)[0] += 1.0
