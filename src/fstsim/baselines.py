@@ -45,8 +45,9 @@ class MmSyncServer:
 
     ``allocation`` maps task id to its per-round client count. When fewer
     clients are available than the total allocation, the round's counts are
-    scaled down proportionally (largest remainder, at least one each) with
-    a warning. When a task finishes early its allocation is redistributed
+    scaled down proportionally (largest remainder, at least one each); the
+    first such round logs a warning and ``rounds_scaled_down`` counts them
+    all. When a task finishes early its allocation is redistributed
     to the remaining tasks in proportion to their original shares.
     """
 
@@ -60,6 +61,8 @@ class MmSyncServer:
                 raise ValueError(f"task {task.task_id}: allocation must be at least 1")
         self.k = k
         self.warnings: list[str] = []
+        #: rounds that drew fewer available clients than the total allocation
+        self.rounds_scaled_down = 0
         self._alloc0 = {t.task_id: int(allocation[t.task_id]) for t in tasks}
         self._states = {t.task_id: SyncTaskState(spec=t, model=t.new_model()) for t in tasks}
         for st in self._states.values():
@@ -176,12 +179,15 @@ class MmSyncServer:
                 f"at t={engine.now}"
             )
         if len(available) < budget:
-            msg = (
-                f"round {self._round}: {len(available)} clients available, "
-                f"allocation wants {budget}; scaling down proportionally"
-            )
-            logger.warning(msg)
-            self.warnings.append(msg)
+            if not self.rounds_scaled_down:
+                msg = (
+                    f"round {self._round}: {len(available)} clients available, "
+                    f"allocation wants {budget}; scaling down proportionally "
+                    f"(later short rounds are counted, not logged)"
+                )
+                logger.warning(msg)
+                self.warnings.append(msg)
+            self.rounds_scaled_down += 1
             budget = len(available)
         counts = apportion_largest_remainder(weights, budget, min_each=1)
 

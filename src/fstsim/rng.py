@@ -1,14 +1,21 @@
 """Deterministic stream derivation for every random decision in a run.
 
-All randomness flows from a single integer seed through named
-``SeedSequence`` spawn keys, so any two runs with the same seed consume
-identical streams regardless of wall-clock interleaving. Philox is
-counter-based and stable across platforms and numpy versions.
+All randomness flows from a single integer seed. The data, profile and
+server streams are each seeded by a named ``SeedSequence`` spawn key. The
+streams of dispatched requests are counter-based: one Philox key per
+(seed, stream) comes from a spawn key, and the request identity is written
+into Philox's counter. Any two runs with the same seed therefore consume
+identical streams regardless of wall-clock interleaving. Philox is stable
+across platforms and numpy versions.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 # Top-level branch indices of the seed tree. Streams under different
 # branches never collide.
@@ -49,15 +56,42 @@ DELAY = 1
 RequestKey = tuple[int, int, int, int]
 
 
+@lru_cache(maxsize=64)
+def _run_key(seed: int, stream: int) -> np.ndarray:
+    """The read-only Philox key shared by one stream of every request of a run."""
+    key = SeedSequence(seed, spawn_key=(_REQUEST, stream)).generate_state(2, np.uint64)
+    key.setflags(write=False)
+    return key
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands a ready Philox key to ``Philox``.
+
+    ``Philox(key=..., counter=...)`` draws the same numbers but also seeds an
+    unused ``SeedSequence`` from OS entropy, which costs more than the rest
+    of building the stream.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is exactly 2 uint64 words")
+        return self.key.copy()
+
+
 def request_stream(key: RequestKey, stream: int) -> Generator:
     """Build one stream (TRAIN or DELAY) of the request ``key``.
 
-    It is child ``stream`` of ``SeedSequence(seed, spawn_key=(_REQUEST,
-    task_id, client_id, dispatch_no)).spawn(2)``, built directly from the
-    child's spawn key, so neither the root nor the other child is built.
+    It is ``Philox`` under the run's key for ``stream``, started at the
+    counter ``[0, task_id, client_id, dispatch_no]``. Counter word 0 is
+    Philox's own block counter, so the streams of two requests never share
+    a block.
     """
     seed, task_id, client_id, dispatch_no = key
-    return _generator(seed, (_REQUEST, task_id, client_id, dispatch_no, stream))
+    counter = [0, task_id, client_id, dispatch_no]
+    return Generator(Philox(_PhiloxKey(_run_key(seed, stream)), counter=counter))
 
 
 class RequestStreams:

@@ -139,6 +139,30 @@ class TestPoolPressure:
         assert policy.state(0).expected == 3  # apportion([4, 4], 5)
         assert policy.state(1).expected == 2
 
+    def test_scale_down_warns_once_and_counts_every_short_round(self):
+        tasks = [quad_task(0), quad_task(1)]
+        policy = MmSyncServer(tasks, allocation={0: 5, 1: 5}, k=2)
+        engine = Engine(
+            tasks=tasks, shards=shards_at([0, 1], 14), eval_sets=evals_at([0, 1]),
+            profiles=uniform_profiles(14, [0, 1]), seed=2, availability_p=0.7,
+            delay=CONSTANT_DELAY, eval_interval=None,
+            stop=StopConditions(stop_on_targets=False, max_rounds=60),
+        )
+        drawn = []
+        draw_available = engine.draw_available
+
+        def recorded_draw():
+            available = draw_available()
+            drawn.append(len(available))
+            return available
+
+        engine.draw_available = recorded_draw
+        engine.run(policy)
+        short = sum(1 for n in drawn if n < 10)
+        assert 10 < short < len(drawn)
+        assert policy.rounds_scaled_down == short
+        assert sum("scaling down" in w for w in policy.warnings) == 1
+
     def test_fewer_clients_than_tasks_is_fatal(self):
         tasks = [quad_task(0), quad_task(1)]
         policy = MmSyncServer(tasks, allocation={0: 1, 1: 1}, k=1)

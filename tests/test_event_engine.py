@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import fstsim.event_engine as engine_mod
+import fstsim.rng
+from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
 from fstsim.event_engine import (
     Engine,
@@ -15,6 +17,7 @@ from fstsim.event_engine import (
     StopConditions,
 )
 from fstsim.fedast_server import FedAstServer
+from fstsim.harness import run_single
 from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
 
 
@@ -389,3 +392,30 @@ class TestEngineIntegration:
         assert st.aggregation_times == [float(t) for t in range(1, 11)]
         assert log.final_models[0][0] == pytest.approx(5.0 * (1 - 0.9**10), rel=1e-12)
         assert log.stop_reason == "max_rounds"
+
+
+@pytest.mark.parametrize("algorithm, extra", [("fedast_static", {}), ("mm_sync", {"k_sync": 3})])
+def test_request_rngs_is_called_once_per_traced_dispatch(algorithm, extra, monkeypatch):
+    """Throughput benchmarks count requests as calls to rng.request_rngs."""
+    calls = 0
+    request_rngs = fstsim.rng.request_rngs
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return request_rngs(*args)
+
+    monkeypatch.setattr(fstsim.rng, "request_rngs", counted)
+    cfg = ExperimentConfig(
+        tasks=(
+            TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=2, r0=4, b0=2,
+                       target_kind="loss", target_metric=1e-12),
+            TaskConfig(task_id=1, kind="quadratic", tau=1, eta_c=0.05, dim=3, r0=4, b0=2,
+                       target_kind="loss", target_metric=1e-12),
+        ),
+        algorithm=algorithm, n_clients=10, availability=0.9, eval_interval=1.0,
+        stop_on_targets=False, max_rounds=8, **extra,
+    )
+    log, _ = run_single(cfg, seed=4, trace=True)
+    dispatches = sum(1 for entry in log.trace if entry[0] == "dispatch")
+    assert calls == dispatches > 0

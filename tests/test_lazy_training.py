@@ -8,7 +8,7 @@ import fstsim.event_engine as event_engine
 from fstsim.baselines import MmSyncServer
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.event_engine import Engine, EventKind, StopConditions
-from fstsim.harness import build_policy, build_scenario
+from fstsim.harness import build_policy, build_scenario, run_experiment
 from fstsim.local_trainer import local_train
 from fstsim import rng
 from fstsim.rng import request_rngs
@@ -30,16 +30,55 @@ ALGORITHMS = {
 @pytest.mark.parametrize(
     "seed, task_id, client_id, dispatch_no", [(1, 0, 0, 0), (7919, 2, 999, 41)]
 )
-def test_request_streams_equal_the_spawned_children(seed, task_id, client_id, dispatch_no):
-    """Each stream, built directly from its own key, is the child that
-    SeedSequence.spawn(2) of the request's key gives, draw for draw."""
-    root = np.random.SeedSequence(seed, spawn_key=(rng._REQUEST, task_id, client_id, dispatch_no))
+def test_request_streams_equal_the_public_philox_form(seed, task_id, client_id, dispatch_no):
+    """Each stream is Philox under the run's key for that stream, started at
+    the counter [0, task_id, client_id, dispatch_no], draw for draw."""
     train, delay = request_rngs(seed, task_id, client_id, dispatch_no)
-    for got, child in zip((train, delay), root.spawn(2)):
-        want = np.random.Generator(np.random.Philox(child))
+    assert train is not delay
+    for stream, got in enumerate((train, delay)):
+        key = np.random.SeedSequence(seed, spawn_key=(rng._REQUEST, stream)).generate_state(
+            2, np.uint64
+        )
+        want = np.random.Generator(
+            np.random.Philox(key=key, counter=[0, task_id, client_id, dispatch_no])
+        )
         assert np.array_equal(got.random(8), want.random(8))
         assert np.array_equal(got.normal(size=8), want.normal(size=8))
         assert np.array_equal(got.integers(1000, size=8), want.integers(1000, size=8))
+        assert np.array_equal(
+            got.choice(50, size=8, replace=False), want.choice(50, size=8, replace=False)
+        )
+
+
+@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32),
+                                            (4, np.uint32), (2, np.int64)])
+def test_key_handle_rejects_any_other_shape(n_words, dtype):
+    handle = rng._PhiloxKey(rng._run_key(1, rng.TRAIN))
+    with pytest.raises(ValueError):
+        handle.generate_state(n_words, dtype)
+    key = handle.generate_state(2, np.dtype(np.uint64))
+    assert key.tolist() == rng._run_key(1, rng.TRAIN).tolist()
+
+
+def test_cached_run_key_is_read_only():
+    key = rng._run_key(5, rng.DELAY)
+    with pytest.raises(ValueError):
+        key[0] = 0
+    assert rng._run_key(5, rng.DELAY) is key
+    # Philox receives a copy, so drawing never touches the cached key.
+    before = key.tolist()
+    rng.request_stream((5, 0, 0, 0), rng.DELAY).random(16)
+    assert key.tolist() == before
+
+
+def test_cold_and_warm_key_cache_write_the_same_metrics(tmp_path):
+    cfg = small_config("fedast_dynamic", c_period=10, seed=SEED, runs=1)
+    rng._run_key.cache_clear()
+    run_experiment(cfg, out_dir=tmp_path / "cold")
+    assert rng._run_key.cache_info().currsize > 0
+    run_experiment(cfg, out_dir=tmp_path / "warm")
+    for name in ("run_000.csv", "run_000.jsonl"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 def small_config(algorithm: str, **extra) -> ExperimentConfig:
