@@ -5,138 +5,8 @@ available client pool. The package provides a buffered asynchronous server
 with static or variance-driven dynamic resource allocation, a synchronous
 first-k baseline, a no-buffer asynchronous baseline, pluggable desk-scale
 objectives, a calibrated client delay model, and an experiment harness
-with seed-reproducible metrics files.
+with seed-reproducible metrics files. Import names from the submodules,
+e.g. ``fstsim.harness`` or ``fstsim.config``.
 """
 
-from .baselines import MmSyncServer
-from .config import (
-    AlgorithmKind,
-    ConfigError,
-    ExperimentConfig,
-    TaskConfig,
-    load_config,
-    parse_config,
-    save_config,
-    serialize_config,
-)
-from .delay_model import (
-    ClientProfile,
-    DelaySpec,
-    SpeedClass,
-    duration_quantile,
-    make_profiles,
-    sample_duration,
-)
-from .event_engine import (
-    Engine,
-    EventKind,
-    RunLog,
-    SimulationError,
-    StarvedError,
-    StopConditions,
-)
-from .fedast_server import FedAstServer, ServerTaskState, lr_bound_warnings, lr_bounds
-from .harness import (
-    Scenario,
-    build_policy,
-    build_scenario,
-    compare,
-    run_experiment,
-    run_single,
-    time_gain,
-)
-from .local_trainer import DivergenceError, Update, local_train
-from .metrics import MetricsRecord, read_csv, read_jsonl, write_csv, write_jsonl
-from .objectives import (
-    ClientShard,
-    Dataset,
-    LogisticObjective,
-    Objective,
-    ObjectiveKind,
-    QuadraticObjective,
-    TaskSpec,
-    TinyMlpObjective,
-    evaluate,
-    generate_blobs,
-    generate_quadratic_shards,
-    global_grad,
-    global_loss,
-    load_csv_dataset,
-    local_stoch_grad,
-    partition_dirichlet,
-)
-from .realloc import (
-    ReallocPlan,
-    TaskAllocView,
-    apportion_largest_remainder,
-    compute_plan,
-    default_c_period,
-    estimate_variances,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgorithmKind",
-    "ClientProfile",
-    "ClientShard",
-    "ConfigError",
-    "Dataset",
-    "DelaySpec",
-    "DivergenceError",
-    "Engine",
-    "EventKind",
-    "ExperimentConfig",
-    "FedAstServer",
-    "LogisticObjective",
-    "MetricsRecord",
-    "MmSyncServer",
-    "Objective",
-    "ObjectiveKind",
-    "QuadraticObjective",
-    "ReallocPlan",
-    "RunLog",
-    "Scenario",
-    "ServerTaskState",
-    "SimulationError",
-    "SpeedClass",
-    "StarvedError",
-    "StopConditions",
-    "TaskAllocView",
-    "TaskConfig",
-    "TaskSpec",
-    "TinyMlpObjective",
-    "Update",
-    "apportion_largest_remainder",
-    "build_policy",
-    "build_scenario",
-    "compare",
-    "compute_plan",
-    "default_c_period",
-    "duration_quantile",
-    "estimate_variances",
-    "evaluate",
-    "generate_blobs",
-    "generate_quadratic_shards",
-    "global_grad",
-    "global_loss",
-    "load_config",
-    "load_csv_dataset",
-    "local_stoch_grad",
-    "local_train",
-    "lr_bound_warnings",
-    "lr_bounds",
-    "make_profiles",
-    "parse_config",
-    "partition_dirichlet",
-    "read_csv",
-    "read_jsonl",
-    "run_experiment",
-    "run_single",
-    "sample_duration",
-    "save_config",
-    "serialize_config",
-    "time_gain",
-    "write_csv",
-    "write_jsonl",
-]

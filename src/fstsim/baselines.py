@@ -3,9 +3,10 @@
 Each round, the available clients are shuffled and split disjointly across
 tasks according to a per-task allocation. Every task aggregates the first
 k of its returned updates (k is the mitigation knob; k equal to the
-allocation means waiting for everyone) with the same
-x <- x - eta_s * eta_c * tau * mean(delta) rule as the asynchronous
-server. The round ends when the last task collects its k-th update; all
+allocation means waiting for everyone) with the asynchronous server's
+step, x <- x - eta_s * eta_c * tau * mean(delta). The round ends at a
+barrier callback, scheduled once the last task collects its k-th update
+and run after every update that arrives at the same time; all
 still-running requests are cancelled and their clients freed. No update
 ever crosses a round boundary, so staleness is identically zero.
 """
@@ -19,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .event_engine import Engine, SimulationError
+from .fedast_server import server_step
 from .local_trainer import Update
 from .objectives import TaskSpec
 from .realloc import apportion_largest_remainder
@@ -74,7 +76,6 @@ class MmSyncServer:
         self.round_durations: list[float] = []
         self.updates_received = 0
         self.updates_discarded = 0
-        self._k_clip_warned = False
 
         for task in tasks:
             if self.k > self._alloc0[task.task_id]:
@@ -84,7 +85,6 @@ class MmSyncServer:
                 )
                 logger.warning(msg)
                 self.warnings.append(msg)
-                self._k_clip_warned = True
 
     # -- policy interface ----------------------------------------------------
 
@@ -113,16 +113,7 @@ class MmSyncServer:
         self.round_durations.append(engine.now - self._round_start)
         for st in live:
             if st.collected:
-                stack = np.stack([u.delta for u in st.collected])
-                st.model = st.model - st.spec.eta_s * st.spec.eta_c * st.spec.tau * stack.mean(
-                    axis=0
-                )
-                st.model.setflags(write=False)
-                if not np.all(np.isfinite(st.model)):
-                    raise SimulationError(
-                        f"aggregate produced non-finite model on task {st.spec.task_id} "
-                        f"at round {st.round}"
-                    )
+                server_step(st, st.collected)
                 st.aggregated_total += len(st.collected)
             st.collected = []
             st.round += 1
@@ -210,4 +201,4 @@ class MmSyncServer:
         live = [st for st in self._states.values() if not st.finished]
         if live and all(len(st.collected) >= st.k_eff for st in live):
             self._barrier_scheduled = True
-            engine.schedule_barrier()
+            engine.call_at(engine.now, self.handle_barrier)

@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .objectives import TaskSpec
+from .realloc import largest_remainder
 
 
 class SpeedClass(str, enum.Enum):
@@ -119,11 +120,7 @@ def make_profiles(
         if beta <= 0:
             raise ValueError(f"base beta for task {task_id} must be positive")
 
-    quotas = np.asarray(mix, dtype=np.float64) * n_clients
-    counts = np.floor(quotas).astype(np.int64)
-    order = np.argsort(-(quotas - counts), kind="stable")
-    for i in range(n_clients - int(counts.sum())):
-        counts[order[i]] += 1
+    counts = largest_remainder(np.asarray(mix, dtype=np.float64) * n_clients, n_clients)
 
     classes = [SpeedClass.SLOW, SpeedClass.NORMAL, SpeedClass.FAST]
     shuffled = rng.permutation(n_clients)

@@ -19,7 +19,9 @@ A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
 absorbed (and any triggered aggregation applied) before the replacement
 requests snapshot the model. For continuous delay distributions this is
-indistinguishable from dispatching inline.
+indistinguishable from dispatching inline. A policy that must act once a
+set of same-time events has settled (the sync barrier) schedules its own
+callback with ``call_at``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 import enum
 import heapq
 import logging
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -56,15 +58,8 @@ class EventKind(enum.Enum):
     UPDATE_ARRIVAL = "update_arrival"
     DISPATCH = "dispatch"
     EVAL_TICK = "eval_tick"
-    SYNC_ROUND_BARRIER = "sync_round_barrier"
-
-
-@dataclass(eq=False)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind
-    payload: Any = None
+    #: a policy callback; its payload is called with the engine
+    CALLBACK = "callback"
 
 
 @dataclass(slots=True)
@@ -120,8 +115,6 @@ class ServerPolicy(Protocol):
     def start(self, engine: "Engine") -> None: ...
 
     def handle_update(self, engine: "Engine", update: Update) -> None: ...
-
-    def handle_barrier(self, engine: "Engine") -> None: ...
 
     def model_snapshot(self, task_id: int) -> np.ndarray:
         """The task's current model. The engine keeps it by reference until
@@ -190,9 +183,11 @@ class Engine:
         self.stop = stop
 
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        #: (time, seq, kind, payload); seq is unique, so ties never reach kind
+        self._heap: list[tuple[float, int, EventKind, Any]] = []
         self._seq = 0
-        self._server_rng = rng_tree.server_rng(seed)
+        #: the server-side decision stream (sampling, availability, shuffles)
+        self.server_stream = rng_tree.server_rng(seed)
         self._dispatch_counts: dict[tuple[int, int], int] = {}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
@@ -201,22 +196,13 @@ class Engine:
         self.skipped_dispatches = 0
         self._events_processed = 0
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.clients)
-
-    @property
-    def server_stream(self) -> np.random.Generator:
-        """The server-side decision stream (sampling, availability, shuffles)."""
-        return self._server_rng
-
     # -- scheduling ---------------------------------------------------------
 
     def _push(self, time: float, kind: EventKind, payload: Any = None) -> None:
         if time < self.now:
             raise SimulationError(f"event scheduled in the past: {time} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, Event(time, self._seq, kind, payload)))
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
     def send_requests(self, task_id: int, count: int) -> None:
         """Queue `count` dispatches to uniformly sampled clients, effective now."""
@@ -227,8 +213,10 @@ class Engine:
         """Queue a dispatch to a specific client, effective now."""
         self._push(self.now, EventKind.DISPATCH, (task_id, client_id))
 
-    def schedule_barrier(self) -> None:
-        self._push(self.now, EventKind.SYNC_ROUND_BARRIER, None)
+    def call_at(self, time: float, callback: Callable[["Engine"], None]) -> None:
+        """Call ``callback(engine)`` at ``time``, after every event already
+        queued for that time."""
+        self._push(time, EventKind.CALLBACK, callback)
 
     # -- client pool --------------------------------------------------------
 
@@ -245,14 +233,14 @@ class Engine:
                     f"availability sampler exceeded {SAMPLER_ITERATION_CAP} iterations "
                     f"(availability_p={self.availability_p})"
                 )
-            candidate = int(self._server_rng.integers(self.n_clients))
-            if self._server_rng.random() < self.availability_p:
+            candidate = int(self.server_stream.integers(len(self.clients)))
+            if self.server_stream.random() < self.availability_p:
                 out.append(candidate)
         return out
 
     def draw_available(self) -> list[int]:
         """Round-style availability: one Bernoulli coin per client."""
-        mask = self._server_rng.random(self.n_clients) < self.availability_p
+        mask = self.server_stream.random(len(self.clients)) < self.availability_p
         return [int(i) for i in np.flatnonzero(mask)]
 
     def release_clients(self, at: float) -> None:
@@ -341,7 +329,7 @@ class Engine:
 
         stop_reason: str | None = None
         while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+            time, _, kind, payload = heapq.heappop(self._heap)
             if self.stop.max_sim_time is not None and time > self.stop.max_sim_time:
                 self.now = self.stop.max_sim_time
                 stop_reason = "max_sim_time"
@@ -349,21 +337,21 @@ class Engine:
             self.now = time
             self._events_processed += 1
 
-            if event.kind is EventKind.DISPATCH:
-                self._do_dispatch(policy, event.payload)
-            elif event.kind is EventKind.UPDATE_ARRIVAL:
+            if kind is EventKind.DISPATCH:
+                self._do_dispatch(policy, payload)
+            elif kind is EventKind.UPDATE_ARRIVAL:
                 if self.trace is not None:
-                    upd = event.payload
                     self.trace.append(
-                        ("arrival", self.now, upd.task_id, upd.client_id, upd.dispatch_round)
+                        ("arrival", self.now, payload.task_id, payload.client_id,
+                         payload.dispatch_round)
                     )
-                policy.handle_update(self, event.payload)
-            elif event.kind is EventKind.EVAL_TICK:
+                policy.handle_update(self, payload)
+            elif kind is EventKind.EVAL_TICK:
                 self._do_eval(policy)
                 if self.eval_interval is not None:
                     self._push(self.now + self.eval_interval, EventKind.EVAL_TICK)
-            elif event.kind is EventKind.SYNC_ROUND_BARRIER:
-                policy.handle_barrier(self)
+            else:  # EventKind.CALLBACK
+                payload(self)
 
             if self.stop.max_rounds is not None:
                 for task_id in self.tasks:

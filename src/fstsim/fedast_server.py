@@ -37,12 +37,38 @@ logger = logging.getLogger(__name__)
 DEFAULT_RATIO_CAP = 37.0
 
 
+def _bound_terms(
+    smoothness: float,
+    tau: int,
+    buffer_size: int,
+    concurrency: int,
+    staleness_cap: int | None,
+    chi: float,
+) -> tuple[float, float, float]:
+    """The eta_s bound and the buffer and staleness terms of the eta_c bound."""
+    if smoothness <= 0 or tau < 1 or buffer_size < 1 or concurrency < 1:
+        raise ValueError("lr_bounds arguments must be positive")
+    if staleness_cap is not None and staleness_cap < 0:
+        raise ValueError("staleness_cap must be nonnegative")
+    if chi < 1:
+        raise ValueError("buffer skew chi is a max/min ratio, so chi >= 1")
+    damp = chi**-1.5
+    eta_s_max = damp * math.sqrt(tau * buffer_size)
+    buffer_term = damp / (6.0 * smoothness * tau * math.sqrt(tau * buffer_size))
+    staleness_term = (
+        damp / (4.0 * smoothness * tau * math.sqrt(tau * concurrency * staleness_cap))
+        if staleness_cap
+        else math.inf
+    )
+    return eta_s_max, buffer_term, staleness_term
+
+
 def lr_bounds(
     smoothness: float,
     tau: int,
     buffer_size: int,
     concurrency: int,
-    staleness_cap: int,
+    staleness_cap: int | None,
     chi: float = 1.0,
 ) -> tuple[float, float]:
     """Largest (eta_s, eta_c) with a convergence guarantee.
@@ -52,24 +78,20 @@ def lr_bounds(
                              1 / (4 L tau sqrt(tau R tau_max)) )
 
     chi is the max/min buffer-size skew across tasks; chi = 1 (uniform
-    buffers) recovers the unskewed bounds exactly.
+    buffers) recovers the unskewed bounds exactly. Without a staleness cap,
+    or with a cap of 0, the staleness term is infinite and never binds.
     """
-    if smoothness <= 0 or tau < 1 or buffer_size < 1 or concurrency < 1 or staleness_cap < 1:
-        raise ValueError("lr_bounds arguments must be positive")
-    if chi < 1:
-        raise ValueError("buffer skew chi is a max/min ratio, so chi >= 1")
-    damp = chi**-1.5
-    eta_s_max = damp * math.sqrt(tau * buffer_size)
-    buffer_term = 1.0 / (6.0 * smoothness * tau * math.sqrt(tau * buffer_size))
-    staleness_term = 1.0 / (
-        4.0 * smoothness * tau * math.sqrt(tau * concurrency * staleness_cap)
+    eta_s_max, buffer_term, staleness_term = _bound_terms(
+        smoothness, tau, buffer_size, concurrency, staleness_cap, chi
     )
-    eta_c_max = damp * min(buffer_term, staleness_term)
-    return eta_s_max, eta_c_max
+    return eta_s_max, min(buffer_term, staleness_term)
 
 
 def lr_bound_warnings(
-    task: TaskSpec,
+    task_id: int,
+    tau: int,
+    eta_c: float,
+    eta_s: float,
     concurrency: int,
     buffer_size: int,
     staleness_cap: int | None,
@@ -78,32 +100,42 @@ def lr_bound_warnings(
 ) -> list[str]:
     """Human-readable warnings when a task's rates exceed the guarantee.
 
-    Without a staleness cap only the buffer term of the eta_c bound can be
-    checked. Each warning names the binding term so the offending knob is
-    obvious.
+    Each warning names the binding term so the offending knob is obvious.
     """
-    cap = staleness_cap if staleness_cap is not None else 1
-    eta_s_max, _ = lr_bounds(smoothness, task.tau, buffer_size, concurrency, cap, chi)
-    damp = chi**-1.5
-    buffer_term = damp / (6.0 * smoothness * task.tau * math.sqrt(task.tau * buffer_size))
-    staleness_term = (
-        damp / (4.0 * smoothness * task.tau * math.sqrt(task.tau * concurrency * staleness_cap))
-        if staleness_cap is not None
-        else math.inf
+    eta_s_max, buffer_term, staleness_term = _bound_terms(
+        smoothness, tau, buffer_size, concurrency, staleness_cap, chi
     )
     warnings = []
-    if task.eta_s > eta_s_max:
+    if eta_s > eta_s_max:
         warnings.append(
-            f"task {task.task_id}: eta_s={task.eta_s:g} exceeds the server-rate bound "
+            f"task {task_id}: eta_s={eta_s:g} exceeds the server-rate bound "
             f"{eta_s_max:g} (sqrt(tau*b) term)"
         )
-    if task.eta_c > min(buffer_term, staleness_term):
+    if eta_c > min(buffer_term, staleness_term):
         binding = "buffer term" if buffer_term <= staleness_term else "staleness term"
         warnings.append(
-            f"task {task.task_id}: eta_c={task.eta_c:g} exceeds the client-rate bound "
+            f"task {task_id}: eta_c={eta_c:g} exceeds the client-rate bound "
             f"{min(buffer_term, staleness_term):g} (binding: {binding})"
         )
     return warnings
+
+
+def server_step(st, updates: list[Update]) -> None:
+    """The server step of every strategy: x <- x - eta_c*eta_s*tau*mean(delta).
+
+    ``st`` is a task's server state (``spec``, ``model``, ``round``). The
+    step binds a new read-only model, since in-flight requests hold the old
+    one by reference, and raises SimulationError if it is not finite.
+    """
+    spec = st.spec
+    mean_delta = np.stack([u.delta for u in updates]).mean(axis=0)
+    st.model = st.model - spec.eta_c * spec.eta_s * spec.tau * mean_delta
+    st.model.setflags(write=False)
+    if not np.all(np.isfinite(st.model)):
+        raise SimulationError(
+            f"aggregate produced non-finite model on task {spec.task_id} "
+            f"at round {st.round} ({len(updates)} updates)"
+        )
 
 
 @dataclass
@@ -130,10 +162,6 @@ class ServerTaskState:
     aggregation_times: list[float] = field(default_factory=list)
     #: post-aggregation model copies when history tracking is on
     model_history: list[np.ndarray] | None = None
-
-    @property
-    def step_scale(self) -> float:
-        return self.spec.eta_c * self.spec.eta_s * self.spec.tau
 
 
 class FedAstServer:
@@ -172,7 +200,6 @@ class FedAstServer:
         if tau_max is not None and tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
         self.option = option
-        self.history_size = history_size
         self.tau_max = tau_max
         self.drop_enforcement = drop_enforcement
         self.warnings: list[str] = []
@@ -245,21 +272,8 @@ class FedAstServer:
             if staleness > st.staleness_max:
                 st.staleness_max = staleness
 
-        plan = compute_plan(
-            self.option, self.c, self.c_period, self._alloc_views(), self.released_budget
-        )
-        if plan.triggered:
-            self.released_budget = 0
-            for tid, st2 in self._states.items():
-                st2.r_target = plan.r_new[tid]
-                st2.b = plan.b_new[tid]
-            self.realloc_events.append(
-                (engine.now, self.c, dict(plan.r_new), dict(plan.sigma_sq))
-            )
-            # A shrunk buffer target may already be satisfied.
-            for st2 in self._states.values():
-                if not st2.finished and len(st2.buffer) >= st2.b:
-                    self._aggregate(st2, engine.now)
+        if self.option == "D" and self.c % self.c_period == 0:
+            self._replan(engine.now)
 
         if len(st.buffer) >= st.b:
             self._aggregate(st, engine.now)
@@ -268,9 +282,6 @@ class FedAstServer:
         st.r_cur += k - 1
         if k > 0:
             engine.send_requests(update.task_id, k)
-
-    def handle_barrier(self, engine: Engine) -> None:
-        raise SimulationError("asynchronous server received a sync barrier event")
 
     def model_snapshot(self, task_id: int) -> np.ndarray:
         return self._states[task_id].model
@@ -308,29 +319,33 @@ class FedAstServer:
         """Direct state access for tests and diagnostics."""
         return self._states[task_id]
 
-    def _alloc_views(self) -> list[TaskAllocView]:
-        return [
+    def _replan(self, now: float) -> None:
+        views = [
             TaskAllocView(
                 task_id=tid,
                 r_target=st.r_target,
                 buffer_target=st.b,
                 finished=st.finished,
-                step_scale=st.step_scale,
+                step_scale=st.spec.eta_c * st.spec.eta_s * st.spec.tau,
                 history=tuple(st.history),
             )
             for tid, st in self._states.items()
         ]
+        plan = compute_plan(views, self.released_budget)
+        if plan is None:
+            return
+        self.released_budget = 0
+        for tid, st in self._states.items():
+            st.r_target = plan.r_new[tid]
+            st.b = plan.b_new[tid]
+        self.realloc_events.append((now, self.c, dict(plan.r_new), dict(plan.sigma_sq)))
+        # A shrunk buffer target may already be satisfied.
+        for st in self._states.values():
+            if not st.finished and len(st.buffer) >= st.b:
+                self._aggregate(st, now)
 
     def _aggregate(self, st: ServerTaskState, now: float) -> None:
-        stack = np.stack([u.delta for u in st.buffer])
-        mean_delta = stack.mean(axis=0)
-        st.model = st.model - st.step_scale * mean_delta
-        st.model.setflags(write=False)
-        if not np.all(np.isfinite(st.model)):
-            raise SimulationError(
-                f"aggregate produced non-finite model on task {st.spec.task_id} "
-                f"at round {st.round} (buffer size {len(st.buffer)})"
-            )
+        server_step(st, st.buffer)
         st.buffer.clear()
         st.round += 1
         st.aggregation_times.append(now)

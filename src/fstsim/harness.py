@@ -134,8 +134,6 @@ def build_policy(cfg: ExperimentConfig, tasks: list[TaskSpec], keep_model_histor
     if algo is AlgorithmKind.MM_SYNC:
         return MmSyncServer(tasks, allocation=r0, k=cfg.k_sync)
     option = "D" if algo is AlgorithmKind.FEDAST_DYNAMIC else "S"
-    if algo is AlgorithmKind.NO_BUFFER:
-        b0 = {tid: 1 for tid in b0}
     return FedAstServer(
         tasks,
         r0=r0,
@@ -181,35 +179,28 @@ def run_single(
 
 def learning_rate_warnings(cfg: ExperimentConfig) -> list[str]:
     """Theoretical step-size checks (uniform-buffer form, chi = 1)."""
-    warnings = []
-    for tc in cfg.tasks:
-        task = TaskSpec(
-            task_id=tc.task_id,
-            objective=QuadraticObjective(dim=1),
-            tau=tc.tau,
-            eta_c=tc.eta_c,
-            eta_s=tc.eta_s,
-            target_metric=tc.target_metric,
-            target_kind=tc.target_kind,
-            batch_size=tc.batch_size,
+    return [
+        warning
+        for tc in cfg.tasks
+        for warning in lr_bound_warnings(
+            tc.task_id,
+            tc.tau,
+            tc.eta_c,
+            tc.eta_s,
+            concurrency=tc.r0,
+            buffer_size=tc.b0,
+            staleness_cap=cfg.tau_max,
+            smoothness=tc.smoothness,
         )
-        b_eff = 1 if cfg.algorithm == AlgorithmKind.NO_BUFFER.value else tc.b0
-        warnings.extend(
-            lr_bound_warnings(
-                task,
-                concurrency=tc.r0,
-                buffer_size=b_eff,
-                staleness_cap=cfg.tau_max,
-                smoothness=tc.smoothness,
-            )
-        )
-    return warnings
+    ]
 
 
-def _cap_value(cfg: ExperimentConfig, log: RunLog) -> float:
-    if cfg.max_sim_time is not None:
-        return float(cfg.max_sim_time)
-    return float(log.sim_time)
+def _time_to_target(cfg: ExperimentConfig, log: RunLog, task_id: int) -> float:
+    """When the task crossed its target, or the run's time cap if it never did."""
+    t = log.target_times[task_id]
+    if t is not None:
+        return float(t)
+    return float(cfg.max_sim_time if cfg.max_sim_time is not None else log.sim_time)
 
 
 def summarize(cfg: ExperimentConfig, logs: list[RunLog], policies: list[ServerPolicy]) -> dict:
@@ -227,12 +218,8 @@ def summarize(cfg: ExperimentConfig, logs: list[RunLog], policies: list[ServerPo
     }
     for tc in cfg.tasks:
         tid = tc.task_id
-        per_run = []
-        reached = []
-        for log in logs:
-            t = log.target_times[tid]
-            reached.append(t is not None)
-            per_run.append(float(t) if t is not None else _cap_value(cfg, log))
+        per_run = [_time_to_target(cfg, log, tid) for log in logs]
+        reached = [log.target_times[tid] is not None for log in logs]
         finals = [_final_record(log, tid) for log in logs]
         surrogate = tc.kind == "quadratic"
         summary["tasks"][str(tid)] = {
@@ -286,13 +273,7 @@ def run_experiment(
             seed=cfg.seed if seed is None else seed,
             runs=cfg.runs if runs is None else runs,
         )
-    validate_config(cfg)
-    logs: list[RunLog] = []
-    policies: list[ServerPolicy] = []
-    for r in range(cfg.runs):
-        log, policy = run_single(cfg, cfg.seed + r)
-        logs.append(log)
-        policies.append(policy)
+    logs, policies = _run_all(cfg)
     summary = summarize(cfg, logs, policies)
     if out_dir is not None:
         out = Path(out_dir)
@@ -379,6 +360,7 @@ def compare(
 
 
 def _run_all(cfg: ExperimentConfig) -> tuple[list[RunLog], list[ServerPolicy]]:
+    """Every replica of ``cfg``: replica r runs with seed cfg.seed + r."""
     validate_config(cfg)
     logs, policies = [], []
     for r in range(cfg.runs):
@@ -390,13 +372,7 @@ def _run_all(cfg: ExperimentConfig) -> tuple[list[RunLog], list[ServerPolicy]]:
 
 def _finish_all_times(cfg: ExperimentConfig, logs: list[RunLog]) -> list[float]:
     """Per replica: time when the last task crossed its target (cap if not)."""
-    out = []
-    for log in logs:
-        times = []
-        for tid, t in log.target_times.items():
-            times.append(float(t) if t is not None else _cap_value(cfg, log))
-        out.append(max(times))
-    return out
+    return [max(_time_to_target(cfg, log, tid) for tid in log.target_times) for log in logs]
 
 
 def _write_curves(path: Path, logs: list[RunLog]) -> None:

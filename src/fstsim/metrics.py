@@ -47,15 +47,11 @@ def _typed(name: str, value) -> float | int:
     return float(value) if name in _FLOAT_FIELDS else int(value)
 
 
-def _cell(name: str, value) -> str:
-    return repr(_typed(name, value))
-
-
 def write_csv(path: str | Path, records: Iterable[MetricsRecord]) -> None:
     lines = [",".join(FIELD_ORDER)]
     for rec in records:
         d = asdict(rec)
-        lines.append(",".join(_cell(name, d[name]) for name in FIELD_ORDER))
+        lines.append(",".join(repr(_typed(name, d[name])) for name in FIELD_ORDER))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -67,11 +63,8 @@ def read_csv(path: str | Path) -> list[MetricsRecord]:
     for line in lines[1:]:
         if not line:
             continue
-        cells = line.split(",")
-        kwargs = {}
-        for name, cell in zip(FIELD_ORDER, cells):
-            kwargs[name] = float(cell) if name in _FLOAT_FIELDS else int(cell)
-        records.append(MetricsRecord(**kwargs))
+        cells = zip(FIELD_ORDER, line.split(","))
+        records.append(MetricsRecord(**{name: _typed(name, cell) for name, cell in cells}))
     return records
 
 

@@ -13,11 +13,12 @@ samples.
 from __future__ import annotations
 
 import abc
-import csv
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .realloc import largest_remainder
 
 
 class ObjectiveKind(str, enum.Enum):
@@ -47,24 +48,12 @@ class Dataset:
         return self.features.shape[0]
 
 
-@dataclass(eq=False)
-class ClientShard:
+class ClientShard(Dataset):
     """One client's local slice of a task's data."""
 
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError("shard features must be 2-D")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
+    def __init__(self, client_id: int, features: np.ndarray, labels: np.ndarray | None = None):
+        super().__init__(features, labels)
+        self.client_id = client_id
 
 
 class Objective(abc.ABC):
@@ -73,9 +62,6 @@ class Objective(abc.ABC):
     kind: ObjectiveKind
     dim: int
     l2: float
-    #: True when `accuracy` is a monotone surrogate rather than argmax
-    #: correctness; surfaced in run summaries.
-    accuracy_is_surrogate: bool = False
 
     @abc.abstractmethod
     def loss(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
@@ -107,7 +93,6 @@ class QuadraticObjective(Objective):
     dim: int
     l2: float = 0.0
     kind: ObjectiveKind = field(default=ObjectiveKind.QUADRATIC, init=False)
-    accuracy_is_surrogate: bool = field(default=True, init=False)
 
     def loss(self, x, features, labels=None):
         diffs = x[None, :] - features
@@ -342,7 +327,6 @@ def partition_dirichlet(
     n_clients: int,
     alpha: float,
     rng: np.random.Generator,
-    ensure_nonempty: bool = True,
 ) -> list[ClientShard]:
     """Split a labelled dataset across clients with Dirichlet(alpha) skew.
 
@@ -350,11 +334,9 @@ def partition_dirichlet(
     Dirichlet(alpha) and converted to counts by largest remainder, then that
     class's (shuffled) samples are dealt out contiguously. Every sample
     lands in exactly one shard. Small alpha concentrates classes on few
-    clients; large alpha approaches a uniform split.
-
-    With ``ensure_nonempty`` (default) any client left with zero samples
-    steals one from the currently largest shard, so every shard is
-    trainable. Disable to get the raw Dirichlet split.
+    clients; large alpha approaches a uniform split. Any client left with
+    zero samples then steals one from the currently largest shard, so every
+    shard is trainable.
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -362,7 +344,7 @@ def partition_dirichlet(
         raise ValueError("alpha must be positive")
     if dataset.labels is None:
         raise ValueError("Dirichlet partitioning needs labelled data")
-    if dataset.size < n_clients and ensure_nonempty:
+    if dataset.size < n_clients:
         raise ValueError("fewer samples than clients; cannot make every shard nonempty")
 
     assigned: list[list[int]] = [[] for _ in range(n_clients)]
@@ -370,17 +352,16 @@ def partition_dirichlet(
         cls_idx = np.flatnonzero(dataset.labels == cls)
         rng.shuffle(cls_idx)
         props = rng.dirichlet(np.full(n_clients, alpha))
-        counts = _proportional_counts(props, len(cls_idx))
+        counts = largest_remainder(props * len(cls_idx), len(cls_idx))
         start = 0
         for client, cnt in enumerate(counts):
             assigned[client].extend(cls_idx[start : start + cnt])
             start += cnt
 
-    if ensure_nonempty:
-        for client in range(n_clients):
-            if not assigned[client]:
-                donor = max(range(n_clients), key=lambda c: len(assigned[c]))
-                assigned[client].append(assigned[donor].pop())
+    for client in range(n_clients):
+        if not assigned[client]:
+            donor = max(range(n_clients), key=lambda c: len(assigned[c]))
+            assigned[client].append(assigned[donor].pop())
 
     shards = []
     for client in range(n_clients):
@@ -393,18 +374,6 @@ def partition_dirichlet(
             )
         )
     return shards
-
-
-def _proportional_counts(proportions: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to `total`, closest to `proportions * total`."""
-    quotas = proportions * total
-    counts = np.floor(quotas).astype(np.int64)
-    remainder = total - int(counts.sum())
-    if remainder > 0:
-        # ties broken by lower index via stable argsort on negated remainders
-        order = np.argsort(-(quotas - counts), kind="stable")
-        counts[order[:remainder]] += 1
-    return counts
 
 
 def generate_blobs(
@@ -456,24 +425,3 @@ def generate_quadratic_shards(
         pool.append(pts)
     return shards, Dataset(features=np.concatenate(pool, axis=0))
 
-
-def load_csv_dataset(path: str) -> Dataset:
-    """Read a dataset from CSV: header row, numeric features, integer label last."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: need at least one feature column plus a label column")
-    labels = data[:, -1]
-    if not np.all(labels == np.round(labels)):
-        raise ValueError(f"{path}: label column must hold integers")
-    return Dataset(features=data[:, :-1], labels=labels.astype(np.int64))

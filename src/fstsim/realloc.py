@@ -1,12 +1,12 @@
 """Periodic resource reallocation across concurrently trained tasks.
 
-Every ``c_period`` received updates (dynamic mode only) the server
-re-splits the total concurrent-request budget proportionally to each
-task's estimated heterogeneity: the square root of a normalized update
-variance computed from the last few buffered updates. Buffer sizes follow
-their task's request count so the requests-per-aggregation ratio is
-preserved. Everything here is a pure function over snapshots; the caller
-applies the returned plan.
+Every ``c_period`` received updates (dynamic mode only) the server asks
+``compute_plan`` to re-split the total concurrent-request budget
+proportionally to each task's estimated heterogeneity: the square root of a
+normalized update variance computed from the last few buffered updates.
+Buffer sizes follow their task's request count so the
+requests-per-aggregation ratio is preserved. Everything here is a pure
+function over snapshots; the caller applies the returned plan.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-#: Updates retained per task for variance estimation.
-DEFAULT_HISTORY_SIZE = 8
 #: Reallocation cadence: one pass after roughly this fraction of
 #: (tasks x total requests) updates have been received.
 C_PERIOD_FACTOR = 0.75
@@ -39,9 +37,8 @@ class TaskAllocView:
 
 @dataclass(frozen=True)
 class ReallocPlan:
-    """New request and buffer targets; passthrough when not triggered."""
+    """New request and buffer targets of every task."""
 
-    triggered: bool
     r_new: Mapping[int, int]
     b_new: Mapping[int, int]
     sigma_sq: Mapping[int, float]
@@ -80,6 +77,16 @@ def estimate_variances(
     return out
 
 
+def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to ``total``, each the floor of its quota or one
+    more: the leftover units go to the largest fractional parts, ties to the
+    lower index."""
+    counts = np.floor(quotas).astype(np.int64)
+    order = np.argsort(-(quotas - counts), kind="stable")
+    counts[order[: max(0, total - int(counts.sum()))]] += 1
+    return counts
+
+
 def apportion_largest_remainder(
     weights: Sequence[float], total: int, min_each: int = 1
 ) -> list[int]:
@@ -99,11 +106,7 @@ def apportion_largest_remainder(
         raise ValueError("weights must be nonnegative")
     if w.sum() == 0.0:
         w = np.ones(n)
-    quotas = w / w.sum() * total
-    alloc = np.floor(quotas).astype(np.int64)
-    order = np.argsort(-(quotas - alloc), kind="stable")
-    for i in range(total - int(alloc.sum())):
-        alloc[order[i]] += 1
+    alloc = largest_remainder(w / w.sum() * total, total)
     while True:
         short = np.flatnonzero(alloc < min_each)
         if len(short) == 0:
@@ -115,34 +118,20 @@ def apportion_largest_remainder(
 
 
 def compute_plan(
-    option: str,
-    c: int,
-    c_period: int,
-    views: Sequence[TaskAllocView],
-    released_budget: int = 0,
-) -> ReallocPlan:
-    """Decide new (R, b) targets after the c-th received update.
+    views: Sequence[TaskAllocView], released_budget: int = 0
+) -> ReallocPlan | None:
+    """Decide new (R, b) targets; the caller decides when to plan.
 
-    Option "S" (static) and off-cadence calls pass through unchanged. A
-    triggered pass re-apportions the live budget (live targets plus any
-    budget released by finished tasks) proportionally to sqrt(sigma_sq),
-    then rescales each buffer by its task's request ratio (round to
-    nearest, floor 1). If any live task has fewer than 2 retained updates
-    the pass is skipped.
+    The pass re-apportions the live budget (live targets plus any budget
+    released by finished tasks) proportionally to sqrt(sigma_sq), then
+    rescales each buffer by its task's request ratio (round to nearest,
+    floor 1); finished tasks keep their targets. Returns None, changing
+    nothing, if no task is live or a live task has fewer than 2 retained
+    updates.
     """
-    if option not in ("S", "D"):
-        raise ValueError("option must be 'S' (static) or 'D' (dynamic)")
-    passthrough = ReallocPlan(
-        triggered=False,
-        r_new={v.task_id: v.r_target for v in views},
-        b_new={v.task_id: v.buffer_target for v in views},
-        sigma_sq={},
-    )
-    if option == "S" or c_period < 1 or c % c_period != 0:
-        return passthrough
     live = [v for v in views if not v.finished]
     if not live or any(len(v.history) < 2 for v in live):
-        return passthrough
+        return None
 
     sigma_sq = estimate_variances(
         {v.task_id: v.history for v in live},
@@ -158,4 +147,4 @@ def compute_plan(
         r_new[view.task_id] = r
         scaled = view.buffer_target * r / view.r_target
         b_new[view.task_id] = max(1, int(math.floor(scaled + 0.5)))
-    return ReallocPlan(triggered=True, r_new=r_new, b_new=b_new, sigma_sq=sigma_sq)
+    return ReallocPlan(r_new=r_new, b_new=b_new, sigma_sq=sigma_sq)

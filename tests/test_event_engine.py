@@ -64,9 +64,6 @@ class StubPolicy:
         if self._on_update:
             self._on_update(self, engine, update)
 
-    def handle_barrier(self, engine):
-        pass
-
     def model_snapshot(self, task_id):
         return self.models[task_id]
 
@@ -263,6 +260,41 @@ class TestSampling:
             self.make_engine(2, availability=0.0)
         with pytest.raises(ValueError):
             self.make_engine(2, availability=1.5)
+
+
+class TestPolicyCallback:
+    def test_callback_at_now_runs_after_queued_same_time_events(self):
+        """At t=1 the update handler queues a callback, two dispatches and a
+        second callback, all for t=1: they run in that (sequence) order."""
+        seen = []
+
+        def dispatches_at_1(engine):
+            return sum(1 for e in engine.trace if e[0] == "dispatch" and e[1] == 1.0)
+
+        def on_start(policy, engine):
+            engine.send_request_to(0, 0)
+
+        def on_update(policy, engine, update):
+            if engine.now == 1.0:
+                engine.call_at(1.0, lambda eng: seen.append(("first", dispatches_at_1(eng))))
+                engine.send_request_to(0, 0)
+                engine.send_request_to(0, 1)
+                engine.call_at(1.0, lambda eng: seen.append(("second", dispatches_at_1(eng))))
+
+        engine = Engine(tasks=[quad_task()], shards=zero_shards([0], 2),
+                        eval_sets=zero_evals([0]),
+                        profiles=[profile(0, {0: 1.0}), profile(1, {0: 1.0})],
+                        seed=0, delay=CONSTANT_DELAY, eval_interval=None,
+                        stop=StopConditions(stop_on_targets=False, max_sim_time=1.5),
+                        trace=True)
+        engine.run(StubPolicy([0], on_start, on_update))
+        assert seen == [("first", 0), ("second", 2)]
+
+    def test_callback_in_the_past_is_an_error(self):
+        engine = TestSampling().make_engine(1)
+        engine.now = 5.0
+        with pytest.raises(SimulationError, match="past"):
+            engine.call_at(4.9, lambda eng: None)
 
 
 class TestStops:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import fstsim.fedast_server as fedast_server
+from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
 from fstsim.event_engine import Engine, SimulationError, StopConditions
 from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds
+from fstsim.harness import build_policy, build_scenario
 from fstsim.local_trainer import Update
 from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
 
@@ -193,6 +196,9 @@ class TestLearningRateBounds:
     def test_buffer_term_binds_at_low_concurrency(self):
         _, eta_c_max = lr_bounds(1.0, 4, 4, concurrency=1, staleness_cap=1)
         assert eta_c_max == pytest.approx(1.0 / 96.0)
+        # a cap of 0 makes the staleness term infinite, as with no cap
+        assert lr_bounds(1.0, 4, 4, 8, 0) == lr_bounds(1.0, 4, 4, 8, None)
+        assert lr_bounds(1.0, 4, 4, 8, 0)[1] == pytest.approx(1.0 / 96.0)
 
     def test_buffer_skew_damping(self):
         eta_s_max, eta_c_max = lr_bounds(1.0, 4, 4, 8, 2, chi=4.0)
@@ -204,19 +210,23 @@ class TestLearningRateBounds:
             lr_bounds(0.0, 1, 1, 1, 1)
         with pytest.raises(ValueError):
             lr_bounds(1.0, 1, 1, 1, 1, chi=0.5)
+        with pytest.raises(ValueError):
+            lr_bounds(1.0, 1, 1, 1, -1)
 
     def test_warnings_name_the_binding_term(self):
-        loud = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=4,
-                        eta_c=1.0, eta_s=100.0, target_metric=0.9)
-        msgs = lr_bound_warnings(loud, concurrency=8, buffer_size=4, staleness_cap=2)
+        msgs = lr_bound_warnings(0, tau=4, eta_c=1.0, eta_s=100.0, concurrency=8,
+                                 buffer_size=4, staleness_cap=2)
         assert len(msgs) == 2
         assert "sqrt(tau*b) term" in msgs[0]
         assert "staleness term" in msgs[1]
 
-        quiet = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
-                         eta_c=0.01, eta_s=1.0, target_metric=0.9)
-        assert lr_bound_warnings(quiet, concurrency=1, buffer_size=1,
-                                 staleness_cap=None) == []
+        assert lr_bound_warnings(0, tau=1, eta_c=0.01, eta_s=1.0, concurrency=1,
+                                 buffer_size=1, staleness_cap=None) == []
+
+        # with a cap of 0 only the buffer term can bind
+        msgs = lr_bound_warnings(0, tau=4, eta_c=1.0, eta_s=1.0, concurrency=8,
+                                 buffer_size=4, staleness_cap=0)
+        assert len(msgs) == 1 and "binding: buffer term" in msgs[0]
 
 
 class TestRatioCap:
@@ -289,12 +299,43 @@ class TestDynamicReallocation:
         assert srv.released_budget == 0
 
 
-class TestPolicyContract:
-    def test_barrier_event_is_a_protocol_violation(self):
-        srv = FedAstServer([quad_task()], r0={0: 1}, b0={0: 1})
-        with pytest.raises(SimulationError, match="barrier"):
-            srv.handle_barrier(FakeEngine())
+class TestPlannerCadence:
+    """The server alone decides when to plan: only under dynamic allocation,
+    and only on the updates whose count c is a multiple of c_period."""
 
+    def planner_calls(self, monkeypatch, algorithm):
+        cfg = ExperimentConfig(
+            tasks=(TaskConfig(0, r0=4, b0=2), TaskConfig(1, r0=4, b0=2, sigma_g=3.0)),
+            algorithm=algorithm, n_clients=20, availability=1.0, c_period=5,
+            stop_on_targets=False, max_rounds=15,
+        )
+        scenario = build_scenario(cfg, 3)
+        policy = build_policy(cfg, scenario.tasks)
+        calls, plan = [], fedast_server.compute_plan
+
+        def counted(*args, **kwargs):
+            calls.append(policy.c)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(fedast_server, "compute_plan", counted)
+        Engine(tasks=scenario.tasks, shards=scenario.shards, eval_sets=scenario.eval_sets,
+               profiles=scenario.profiles, seed=3, delay=scenario.delay,
+               stop=StopConditions(stop_on_targets=False, max_rounds=15)).run(policy)
+        return calls, policy
+
+    def test_static_never_calls_the_planner(self, monkeypatch):
+        calls, policy = self.planner_calls(monkeypatch, "fedast_static")
+        assert policy.c > 0
+        assert calls == []
+
+    def test_dynamic_calls_it_exactly_on_cadence(self, monkeypatch):
+        calls, policy = self.planner_calls(monkeypatch, "fedast_dynamic")
+        assert len(calls) >= 2
+        assert calls == list(range(5, policy.c + 1, 5))
+        assert policy.realloc_events
+
+
+class TestPolicyContract:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             FedAstServer([], r0={}, b0={})

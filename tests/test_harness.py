@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from fstsim.harness import (
     time_gain,
 )
 from fstsim.metrics import MetricsRecord, read_csv, read_jsonl, write_csv, write_jsonl
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def quad_task_config(tid=0, **overrides):
@@ -316,6 +319,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config ok" in out
         assert "eta_c" in out
+
+    def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):
+        # a cap of 0 with drop enforcement keeps only fresh updates; the
+        # learning-rate check treats it like no cap instead of failing
+        cfg = dataclasses.replace(load_config(CONFIGS / "two_task_async.json"),
+                                  tau_max=0, drop_enforcement=True)
+        cfg_path = self.write_cfg(tmp_path, cfg)
+        assert cli_main(["validate", "--config", cfg_path]) == 0
+        assert "config ok" in capsys.readouterr().out
+        code = cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "o" / "summary.json").exists()
 
     def test_compare_ok(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path, quad_config())

@@ -19,7 +19,6 @@ from fstsim.objectives import (
     generate_quadratic_shards,
     global_grad,
     global_loss,
-    load_csv_dataset,
     local_stoch_grad,
     partition_dirichlet,
 )
@@ -259,24 +258,3 @@ class TestGenerators:
         assert ds.features.shape == (100, 4)
         assert set(np.unique(ds.labels)) <= {0, 1, 2}
 
-
-class TestCsvLoader:
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("f0,f1,label\n0.5,1.5,0\n-1.0,2.0,1\n3.25,0.0,1\n")
-        ds = load_csv_dataset(str(p))
-        assert ds.features.shape == (3, 2)
-        assert ds.features[2, 0] == 3.25
-        assert list(ds.labels) == [0, 1, 1]
-
-    def test_non_numeric_cell_rejected(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,label\nx,0\n")
-        with pytest.raises(ValueError):
-            load_csv_dataset(str(p))
-
-    def test_fractional_label_rejected(self, tmp_path):
-        p = tmp_path / "bad2.csv"
-        p.write_text("a,label\n1.0,0.5\n")
-        with pytest.raises(ValueError):
-            load_csv_dataset(str(p))

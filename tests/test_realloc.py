@@ -1,4 +1,4 @@
-"""Reallocation planner: variance estimates, apportionment, plan triggers."""
+"""Reallocation planner: variance estimates, apportionment, plans."""
 
 import math
 
@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstsim.realloc import (
-    ReallocPlan,
     TaskAllocView,
     apportion_largest_remainder,
     compute_plan,
     default_c_period,
     estimate_variances,
+    largest_remainder,
 )
 
 
@@ -110,6 +110,12 @@ class TestApportionment:
         assert sum(alloc) == total
         assert min(alloc) >= 1
         assert alloc == apportion_largest_remainder(weights, total)  # deterministic
+        # the shared rounding step: each count is its quota's floor or one more
+        if sum(weights) > 0:
+            quotas = np.asarray(weights) / sum(weights) * total
+            counts = largest_remainder(quotas, total)
+            assert counts.sum() == total
+            assert np.all((counts == np.floor(quotas)) | (counts == np.floor(quotas) + 1))
 
     @given(
         weights=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=6),
@@ -135,26 +141,13 @@ class TestComputePlan:
     def hist_flat(self):
         return ([2.0, 0.0], [2.0, 0.0])  # rel var 0
 
-    def test_static_option_never_triggers(self):
-        views = [view(0, history=self.hist_a()), view(1, history=self.hist_a())]
-        plan = compute_plan("S", c=30, c_period=30, views=views)
-        assert plan == ReallocPlan(False, {0: 5, 1: 5}, {0: 2, 1: 2}, {})
-
-    def test_off_cadence_passthrough(self):
-        views = [view(0, history=self.hist_a()), view(1, history=self.hist_a())]
-        plan = compute_plan("D", c=29, c_period=30, views=views)
-        assert not plan.triggered
-        assert plan.r_new == {0: 5, 1: 5}
-
     def test_short_history_passthrough(self):
         views = [view(0, history=self.hist_a()), view(1, history=([1.0, 0.0],))]
-        plan = compute_plan("D", c=30, c_period=30, views=views)
-        assert not plan.triggered
+        assert compute_plan(views) is None
 
     def test_all_finished_passthrough(self):
         views = [view(0, finished=True, history=self.hist_a())]
-        plan = compute_plan("D", c=30, c_period=30, views=views)
-        assert not plan.triggered
+        assert compute_plan(views) is None
 
     def test_frozen_trigger_example(self):
         """Task 0 (scale 2, rel var .25) against a constant-history task 1:
@@ -164,8 +157,8 @@ class TestComputePlan:
             view(0, r=6, b=2, scale=2.0, history=self.hist_a()),
             view(1, r=3, b=3, scale=1.0, history=self.hist_flat()),
         ]
-        plan = compute_plan("D", c=30, c_period=30, views=views)
-        assert plan.triggered
+        plan = compute_plan(views)
+        assert plan is not None
         assert plan.sigma_sq == {0: pytest.approx(0.5), 1: 0.0}
         assert plan.r_new == {0: 8, 1: 1}
         assert plan.b_new == {0: 3, 1: 1}
@@ -175,8 +168,8 @@ class TestComputePlan:
             view(0, r=7, b=2, history=([1.0], [3.0])),
             view(1, r=3, b=2, history=([2.0], [6.0])),  # same relative spread
         ]
-        plan = compute_plan("D", c=10, c_period=10, views=views)
-        assert plan.triggered
+        plan = compute_plan(views)
+        assert plan is not None
         assert plan.r_new == {0: 5, 1: 5}
         # buffer follows its own task's request ratio, rounded half up
         assert plan.b_new == {0: max(1, int(math.floor(2 * 5 / 7 + 0.5))), 1: 3}
@@ -187,8 +180,8 @@ class TestComputePlan:
             view(1, r=3, b=1, history=([2.0], [6.0])),
             view(2, r=4, b=1, finished=True, history=()),
         ]
-        plan = compute_plan("D", c=10, c_period=10, views=views, released_budget=4)
-        assert plan.triggered
+        plan = compute_plan(views, released_budget=4)
+        assert plan is not None
         assert plan.r_new[0] + plan.r_new[1] == 10
         assert plan.r_new[2] == 4  # finished task merely passes through
 
@@ -203,8 +196,8 @@ class TestComputePlan:
                 views.append(view(tid, r=int(rng.integers(1, 9)),
                                   b=int(rng.integers(1, 4)),
                                   scale=float(rng.uniform(0.5, 2.0)), history=hist))
-            plan = compute_plan("D", c=5, c_period=5, views=views)
-            assert plan.triggered
+            plan = compute_plan(views)
+            assert plan is not None
 
             # oracle: variances, sqrt weights, quota + largest remainder
             weights = []
@@ -235,9 +228,5 @@ class TestComputePlan:
             views = [view(t, r=int(rng.integers(1, 12)),
                           history=tuple(rng.normal(size=2) for _ in range(3)))
                      for t in range(n)]
-            plan = compute_plan("D", c=8, c_period=8, views=views)
+            plan = compute_plan(views)
             assert sum(plan.r_new.values()) == sum(v.r_target for v in views)
-
-    def test_bad_option_rejected(self):
-        with pytest.raises(ValueError):
-            compute_plan("X", 1, 1, [view(0)])
