@@ -51,6 +51,8 @@ class MmSyncServer:
     first such round logs a warning and ``rounds_scaled_down`` counts them
     all. When a task finishes early its allocation is redistributed
     to the remaining tasks in proportion to their original shares.
+
+    A task's round durations are ``np.diff([0, *its Aggregated times])``.
     """
 
     def __init__(self, tasks: list[TaskSpec], allocation: Mapping[int, int], k: int):
@@ -69,11 +71,7 @@ class MmSyncServer:
         self._states = {t.task_id: SyncTaskState(spec=t, model=t.new_model()) for t in tasks}
         for st in self._states.values():
             st.model.setflags(write=False)
-        self._round = 0
-        self._round_start = 0.0
         self._barrier_scheduled = False
-        #: duration of every completed round, in order
-        self.round_durations: list[float] = []
         self.updates_received = 0
         self.updates_discarded = 0
 
@@ -102,26 +100,20 @@ class MmSyncServer:
             # has its k updates: dropped at round end.
             self.updates_discarded += 1
             return
-        update.staleness = 0
         st.collected.append(update)
         self._maybe_close_round(engine)
 
     def handle_barrier(self, engine: Engine) -> None:
-        live = [st for st in self._states.values() if not st.finished]
-        if not live:
-            return
-        self.round_durations.append(engine.now - self._round_start)
-        for st in live:
-            if st.collected:
-                server_step(st, st.collected)
+        # Scheduled once every live task held k_eff >= 1 updates; the engine
+        # stops when every task has finished, so at least one is live here.
+        for st in self._states.values():
+            if not st.finished:
+                server_step(engine, st, st.collected)
                 st.aggregated_total += len(st.collected)
-            st.collected = []
-            st.round += 1
-        self._round += 1
+                st.collected = []
         engine.release_clients(engine.now)
         self._barrier_scheduled = False
-        if any(not st.finished for st in self._states.values()):
-            self._begin_round(engine)
+        self._begin_round(engine)
 
     def model_snapshot(self, task_id: int) -> np.ndarray:
         return self._states[task_id].model
@@ -159,8 +151,6 @@ class MmSyncServer:
 
     def _begin_round(self, engine: Engine) -> None:
         live = [tid for tid, st in self._states.items() if not st.finished]
-        if not live:
-            return
         available = engine.draw_available()
         budget = sum(self._alloc0.values())
         weights = [self._alloc0[tid] for tid in live]
@@ -172,7 +162,7 @@ class MmSyncServer:
         if len(available) < budget:
             if not self.rounds_scaled_down:
                 msg = (
-                    f"round {self._round}: {len(available)} clients available, "
+                    f"round {self._states[live[0]].round}: {len(available)} clients available, "
                     f"allocation wants {budget}; scaling down proportionally "
                     f"(later short rounds are counted, not logged)"
                 )
@@ -184,7 +174,6 @@ class MmSyncServer:
 
         order = engine.server_stream.permutation(len(available))
         shuffled = [available[int(i)] for i in order]
-        self._round_start = engine.now
         pos = 0
         for tid, count in zip(live, counts):
             st = self._states[tid]

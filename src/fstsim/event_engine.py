@@ -30,7 +30,7 @@ import enum
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -60,6 +60,48 @@ class EventKind(enum.Enum):
     EVAL_TICK = "eval_tick"
     #: a policy callback; its payload is called with the engine
     CALLBACK = "callback"
+
+
+class Dispatched(NamedTuple):
+    """A request sent; ``start - time`` is its queueing delay on a busy client."""
+
+    time: float
+    task_id: int
+    client_id: int
+    dispatch_round: int
+    start: float
+    arrival: float
+
+
+class Arrived(NamedTuple):
+    """An update reached the server, before the policy handles it."""
+
+    time: float
+    task_id: int
+    client_id: int
+    dispatch_round: int
+
+
+class Aggregated(NamedTuple):
+    """A server step to ``round``; ``model`` is the new read-only model."""
+
+    time: float
+    task_id: int
+    round: int
+    n_updates: int
+    model: np.ndarray
+
+
+class Finished(NamedTuple):
+    """A task finished: ``reason`` is "target" or "max_rounds"."""
+
+    time: float
+    task_id: int
+    reason: str
+
+
+Event = Dispatched | Arrived | Aggregated | Finished
+Observer = Callable[[Event], None]
 
 
 @dataclass(slots=True)
@@ -142,11 +184,11 @@ class RunLog:
     sim_time: float
     events_processed: int
     final_models: dict[int, np.ndarray]
-    trace: list[tuple] | None = None
 
 
 class Engine:
-    """Owns the clock, the event heap, and the client pool."""
+    """Owns the clock, the event heap, and the client pool. ``observer``, off
+    by default, is called with every ``Event`` of the run, in order."""
 
     def __init__(
         self,
@@ -159,7 +201,7 @@ class Engine:
         delay: DelaySpec = DelaySpec(),
         eval_interval: float | None = 1.0,
         stop: StopConditions = StopConditions(max_rounds=100),
-        trace: bool = False,
+        observer: Observer | None = None,
     ):
         self.tasks: dict[int, TaskSpec] = {t.task_id: t for t in tasks}
         if not 0.0 < availability_p <= 1.0:
@@ -192,7 +234,7 @@ class Engine:
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
         self.records: list[MetricsRecord] = []
-        self.trace: list[tuple] | None = [] if trace else None
+        self.observer = observer
         self.skipped_dispatches = 0
         self._events_processed = 0
 
@@ -275,19 +317,11 @@ class Engine:
         request = TrainRequest(
             task, policy.model_snapshot(task_id), self.shards[task_id][client_id], streams.key
         )
-        update = Update(
-            task_id=task_id,
-            client_id=client_id,
-            dispatch_round=dispatch_round,
-            dispatch_time=self.now,
-            arrival_time=completion,
-            request=request,
-        )
+        update = Update(task_id, client_id, dispatch_round, request=request)
         self._push(completion, EventKind.UPDATE_ARRIVAL, update)
-        if self.trace is not None:
-            self.trace.append(
-                ("dispatch", self.now, task_id, client_id, dispatch_round, completion)
-            )
+        if self.observer is not None:
+            self.observer(Dispatched(self.now, task_id, client_id, dispatch_round,
+                                     start, completion))
 
     def _do_eval(self, policy: ServerPolicy) -> None:
         for task_id in sorted(self.tasks):
@@ -317,8 +351,8 @@ class Engine:
     def _finish_task(self, policy: ServerPolicy, task_id: int, reason: str) -> None:
         self.finished[task_id] = reason
         policy.mark_finished(self, task_id)
-        if self.trace is not None:
-            self.trace.append(("finish", self.now, task_id, reason))
+        if self.observer is not None:
+            self.observer(Finished(self.now, task_id, reason))
 
     # -- main loop ----------------------------------------------------------
 
@@ -340,11 +374,9 @@ class Engine:
             if kind is EventKind.DISPATCH:
                 self._do_dispatch(policy, payload)
             elif kind is EventKind.UPDATE_ARRIVAL:
-                if self.trace is not None:
-                    self.trace.append(
-                        ("arrival", self.now, payload.task_id, payload.client_id,
-                         payload.dispatch_round)
-                    )
+                if self.observer is not None:
+                    self.observer(Arrived(time, payload.task_id, payload.client_id,
+                                          payload.dispatch_round))
                 policy.handle_update(self, payload)
             elif kind is EventKind.EVAL_TICK:
                 self._do_eval(policy)
@@ -379,5 +411,4 @@ class Engine:
             sim_time=self.now,
             events_processed=self._events_processed,
             final_models={tid: np.array(policy.model_snapshot(tid), copy=True) for tid in self.tasks},
-            trace=self.trace,
         )

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .event_engine import Engine, SimulationError
+from .event_engine import Aggregated, Engine, SimulationError
 from .local_trainer import Update
 from .objectives import TaskSpec
 from .realloc import TaskAllocView, compute_plan, default_c_period
@@ -120,12 +120,12 @@ def lr_bound_warnings(
     return warnings
 
 
-def server_step(st, updates: list[Update]) -> None:
+def server_step(engine: Engine, st, updates: list[Update]) -> None:
     """The server step of every strategy: x <- x - eta_c*eta_s*tau*mean(delta).
 
-    ``st`` is a task's server state (``spec``, ``model``, ``round``). The
-    step binds a new read-only model, since in-flight requests hold the old
-    one by reference, and raises SimulationError if it is not finite.
+    ``st`` is a task's server state (``spec``, ``model``, ``round``). It gets a
+    new read-only model (in-flight requests hold the old one by reference), a
+    finite check (SimulationError) and the next round, observed as ``Aggregated``.
     """
     spec = st.spec
     mean_delta = np.stack([u.delta for u in updates]).mean(axis=0)
@@ -136,6 +136,9 @@ def server_step(st, updates: list[Update]) -> None:
             f"aggregate produced non-finite model on task {spec.task_id} "
             f"at round {st.round} ({len(updates)} updates)"
         )
+    st.round += 1
+    if engine.observer is not None:
+        engine.observer(Aggregated(engine.now, spec.task_id, st.round, len(updates), st.model))
 
 
 @dataclass
@@ -158,10 +161,6 @@ class ServerTaskState:
     dropped: int = 0
     late_discards: int = 0
     finished: bool = False
-    #: sim times of every aggregation (diagnostic, used for rate checks)
-    aggregation_times: list[float] = field(default_factory=list)
-    #: post-aggregation model copies when history tracking is on
-    model_history: list[np.ndarray] | None = None
 
 
 class FedAstServer:
@@ -187,7 +186,6 @@ class FedAstServer:
         drop_enforcement: bool = False,
         ratio_cap: float = DEFAULT_RATIO_CAP,
         strict_ratio: bool = False,
-        keep_model_history: bool = False,
     ):
         if option not in ("S", "D"):
             raise ValueError("option must be 'S' (static) or 'D' (dynamic)")
@@ -233,7 +231,6 @@ class FedAstServer:
                 r_target=r0[tid],
                 b=b0[tid],
                 history=deque(maxlen=history_size),
-                model_history=[] if keep_model_history else None,
             )
         self.c_period = (
             c_period
@@ -261,7 +258,6 @@ class FedAstServer:
 
         self.c += 1
         staleness = st.round - update.dispatch_round
-        update.staleness = staleness
         if self.drop_enforcement and staleness > self.tau_max:
             st.dropped += 1
         else:
@@ -273,10 +269,10 @@ class FedAstServer:
                 st.staleness_max = staleness
 
         if self.option == "D" and self.c % self.c_period == 0:
-            self._replan(engine.now)
+            self._replan(engine)
 
         if len(st.buffer) >= st.b:
-            self._aggregate(st, engine.now)
+            self._aggregate(engine, st)
 
         k = min(2, max(0, st.r_target - (st.r_cur - 1)))
         st.r_cur += k - 1
@@ -319,7 +315,7 @@ class FedAstServer:
         """Direct state access for tests and diagnostics."""
         return self._states[task_id]
 
-    def _replan(self, now: float) -> None:
+    def _replan(self, engine: Engine) -> None:
         views = [
             TaskAllocView(
                 task_id=tid,
@@ -338,16 +334,12 @@ class FedAstServer:
         for tid, st in self._states.items():
             st.r_target = plan.r_new[tid]
             st.b = plan.b_new[tid]
-        self.realloc_events.append((now, self.c, dict(plan.r_new), dict(plan.sigma_sq)))
+        self.realloc_events.append((engine.now, self.c, dict(plan.r_new), dict(plan.sigma_sq)))
         # A shrunk buffer target may already be satisfied.
         for st in self._states.values():
             if not st.finished and len(st.buffer) >= st.b:
-                self._aggregate(st, now)
+                self._aggregate(engine, st)
 
-    def _aggregate(self, st: ServerTaskState, now: float) -> None:
-        server_step(st, st.buffer)
+    def _aggregate(self, engine: Engine, st: ServerTaskState) -> None:
+        server_step(engine, st, st.buffer)
         st.buffer.clear()
-        st.round += 1
-        st.aggregation_times.append(now)
-        if st.model_history is not None:
-            st.model_history.append(np.array(st.model, copy=True))

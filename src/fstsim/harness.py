@@ -20,7 +20,7 @@ from . import rng as rng_tree
 from .baselines import MmSyncServer
 from .config import AlgorithmKind, ConfigError, ExperimentConfig, config_to_dict, validate_config
 from .delay_model import ClientProfile, DelaySpec, make_profiles
-from .event_engine import Engine, RunLog, ServerPolicy, StopConditions
+from .event_engine import Engine, Observer, RunLog, ServerPolicy, StopConditions
 from .fedast_server import FedAstServer, lr_bound_warnings
 from .metrics import MetricsRecord, write_csv, write_jsonl
 from .objectives import (
@@ -127,7 +127,7 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
     )
 
 
-def build_policy(cfg: ExperimentConfig, tasks: list[TaskSpec], keep_model_history: bool = False):
+def build_policy(cfg: ExperimentConfig, tasks: list[TaskSpec]):
     algo = AlgorithmKind(cfg.algorithm)
     r0 = {tc.task_id: tc.r0 for tc in cfg.tasks}
     b0 = {tc.task_id: tc.b0 for tc in cfg.tasks}
@@ -145,19 +145,15 @@ def build_policy(cfg: ExperimentConfig, tasks: list[TaskSpec], keep_model_histor
         drop_enforcement=cfg.drop_enforcement,
         ratio_cap=cfg.ratio_cap,
         strict_ratio=cfg.strict_ratio,
-        keep_model_history=keep_model_history,
     )
 
 
 def run_single(
-    cfg: ExperimentConfig,
-    seed: int,
-    trace: bool = False,
-    keep_model_history: bool = False,
+    cfg: ExperimentConfig, seed: int, observer: Observer | None = None
 ) -> tuple[RunLog, ServerPolicy]:
     """One replica: build the scenario, run the policy to a stop condition."""
     scenario = build_scenario(cfg, seed)
-    policy = build_policy(cfg, scenario.tasks, keep_model_history=keep_model_history)
+    policy = build_policy(cfg, scenario.tasks)
     engine = Engine(
         tasks=scenario.tasks,
         shards=scenario.shards,
@@ -172,13 +168,15 @@ def run_single(
             max_sim_time=cfg.max_sim_time,
             max_rounds=cfg.max_rounds,
         ),
-        trace=trace,
+        observer=observer,
     )
     return engine.run(policy), policy
 
 
 def learning_rate_warnings(cfg: ExperimentConfig) -> list[str]:
-    """Theoretical step-size checks (uniform-buffer form, chi = 1)."""
+    """Theoretical step-size checks (uniform-buffer form, chi = 1); ``mm_sync``
+    averages the first min(k_sync, r0) updates, all fresh: that buffer, no cap."""
+    sync = AlgorithmKind(cfg.algorithm) is AlgorithmKind.MM_SYNC
     return [
         warning
         for tc in cfg.tasks
@@ -188,8 +186,8 @@ def learning_rate_warnings(cfg: ExperimentConfig) -> list[str]:
             tc.eta_c,
             tc.eta_s,
             concurrency=tc.r0,
-            buffer_size=tc.b0,
-            staleness_cap=cfg.tau_max,
+            buffer_size=min(cfg.k_sync, tc.r0) if sync else tc.b0,
+            staleness_cap=None if sync else cfg.tau_max,
             smoothness=tc.smoothness,
         )
     ]

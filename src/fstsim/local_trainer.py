@@ -42,8 +42,7 @@ class Update:
     """A dispatched training request and, once computed, its result.
 
     ``dispatch_round`` is the server round of the model snapshot the client
-    trained on; ``staleness`` is filled in by the server at arrival time as
-    (current round - dispatch_round).
+    trained on; servers measure staleness against it at arrival.
 
     An update is built either with its ``delta`` or with a ``request`` that
     computes it. A request is trained the first time ``delta`` is read and
@@ -56,9 +55,6 @@ class Update:
         "task_id",
         "client_id",
         "dispatch_round",
-        "dispatch_time",
-        "arrival_time",
-        "staleness",
         "request",
         "_delta",
     )
@@ -68,20 +64,14 @@ class Update:
         task_id: int,
         client_id: int,
         dispatch_round: int,
-        dispatch_time: float,
-        arrival_time: float,
         delta: np.ndarray | None = None,
         request: PendingTraining | None = None,
-        staleness: int = -1,
     ):
         if (delta is None) == (request is None):
             raise ValueError("an update needs exactly one of delta and request")
         self.task_id = task_id
         self.client_id = client_id
         self.dispatch_round = dispatch_round
-        self.dispatch_time = dispatch_time
-        self.arrival_time = arrival_time
-        self.staleness = staleness
         self.request = request
         self._delta = delta
 

@@ -19,7 +19,7 @@ from fstsim import rng as rng_tree
 from fstsim.baselines import MmSyncServer
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass, sample_duration
-from fstsim.event_engine import Engine, StopConditions
+from fstsim.event_engine import Aggregated, Dispatched, Engine, StopConditions
 from fstsim.fedast_server import FedAstServer, lr_bounds
 from fstsim.harness import build_scenario, compare, run_experiment, run_single
 from fstsim.local_trainer import local_train
@@ -57,25 +57,26 @@ def test_matches_synchronous_fedavg_oracle_when_buffer_equals_concurrency(
                     eta_c=0.05, eta_s=1.0, target_metric=0.9, batch_size=1)
     data_rng = rng_tree.data_rng(0, 0)
     shards, eval_set = generate_quadratic_shards(n_clients, 2, 3.0, 1.0, data_rng)
-    policy = FedAstServer([task], r0={0: r}, b0={0: r}, keep_model_history=True)
+    policy = FedAstServer([task], r0={0: r}, b0={0: r})
+    events = []
     engine = Engine(tasks=[task], shards={0: shards}, eval_sets={0: eval_set},
                     profiles=_uniform_profiles(n_clients), seed=0,
                     delay=DelaySpec(shift_factor=1.0, scale_factor=0.0),
                     eval_interval=None,
                     stop=StopConditions(stop_on_targets=False, max_rounds=100),
-                    trace=True)
-    log = engine.run(policy)
+                    observer=events.append)
+    engine.run(policy)
 
     by_round = defaultdict(list)
-    for ev in log.trace:
-        if ev[0] == "dispatch":
-            by_round[ev[4]].append(ev[3])
+    for ev in events:
+        if isinstance(ev, Dispatched):
+            by_round[ev.dispatch_round].append(ev.client_id)
     # with the pool this large no client is ever picked twice per round, so
     # every round is a clean simultaneous barrier
     collision_free = all(len(set(v)) == len(v) == r for rnd, v in by_round.items()
                          if rnd < 100)
 
-    hist = policy.state(0).model_history
+    hist = [ev.model for ev in events if isinstance(ev, Aggregated)]
     x = np.zeros(2)
     max_err = 0.0
     for rnd in range(100):
@@ -222,14 +223,16 @@ def test_buffer_fill_time_matches_queueing_prediction(criterion_report):
     task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                     eta_c=0.1, eta_s=1.0, target_metric=0.9)
     policy = FedAstServer([task], r0={0: 20}, b0={0: 5})
+    events = []
     engine = Engine(tasks=[task], shards=_zero_shards(n),
                     eval_sets={0: Dataset(np.zeros((1, 1)))},
                     profiles=_uniform_profiles(n), seed=21,
                     delay=DelaySpec(shift_factor=0.0, scale_factor=1.0),
                     eval_interval=None,
-                    stop=StopConditions(stop_on_targets=False, max_rounds=2101))
+                    stop=StopConditions(stop_on_targets=False, max_rounds=2101),
+                    observer=events.append)
     engine.run(policy)
-    gaps = np.diff(np.array(policy.state(0).aggregation_times))
+    gaps = np.diff(np.array([ev.time for ev in events if isinstance(ev, Aggregated)]))
     rel_err = abs(float(gaps.mean()) - 0.25) / 0.25
     elapsed = time.perf_counter() - t0
     ok = len(gaps) >= 2000 and rel_err <= 0.10 and elapsed < 10.0
@@ -248,14 +251,17 @@ def test_full_barrier_round_time_matches_max_order_statistic(criterion_report):
     task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                     eta_c=0.001, eta_s=1.0, target_metric=0.9)
     policy = MmSyncServer([task], allocation={0: n}, k=n)
+    events = []
     engine = Engine(tasks=[task], shards=_zero_shards(n),
                     eval_sets={0: Dataset(np.zeros((1, 1)))},
                     profiles=_uniform_profiles(n), seed=33,
                     delay=DelaySpec(shift_factor=0.0, scale_factor=1.0),
                     eval_interval=None,
-                    stop=StopConditions(stop_on_targets=False, max_rounds=2000))
+                    stop=StopConditions(stop_on_targets=False, max_rounds=2000),
+                    observer=events.append)
     engine.run(policy)
-    dur = np.array(policy.round_durations)
+    # each round starts at the previous barrier (the first at 0)
+    dur = np.diff([0.0, *(ev.time for ev in events if isinstance(ev, Aggregated))])
     h5 = sum(1 / i for i in range(1, 6))
     rel_err = abs(float(dur.mean()) - h5) / h5
     elapsed = time.perf_counter() - t0

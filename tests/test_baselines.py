@@ -5,7 +5,7 @@ import pytest
 
 from fstsim.baselines import MmSyncServer
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
-from fstsim.event_engine import Engine, SimulationError, StopConditions
+from fstsim.event_engine import Aggregated, Dispatched, Engine, SimulationError, StopConditions
 from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
 
 CONSTANT_DELAY = DelaySpec(shift_factor=1.0, scale_factor=0.0)
@@ -32,23 +32,31 @@ def evals_at(task_ids, value=5.0):
     return {tid: Dataset(np.array([[value]])) for tid in task_ids}
 
 
+def round_durations(events, task_id=0):
+    """A round starts at the previous barrier (the first at 0) and ends at
+    the task's next aggregation."""
+    times = [ev.time for ev in events if isinstance(ev, Aggregated) and ev.task_id == task_id]
+    return list(np.diff([0.0, *times]))
+
+
 class TestRoundStructure:
     def test_clients_are_partitioned_disjointly_every_round(self):
         tasks = [quad_task(0), quad_task(1)]
         policy = MmSyncServer(tasks, allocation={0: 3, 1: 2}, k=2)
+        events = []
         engine = Engine(
             tasks=tasks, shards=shards_at([0, 1], 10), eval_sets=evals_at([0, 1]),
             profiles=uniform_profiles(10, [0, 1]), seed=4, delay=CONSTANT_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=3),
-            trace=True,
+            observer=events.append,
         )
         engine.run(policy)
-        dispatches = [ev for ev in engine.trace if ev[0] == "dispatch"]
+        dispatches = [ev for ev in events if isinstance(ev, Dispatched)]
         for rnd in (0, 1, 2):
             per_task = {0: set(), 1: set()}
             for ev in dispatches:
-                if ev[4] == rnd:
-                    per_task[ev[2]].add(ev[3])
+                if ev.dispatch_round == rnd:
+                    per_task[ev.task_id].add(ev.client_id)
             assert len(per_task[0]) == 3
             assert len(per_task[1]) == 2
             assert per_task[0].isdisjoint(per_task[1])
@@ -61,13 +69,15 @@ class TestRoundStructure:
         policy = MmSyncServer([task], allocation={0: 3}, k=2)
         profiles = [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: float(i + 1)})
                     for i in range(3)]
+        events = []
         engine = Engine(
             tasks=[task], shards=shards_at([0], 3), eval_sets=evals_at([0]),
             profiles=profiles, seed=0, delay=CONSTANT_DELAY, eval_interval=None,
             stop=StopConditions(stop_on_targets=False, max_rounds=2),
+            observer=events.append,
         )
         log = engine.run(policy)
-        assert policy.round_durations == [2.0, 2.0]
+        assert round_durations(events) == [2.0, 2.0]
         assert policy.updates_received == 5   # 2+2 aggregated, 1 stale
         assert policy.updates_discarded == 1
         assert policy.state(0).aggregated_total == 4
@@ -95,13 +105,15 @@ class TestWaitingTimes:
         mean over 3000 rounds sits near 1/3."""
         task = quad_task(eta_c=0.001)
         policy = MmSyncServer([task], allocation={0: 3}, k=1)
+        events = []
         engine = Engine(
             tasks=[task], shards=shards_at([0], 3), eval_sets=evals_at([0]),
             profiles=uniform_profiles(3, [0]), seed=17, delay=EXPONENTIAL_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=3000),
+            observer=events.append,
         )
         engine.run(policy)
-        durations = np.array(policy.round_durations)
+        durations = np.array(round_durations(events))
         assert len(durations) == 3000
         # SE of the mean is (1/3)/sqrt(3000) ~ 0.006; allow 4 SE
         assert durations.mean() == pytest.approx(1 / 3, abs=0.025)
@@ -114,13 +126,15 @@ class TestWaitingTimes:
         policy = MmSyncServer([task], allocation={0: n}, k=n)
         shards = {0: [ClientShard(i, np.array([[a]]))
                       for i, a in enumerate([1.0, 3.0, 7.0, 13.0])]}
+        events = []
         engine = Engine(
             tasks=[task], shards=shards, eval_sets=evals_at([0], value=6.0),
             profiles=uniform_profiles(n, [0]), seed=2, delay=CONSTANT_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=5),
+            observer=events.append,
         )
         log = engine.run(policy)
-        assert policy.round_durations == [1.0] * 5
+        assert round_durations(events) == [1.0] * 5
         assert log.final_models[0][0] == pytest.approx(6.0 * (1 - 0.9**5), rel=1e-12)
         assert policy.updates_discarded == 0
 

@@ -10,8 +10,12 @@ import fstsim.rng
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
 from fstsim.event_engine import (
+    Aggregated,
+    Arrived,
+    Dispatched,
     Engine,
     EventKind,
+    Finished,
     SimulationError,
     StarvedError,
     StopConditions,
@@ -99,24 +103,26 @@ class TestReferenceTrace:
             engine.send_request_to(0, next(rotation))
 
         policy = StubPolicy([0], on_start, on_update)
+        events = []
         engine = Engine(
             tasks=[quad_task()], shards=zero_shards([0], 3), eval_sets=zero_evals([0]),
             profiles=profiles, seed=0, delay=CONSTANT_DELAY, eval_interval=None,
-            stop=StopConditions(stop_on_targets=False, max_rounds=4), trace=True,
+            stop=StopConditions(stop_on_targets=False, max_rounds=4),
+            observer=events.append,
         )
         log = engine.run(policy)
 
-        assert log.trace == [
-            ("dispatch", 0.0, 0, 0, 0, 1.0),
-            ("dispatch", 0.0, 0, 1, 0, 2.0),
-            ("arrival", 1.0, 0, 0, 0),
-            ("dispatch", 1.0, 0, 2, 1, 4.0),
-            ("arrival", 2.0, 0, 1, 0),
-            ("dispatch", 2.0, 0, 0, 2, 3.0),
-            ("arrival", 3.0, 0, 0, 2),
-            ("dispatch", 3.0, 0, 1, 3, 5.0),
-            ("arrival", 4.0, 0, 2, 1),
-            ("finish", 4.0, 0, "max_rounds"),
+        assert events == [
+            Dispatched(0.0, 0, 0, 0, 0.0, 1.0),
+            Dispatched(0.0, 0, 1, 0, 0.0, 2.0),
+            Arrived(1.0, 0, 0, 0),
+            Dispatched(1.0, 0, 2, 1, 1.0, 4.0),
+            Arrived(2.0, 0, 1, 0),
+            Dispatched(2.0, 0, 0, 2, 2.0, 3.0),
+            Arrived(3.0, 0, 0, 2),
+            Dispatched(3.0, 0, 1, 3, 3.0, 5.0),
+            Arrived(4.0, 0, 2, 1),
+            Finished(4.0, 0, "max_rounds"),
         ]
         assert log.stop_reason == "max_rounds"
         assert log.sim_time == 4.0
@@ -138,20 +144,22 @@ class TestFifoClients:
             policy.rounds[update.task_id] += 1
 
         policy = StubPolicy([0, 1], on_start, on_update)
+        events = []
         engine = Engine(
             tasks=[quad_task(0), quad_task(1)], shards=zero_shards([0, 1], 1),
             eval_sets=zero_evals([0, 1]), profiles=profiles, seed=0,
             delay=CONSTANT_DELAY, eval_interval=None,
-            stop=StopConditions(stop_on_targets=False, max_rounds=1), trace=True,
+            stop=StopConditions(stop_on_targets=False, max_rounds=1),
+            observer=events.append,
         )
         log = engine.run(policy)
-        assert log.trace == [
-            ("dispatch", 0.0, 0, 0, 0, 1.0),
-            ("dispatch", 0.0, 1, 0, 0, 5.0),
-            ("arrival", 1.0, 0, 0, 0),
-            ("finish", 1.0, 0, "max_rounds"),
-            ("arrival", 5.0, 1, 0, 0),
-            ("finish", 5.0, 1, "max_rounds"),
+        assert events == [
+            Dispatched(0.0, 0, 0, 0, 0.0, 1.0),
+            Dispatched(0.0, 1, 0, 0, 1.0, 5.0),
+            Arrived(1.0, 0, 0, 0),
+            Finished(1.0, 0, "max_rounds"),
+            Arrived(5.0, 1, 0, 0),
+            Finished(5.0, 1, "max_rounds"),
         ]
         assert log.sim_time == 5.0
 
@@ -171,23 +179,25 @@ class TestFifoClients:
                 engine.send_request_to(1, 0)
 
         policy = StubPolicy([0, 1, 2], on_start, on_update)
+        events = []
         engine = Engine(
             tasks=[quad_task(0), quad_task(1), quad_task(2)],
             shards=zero_shards([0, 1, 2], 2), eval_sets=zero_evals([0, 1, 2]),
             profiles=profiles, seed=0, delay=CONSTANT_DELAY, eval_interval=None,
-            stop=StopConditions(stop_on_targets=False, max_rounds=1), trace=True,
+            stop=StopConditions(stop_on_targets=False, max_rounds=1),
+            observer=events.append,
         )
-        log = engine.run(policy)
-        assert log.trace == [
-            ("dispatch", 0.0, 0, 0, 0, 5.0),
-            ("dispatch", 0.0, 2, 1, 0, 3.0),
-            ("arrival", 3.0, 2, 1, 0),
-            ("finish", 3.0, 2, "max_rounds"),
-            ("dispatch", 3.0, 1, 0, 0, 7.0),
-            ("arrival", 5.0, 0, 0, 0),
-            ("finish", 5.0, 0, "max_rounds"),
-            ("arrival", 7.0, 1, 0, 0),
-            ("finish", 7.0, 1, "max_rounds"),
+        engine.run(policy)
+        assert events == [
+            Dispatched(0.0, 0, 0, 0, 0.0, 5.0),
+            Dispatched(0.0, 2, 1, 0, 0.0, 3.0),
+            Arrived(3.0, 2, 1, 0),
+            Finished(3.0, 2, "max_rounds"),
+            Dispatched(3.0, 1, 0, 0, 5.0, 7.0),
+            Arrived(5.0, 0, 0, 0),
+            Finished(5.0, 0, "max_rounds"),
+            Arrived(7.0, 1, 0, 0),
+            Finished(7.0, 1, "max_rounds"),
         ]
 
     def test_dispatch_to_idle_client_starts_immediately(self):
@@ -206,15 +216,17 @@ class TestFifoClients:
                 engine.send_request_to(1, 0)
 
         policy = StubPolicy([0, 1, 2], on_start, on_update)
+        events = []
         engine = Engine(
             tasks=[quad_task(0), quad_task(1), quad_task(2)],
             shards=zero_shards([0, 1, 2], 2), eval_sets=zero_evals([0, 1, 2]),
             profiles=profiles, seed=0, delay=CONSTANT_DELAY, eval_interval=None,
-            stop=StopConditions(stop_on_targets=False, max_rounds=1), trace=True,
+            stop=StopConditions(stop_on_targets=False, max_rounds=1),
+            observer=events.append,
         )
-        log = engine.run(policy)
-        assert ("dispatch", 2.0, 1, 0, 0, 5.0) in log.trace
-        assert ("arrival", 5.0, 1, 0, 0) in log.trace
+        engine.run(policy)
+        assert Dispatched(2.0, 1, 0, 0, 2.0, 5.0) in events
+        assert Arrived(5.0, 1, 0, 0) in events
 
 
 class TestSampling:
@@ -266,10 +278,10 @@ class TestPolicyCallback:
     def test_callback_at_now_runs_after_queued_same_time_events(self):
         """At t=1 the update handler queues a callback, two dispatches and a
         second callback, all for t=1: they run in that (sequence) order."""
-        seen = []
+        seen, events = [], []
 
         def dispatches_at_1(engine):
-            return sum(1 for e in engine.trace if e[0] == "dispatch" and e[1] == 1.0)
+            return sum(1 for e in events if isinstance(e, Dispatched) and e.time == 1.0)
 
         def on_start(policy, engine):
             engine.send_request_to(0, 0)
@@ -286,7 +298,7 @@ class TestPolicyCallback:
                         profiles=[profile(0, {0: 1.0}), profile(1, {0: 1.0})],
                         seed=0, delay=CONSTANT_DELAY, eval_interval=None,
                         stop=StopConditions(stop_on_targets=False, max_sim_time=1.5),
-                        trace=True)
+                        observer=events.append)
         engine.run(StubPolicy([0], on_start, on_update))
         assert seen == [("first", 0), ("second", 2)]
 
@@ -371,17 +383,19 @@ class TestStops:
             engine.send_request_to(0, 0)
 
         policy = StubPolicy([0, 1], on_start=on_start)
+        events = []
         engine = Engine(
             tasks=[quad_task(0, target_kind="loss", target=0.5),
                    quad_task(1, target_kind="loss", target=-1.0)],
             shards=zero_shards([0, 1], 1), eval_sets=zero_evals([0, 1]),
             profiles=[profile(0, {0: 1.0, 1: 1.0})], seed=0, eval_interval=1.0,
-            stop=StopConditions(stop_on_targets=True, max_sim_time=3.0), trace=True,
+            stop=StopConditions(stop_on_targets=True, max_sim_time=3.0),
+            observer=events.append,
         )
         log = engine.run(policy)
         assert engine.skipped_dispatches == 1
         assert policy.skipped == [0]
-        assert not any(ev[0] == "arrival" for ev in log.trace)
+        assert not any(isinstance(ev, Arrived) for ev in events)
         assert log.stop_reason == "max_sim_time"
 
     def test_max_rounds_finishes_every_live_task(self):
@@ -414,14 +428,16 @@ class TestEngineIntegration:
         shards = {0: [ClientShard(0, np.array([[5.0]]))]}
         evals = {0: Dataset(np.array([[5.0]]))}
         policy = FedAstServer([task], r0={0: 1}, b0={0: 1})
+        events = []
         engine = Engine(
             tasks=[task], shards=shards, eval_sets=evals,
             profiles=[profile(0, {0: 1.0})], seed=0, delay=CONSTANT_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=10),
+            observer=events.append,
         )
         log = engine.run(policy)
-        st = policy.state(0)
-        assert st.aggregation_times == [float(t) for t in range(1, 11)]
+        times = [ev.time for ev in events if isinstance(ev, Aggregated)]
+        assert times == [float(t) for t in range(1, 11)]
         assert log.final_models[0][0] == pytest.approx(5.0 * (1 - 0.9**10), rel=1e-12)
         assert log.stop_reason == "max_rounds"
 
@@ -448,6 +464,7 @@ def test_request_rngs_is_called_once_per_traced_dispatch(algorithm, extra, monke
         algorithm=algorithm, n_clients=10, availability=0.9, eval_interval=1.0,
         stop_on_targets=False, max_rounds=8, **extra,
     )
-    log, _ = run_single(cfg, seed=4, trace=True)
-    dispatches = sum(1 for entry in log.trace if entry[0] == "dispatch")
+    events = []
+    run_single(cfg, seed=4, observer=events.append)
+    dispatches = sum(1 for ev in events if isinstance(ev, Dispatched))
     assert calls == dispatches > 0

@@ -6,7 +6,7 @@ import pytest
 import fstsim.fedast_server as fedast_server
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
-from fstsim.event_engine import Engine, SimulationError, StopConditions
+from fstsim.event_engine import Arrived, Dispatched, Engine, SimulationError, StopConditions
 from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds
 from fstsim.harness import build_policy, build_scenario
 from fstsim.local_trainer import Update
@@ -19,6 +19,7 @@ class FakeEngine:
     def __init__(self):
         self.now = 0.0
         self.sent = []
+        self.observer = None
 
     def send_requests(self, task_id, count):
         self.sent.append((task_id, count))
@@ -31,15 +32,16 @@ def quad_task(tid=0, dim=1, tau=1, eta_c=0.1, eta_s=1.0):
 
 def upd(tid, delta, dispatch_round=0, cid=0):
     return Update(task_id=tid, client_id=cid, delta=np.asarray(delta, dtype=float),
-                  dispatch_round=dispatch_round, dispatch_time=0.0, arrival_time=0.0)
+                  dispatch_round=dispatch_round)
 
 
 class TestAggregation:
     def test_two_update_buffer_step(self):
         # x <- x - eta_s*eta_c*tau * mean(deltas) = 0 - 1*0.1*5 * 2 = -1
         task = quad_task(tau=5, eta_c=0.1)
-        srv = FedAstServer([task], r0={0: 2}, b0={0: 2}, keep_model_history=True)
-        eng = FakeEngine()
+        srv = FedAstServer([task], r0={0: 2}, b0={0: 2})
+        eng, events = FakeEngine(), []
+        eng.observer = events.append
         srv.start(eng)
         assert eng.sent == [(0, 2)]
 
@@ -52,8 +54,10 @@ class TestAggregation:
         assert st.round == 1
         assert st.buffer == []
         assert st.model[0] == pytest.approx(-1.0, abs=1e-15)
-        assert st.aggregation_times == [3.5]
-        assert [m[0] for m in st.model_history] == [pytest.approx(-1.0)]
+        assert [(ev.time, ev.task_id, ev.round, ev.n_updates) for ev in events] == [
+            (3.5, 0, 1, 2)
+        ]
+        assert events[0].model is st.model
         # one replacement request per arrival in steady state
         assert eng.sent == [(0, 2), (0, 1), (0, 1)]
 
@@ -83,7 +87,6 @@ class TestStaleness:
         st.round = 5
         update = upd(0, [1.0], dispatch_round=3)
         srv.handle_update(eng, update)
-        assert update.staleness == 2
         assert st.staleness_count == 1
         assert st.staleness_total == 2
         assert st.staleness_max == 2
@@ -359,16 +362,17 @@ class TestPolicyContract:
         shards = {0: [ClientShard(i, np.array([[5.0]])) for i in range(n)]}
         evals = {0: Dataset(np.array([[5.0]]))}
         srv = FedAstServer([task], r0={0: 3}, b0={0: 2})
+        events = []
         engine = Engine(tasks=[task], shards=shards, eval_sets=evals,
                         profiles=profiles, seed=11,
                         delay=DelaySpec(1.0, 2.0), eval_interval=None,
                         stop=StopConditions(stop_on_targets=False, max_rounds=20),
-                        trace=True)
-        log = engine.run(srv)
+                        observer=events.append)
+        engine.run(srv)
         st = srv.state(0)
         assert st.r_cur == 3
         assert engine.skipped_dispatches == 0
-        dispatches = sum(1 for ev in log.trace if ev[0] == "dispatch")
-        arrivals = sum(1 for ev in log.trace if ev[0] == "arrival")
+        dispatches = sum(1 for ev in events if isinstance(ev, Dispatched))
+        arrivals = sum(1 for ev in events if isinstance(ev, Arrived))
         assert 0 <= dispatches - arrivals <= 3
         assert st.round == 20

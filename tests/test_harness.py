@@ -320,6 +320,19 @@ class TestCli:
         assert "config ok" in out
         assert "eta_c" in out
 
+    @pytest.mark.parametrize("name, bound", [
+        # mm_sync averages the first min(k_sync, r0) = 15 updates of a round,
+        # all fresh, so its unused b0 = 5 and any cap play no part
+        ("two_task_sync", "0.0152145"),
+        ("two_task_async", "0.0263523"),
+    ])
+    def test_validate_checks_each_algorithm_with_its_own_buffer(self, name, bound, capsys):
+        assert cli_main(["validate", "--config", str(CONFIGS / f"{name}.json")]) == 0
+        out = capsys.readouterr().out
+        for tid in (0, 1):
+            assert (f"task {tid}: eta_c=0.05 exceeds the client-rate bound {bound} "
+                    f"(binding: buffer term)") in out
+
     def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):
         # a cap of 0 with drop enforcement keeps only fresh updates; the
         # learning-rate check treats it like no cap instead of failing

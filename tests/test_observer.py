@@ -1,0 +1,72 @@
+"""The observer stream: invariants every run's events keep, for all four
+algorithms, and proof that observing a run does not change it."""
+
+from collections import Counter
+
+import pytest
+
+from fstsim.config import ExperimentConfig, TaskConfig
+from fstsim.event_engine import Aggregated, Arrived, Dispatched, Finished
+from fstsim.harness import run_single
+from fstsim.metrics import write_csv
+
+#: Small two-task runs with more requests than clients (so requests queue),
+#: partial availability, replans (fedast_dynamic), staleness drops
+#: (no_buffer) and first-k rounds with cancelled stragglers (mm_sync).
+ALGORITHMS = {
+    "fedast_static": dict(algorithm="fedast_static"),
+    "fedast_dynamic": dict(algorithm="fedast_dynamic", c_period=10),
+    "no_buffer": dict(algorithm="no_buffer", tau_max=1, drop_enforcement=True),
+    "mm_sync": dict(algorithm="mm_sync", k_sync=3),
+}
+
+
+def small_config(algorithm: str, **extra) -> ExperimentConfig:
+    b0 = 1 if algorithm == "no_buffer" else 2
+    tasks = (
+        TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=3, mu=1.0,
+                   sigma_g=1.0, r0=6, b0=b0, target_kind="loss", target_metric=1e-12),
+        TaskConfig(task_id=1, kind="logistic", tau=1, eta_c=0.1, n_features=3,
+                   n_classes=3, batch_size=2, n_train=96, n_eval=32, base_beta=2.0,
+                   r0=4, b0=b0, target_kind="loss", target_metric=1e-12),
+    )
+    return ExperimentConfig(tasks=tasks, algorithm=algorithm, n_clients=8,
+                            availability=0.9, eval_interval=1.0, stop_on_targets=False,
+                            max_rounds=10, **extra)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_stream_invariants_and_unchanged_output(name, seed, tmp_path):
+    cfg = small_config(**ALGORITHMS[name])
+    events = []
+    log, policy = run_single(cfg, seed, observer=events.append)
+
+    assert all(a.time <= b.time for a, b in zip(events, events[1:]))
+
+    in_flight = Counter()
+    for ev in events:
+        if isinstance(ev, Dispatched):
+            assert ev.time <= ev.start <= ev.arrival
+            in_flight[ev.task_id, ev.client_id, ev.dispatch_round, ev.arrival] += 1
+        elif isinstance(ev, Arrived):
+            key = (ev.task_id, ev.client_id, ev.dispatch_round, ev.time)
+            assert in_flight[key] > 0, f"{ev} matches no earlier dispatch"
+            in_flight[key] -= 1
+    assert any(isinstance(ev, Arrived) for ev in events)
+
+    for tid in (0, 1):
+        steps = [ev for ev in events if isinstance(ev, Aggregated) and ev.task_id == tid]
+        final_round = policy.current_round(tid)
+        assert [ev.round for ev in steps] == list(range(1, final_round + 1))
+        assert final_round == cfg.max_rounds
+        assert all(ev.n_updates >= 1 for ev in steps)
+        assert steps[-1].model.tobytes() == log.final_models[tid].tobytes()
+    assert {ev.task_id: ev.reason for ev in events if isinstance(ev, Finished)} == {
+        0: "max_rounds", 1: "max_rounds"
+    }
+
+    quiet, _ = run_single(cfg, seed)
+    write_csv(tmp_path / "observed.csv", log.records)
+    write_csv(tmp_path / "quiet.csv", quiet.records)
+    assert (tmp_path / "observed.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
