@@ -17,8 +17,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .event_engine import Engine, SimulationError
 from .fedast_server import server_step
 from .local_trainer import Update
@@ -31,11 +29,6 @@ logger = logging.getLogger(__name__)
 @dataclass
 class SyncTaskState:
     spec: TaskSpec
-    #: read-only; each aggregation binds a new array, since in-flight
-    #: requests hold the old one by reference
-    model: np.ndarray
-    round: int = 0
-    finished: bool = False
     collected: list[Update] = field(default_factory=list)
     expected: int = 0
     k_eff: int = 0
@@ -52,7 +45,9 @@ class MmSyncServer:
     all. When a task finishes early its allocation is redistributed
     to the remaining tasks in proportion to their original shares.
 
-    A task's round durations are ``np.diff([0, *its Aggregated times])``.
+    A round ends in one ``server_step`` per live task; only the round's
+    collected updates, k_eff and expected counts are kept here. A task's
+    round durations are ``np.diff([0, *its Aggregated times])``.
     """
 
     def __init__(self, tasks: list[TaskSpec], allocation: Mapping[int, int], k: int):
@@ -68,9 +63,7 @@ class MmSyncServer:
         #: rounds that drew fewer available clients than the total allocation
         self.rounds_scaled_down = 0
         self._alloc0 = {t.task_id: int(allocation[t.task_id]) for t in tasks}
-        self._states = {t.task_id: SyncTaskState(spec=t, model=t.new_model()) for t in tasks}
-        for st in self._states.values():
-            st.model.setflags(write=False)
+        self._states = {t.task_id: SyncTaskState(spec=t) for t in tasks}
         self._barrier_scheduled = False
         self.updates_received = 0
         self.updates_discarded = 0
@@ -91,8 +84,9 @@ class MmSyncServer:
 
     def handle_update(self, engine: Engine, update: Update) -> None:
         self.updates_received += 1
-        st = self._states[update.task_id]
-        if st.finished or update.dispatch_round != st.round:
+        tid = update.task_id
+        st = self._states[tid]
+        if engine.finished[tid] is not None or update.dispatch_round != engine.rounds[tid]:
             self.updates_discarded += 1
             return
         if len(st.collected) >= st.k_eff:
@@ -106,20 +100,14 @@ class MmSyncServer:
     def handle_barrier(self, engine: Engine) -> None:
         # Scheduled once every live task held k_eff >= 1 updates; the engine
         # stops when every task has finished, so at least one is live here.
-        for st in self._states.values():
-            if not st.finished:
-                server_step(engine, st, st.collected)
+        for tid, st in self._states.items():
+            if engine.finished[tid] is None:
+                server_step(engine, st.spec, st.collected)
                 st.aggregated_total += len(st.collected)
                 st.collected = []
         engine.release_clients(engine.now)
         self._barrier_scheduled = False
         self._begin_round(engine)
-
-    def model_snapshot(self, task_id: int) -> np.ndarray:
-        return self._states[task_id].model
-
-    def current_round(self, task_id: int) -> int:
-        return self._states[task_id].round
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]:
         st = self._states[task_id]
@@ -133,11 +121,7 @@ class MmSyncServer:
         }
 
     def mark_finished(self, engine: Engine, task_id: int) -> None:
-        st = self._states[task_id]
-        if st.finished:
-            return
-        st.finished = True
-        st.collected = []
+        self._states[task_id].collected = []
         # The round may now be complete without another arrival.
         self._maybe_close_round(engine)
 
@@ -150,7 +134,7 @@ class MmSyncServer:
         return self._states[task_id]
 
     def _begin_round(self, engine: Engine) -> None:
-        live = [tid for tid, st in self._states.items() if not st.finished]
+        live = [tid for tid in self._states if engine.finished[tid] is None]
         available = engine.draw_available()
         budget = sum(self._alloc0.values())
         weights = [self._alloc0[tid] for tid in live]
@@ -162,7 +146,7 @@ class MmSyncServer:
         if len(available) < budget:
             if not self.rounds_scaled_down:
                 msg = (
-                    f"round {self._states[live[0]].round}: {len(available)} clients available, "
+                    f"round {engine.rounds[live[0]]}: {len(available)} clients available, "
                     f"allocation wants {budget}; scaling down proportionally "
                     f"(later short rounds are counted, not logged)"
                 )
@@ -181,13 +165,13 @@ class MmSyncServer:
             st.k_eff = min(self.k, count)
             st.collected = []
             for client_id in shuffled[pos : pos + count]:
-                engine.send_request_to(tid, client_id)
+                engine.send(tid, client_id)
             pos += count
 
     def _maybe_close_round(self, engine: Engine) -> None:
         if self._barrier_scheduled:
             return
-        live = [st for st in self._states.values() if not st.finished]
+        live = [st for tid, st in self._states.items() if engine.finished[tid] is None]
         if live and all(len(st.collected) >= st.k_eff for st in live):
             self._barrier_scheduled = True
             engine.call_at(engine.now, self.handle_barrier)

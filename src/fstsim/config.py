@@ -204,6 +204,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
+#: What JSON value each field annotation takes: a bool is not a number here.
+_ACCEPTS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "tuple[float, float, float]": ("three numbers", lambda v: type(v) in (list, tuple)
+                                   and len(v) == 3 and all(type(x) in (int, float) for x in v)),
+}
+
+
+def _check_types(where: str, cls: type, d: dict) -> None:
+    """Raise ConfigError naming a field whose value has the wrong type."""
+    for f in dataclasses.fields(cls):
+        kind, value = f.type.removesuffix(" | None"), d.get(f.name)
+        if f.name in d and kind in _ACCEPTS and not (value is None and kind != f.type):
+            if not _ACCEPTS[kind][1](value):
+                raise ConfigError(f"{where}{f.name} must be {_ACCEPTS[kind][0]}, not {value!r}")
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be an object")
@@ -215,6 +234,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_types("", ExperimentConfig, d)
     task_known = {f.name for f in dataclasses.fields(TaskConfig)}
     tasks = []
     for i, td in enumerate(task_dicts):
@@ -225,6 +245,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"tasks[{i}]: unknown keys {sorted(bad)}")
         if "task_id" not in td:
             raise ConfigError(f"tasks[{i}]: task_id is required")
+        _check_types(f"tasks[{i}].", TaskConfig, td)
         tasks.append(TaskConfig(**td))
     if "speed_mix" in d:
         d["speed_mix"] = tuple(d["speed_mix"])

@@ -8,7 +8,7 @@ a request dispatched to a busy client starts when the client frees up.
 Requests are trained lazily. At dispatch the engine keys the request by
 (seed, task, client, dispatch counter), builds only its delay stream to
 sample the duration, and places an update on the event heap at its arrival
-time that holds the model snapshot by reference (server models are
+time that holds the task's model by reference (the engine's models are
 read-only, so it cannot change), the client's shard and the request key.
 The local training runs the first time a server reads the update's delta,
 from a training stream built from the same key, so its result is what
@@ -108,7 +108,7 @@ Observer = Callable[[Event], None]
 class TrainRequest:
     """What one dispatched request needs to compute its delta.
 
-    ``snapshot`` is the server's read-only model at dispatch, held by
+    ``snapshot`` is the task's read-only model at dispatch, held by
     reference. ``train`` calls this module's ``local_train`` with a training
     stream built from ``key``.
     """
@@ -152,19 +152,17 @@ class StopConditions:
 
 
 class ServerPolicy(Protocol):
-    """What the engine needs from a server-side training algorithm."""
+    """What the engine needs from a server-side training algorithm.
+
+    A policy keeps only strategy state: it advances a task only through
+    ``server_step`` and dispatches through ``Engine.send``. ``mark_finished``
+    comes once per task, after ``Engine.finished`` is set. ``task_metrics``
+    returns exactly the ``MetricsRecord`` fields r, b, staleness_mean,
+    staleness_max, c and dropped, as Python numbers."""
 
     def start(self, engine: "Engine") -> None: ...
 
     def handle_update(self, engine: "Engine", update: Update) -> None: ...
-
-    def model_snapshot(self, task_id: int) -> np.ndarray:
-        """The task's current model. The engine keeps it by reference until
-        the requests dispatched from it are trained, so it must never be
-        mutated in place: a new model is a new array."""
-        ...
-
-    def current_round(self, task_id: int) -> int: ...
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]: ...
 
@@ -187,8 +185,10 @@ class RunLog:
 
 
 class Engine:
-    """Owns the clock, the event heap, and the client pool. ``observer``, off
-    by default, is called with every ``Event`` of the run, in order."""
+    """Owns the clock, the event heap, the client pool and each task's
+    progress: ``models`` (read-only arrays, each replaced by ``server_step``),
+    ``rounds`` and ``finished`` (None, or the finish reason). ``observer``,
+    off by default, is called with every ``Event`` of the run, in order."""
 
     def __init__(
         self,
@@ -208,7 +208,10 @@ class Engine:
             raise ValueError("availability_p must lie in (0, 1]")
         if eval_interval is not None and eval_interval <= 0:
             raise ValueError("eval_interval must be positive")
+        self.models: dict[int, np.ndarray] = {}
         for tid, task in self.tasks.items():
+            self.models[tid] = task.new_model()
+            self.models[tid].setflags(write=False)
             if tid not in shards:
                 raise ValueError(f"task {tid} has no client shards")
             if len(shards[tid]) != len(profiles):
@@ -231,6 +234,7 @@ class Engine:
         #: the server-side decision stream (sampling, availability, shuffles)
         self.server_stream = rng_tree.server_rng(seed)
         self._dispatch_counts: dict[tuple[int, int], int] = {}
+        self.rounds: dict[int, int] = {tid: 0 for tid in self.tasks}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
         self.records: list[MetricsRecord] = []
@@ -246,13 +250,9 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
-    def send_requests(self, task_id: int, count: int) -> None:
-        """Queue `count` dispatches to uniformly sampled clients, effective now."""
-        for _ in range(count):
-            self._push(self.now, EventKind.DISPATCH, (task_id, None))
-
-    def send_request_to(self, task_id: int, client_id: int) -> None:
-        """Queue a dispatch to a specific client, effective now."""
+    def send(self, task_id: int, client_id: int | None = None) -> None:
+        """Queue one dispatch, effective now, to ``client_id`` or, if None, to
+        a client sampled at dispatch."""
         self._push(self.now, EventKind.DISPATCH, (task_id, client_id))
 
     def call_at(self, time: float, callback: Callable[["Engine"], None]) -> None:
@@ -301,7 +301,7 @@ class Engine:
             return
         client_id = forced_client if forced_client is not None else self.sample_clients(1)[0]
         task = self.tasks[task_id]
-        dispatch_round = policy.current_round(task_id)
+        dispatch_round = self.rounds[task_id]
 
         pair = (task_id, client_id)
         dispatch_no = self._dispatch_counts.get(pair, 0)
@@ -315,7 +315,7 @@ class Engine:
         client.busy_until = completion
 
         request = TrainRequest(
-            task, policy.model_snapshot(task_id), self.shards[task_id][client_id], streams.key
+            task, self.models[task_id], self.shards[task_id][client_id], streams.key
         )
         update = Update(task_id, client_id, dispatch_round, request=request)
         self._push(completion, EventKind.UPDATE_ARRIVAL, update)
@@ -326,23 +326,9 @@ class Engine:
     def _do_eval(self, policy: ServerPolicy) -> None:
         for task_id in sorted(self.tasks):
             task = self.tasks[task_id]
-            loss, accuracy = evaluate(task, policy.model_snapshot(task_id), self.eval_sets[task_id])
-            stats = policy.task_metrics(task_id)
-            self.records.append(
-                MetricsRecord(
-                    sim_time=self.now,
-                    task_id=task_id,
-                    round=policy.current_round(task_id),
-                    loss=loss,
-                    accuracy=accuracy,
-                    r=int(stats["r"]),
-                    b=int(stats["b"]),
-                    staleness_mean=float(stats["staleness_mean"]),
-                    staleness_max=int(stats["staleness_max"]),
-                    c=int(stats["c"]),
-                    dropped=int(stats["dropped"]),
-                )
-            )
+            loss, accuracy = evaluate(task, self.models[task_id], self.eval_sets[task_id])
+            self.records.append(MetricsRecord(self.now, task_id, self.rounds[task_id], loss,
+                                              accuracy, **policy.task_metrics(task_id)))
             if self.target_times[task_id] is None and task.target_reached(loss, accuracy):
                 self.target_times[task_id] = self.now
                 if self.stop.stop_on_targets and self.finished[task_id] is None:
@@ -386,11 +372,8 @@ class Engine:
                 payload(self)
 
             if self.stop.max_rounds is not None:
-                for task_id in self.tasks:
-                    if (
-                        self.finished[task_id] is None
-                        and policy.current_round(task_id) >= self.stop.max_rounds
-                    ):
+                for task_id, rnd in self.rounds.items():
+                    if self.finished[task_id] is None and rnd >= self.stop.max_rounds:
                         self._finish_task(policy, task_id, "max_rounds")
             if self.tasks and all(reason is not None for reason in self.finished.values()):
                 reasons = set(self.finished.values())
@@ -410,5 +393,5 @@ class Engine:
             stop_reason=stop_reason,
             sim_time=self.now,
             events_processed=self._events_processed,
-            final_models={tid: np.array(policy.model_snapshot(tid), copy=True) for tid in self.tasks},
+            final_models={tid: np.array(m, copy=True) for tid, m in self.models.items()},
         )

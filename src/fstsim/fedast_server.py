@@ -1,9 +1,9 @@
 """Buffered asynchronous server for simultaneous multi-task training.
 
-Per task m the server keeps a model x_m, a round counter t_m, and a buffer
-of received updates. Each arriving update is buffered (unless dropped for
-excess staleness), and once the buffer holds b_m updates the model takes
-one step against their mean:
+Per task m the engine keeps the model x_m and round counter t_m, and the
+server a buffer of received updates. Each arriving update is buffered
+(unless dropped for excess staleness), and once the buffer holds b_m
+updates the model takes one step against their mean:
 
     x_m <- x_m - eta_s * eta_c * tau_m * mean(buffer)
 
@@ -120,36 +120,33 @@ def lr_bound_warnings(
     return warnings
 
 
-def server_step(engine: Engine, st, updates: list[Update]) -> None:
+def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     """The server step of every strategy: x <- x - eta_c*eta_s*tau*mean(delta).
 
-    ``st`` is a task's server state (``spec``, ``model``, ``round``). It gets a
+    The only writer of ``engine.models`` and ``engine.rounds``: the task gets a
     new read-only model (in-flight requests hold the old one by reference), a
     finite check (SimulationError) and the next round, observed as ``Aggregated``.
     """
-    spec = st.spec
+    tid = spec.task_id
     mean_delta = np.stack([u.delta for u in updates]).mean(axis=0)
-    st.model = st.model - spec.eta_c * spec.eta_s * spec.tau * mean_delta
-    st.model.setflags(write=False)
-    if not np.all(np.isfinite(st.model)):
+    model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
+    model.setflags(write=False)
+    if not np.all(np.isfinite(model)):
         raise SimulationError(
-            f"aggregate produced non-finite model on task {spec.task_id} "
-            f"at round {st.round} ({len(updates)} updates)"
+            f"aggregate produced non-finite model on task {tid} "
+            f"at round {engine.rounds[tid]} ({len(updates)} updates)"
         )
-    st.round += 1
+    engine.models[tid] = model
+    engine.rounds[tid] += 1
     if engine.observer is not None:
-        engine.observer(Aggregated(engine.now, spec.task_id, st.round, len(updates), st.model))
+        engine.observer(Aggregated(engine.now, tid, engine.rounds[tid], len(updates), model))
 
 
 @dataclass
 class ServerTaskState:
-    """Mutable per-task server bookkeeping."""
+    """Per-task strategy state; the model and round live on the engine."""
 
     spec: TaskSpec
-    #: read-only; each aggregation binds a new array, since in-flight
-    #: requests hold the old one by reference
-    model: np.ndarray
-    round: int = 0
     buffer: list[Update] = field(default_factory=list)
     r_cur: int = 0
     r_target: int = 0
@@ -160,7 +157,6 @@ class ServerTaskState:
     staleness_max: int = 0
     dropped: int = 0
     late_discards: int = 0
-    finished: bool = False
 
 
 class FedAstServer:
@@ -171,7 +167,8 @@ class FedAstServer:
     reallocation; dynamic re-plans every ``c_period`` received updates
     (default: 0.75 * n_tasks * total requests). ``tau_max`` with
     ``drop_enforcement`` discards updates staler than the cap instead of
-    aggregating them.
+    aggregating them. It keeps only buffers, targets and counters: each full
+    buffer is one ``server_step`` of the engine's model.
     """
 
     def __init__(
@@ -223,11 +220,8 @@ class FedAstServer:
                     raise ValueError(msg)
                 logger.warning(msg)
                 self.warnings.append(msg)
-            model = task.new_model()
-            model.setflags(write=False)
             self._states[tid] = ServerTaskState(
                 spec=task,
-                model=model,
                 r_target=r0[tid],
                 b=b0[tid],
                 history=deque(maxlen=history_size),
@@ -245,11 +239,13 @@ class FedAstServer:
     def start(self, engine: Engine) -> None:
         for tid, st in self._states.items():
             st.r_cur = st.r_target
-            engine.send_requests(tid, st.r_target)
+            for _ in range(st.r_target):
+                engine.send(tid)
 
     def handle_update(self, engine: Engine, update: Update) -> None:
-        st = self._states[update.task_id]
-        if st.finished:
+        tid = update.task_id
+        st = self._states[tid]
+        if engine.finished[tid] is not None:
             # Late straggler for a completed task: drop silently, shrink the
             # outstanding count, dispatch nothing.
             st.late_discards += 1
@@ -257,7 +253,7 @@ class FedAstServer:
             return
 
         self.c += 1
-        staleness = st.round - update.dispatch_round
+        staleness = engine.rounds[tid] - update.dispatch_round
         if self.drop_enforcement and staleness > self.tau_max:
             st.dropped += 1
         else:
@@ -276,14 +272,8 @@ class FedAstServer:
 
         k = min(2, max(0, st.r_target - (st.r_cur - 1)))
         st.r_cur += k - 1
-        if k > 0:
-            engine.send_requests(update.task_id, k)
-
-    def model_snapshot(self, task_id: int) -> np.ndarray:
-        return self._states[task_id].model
-
-    def current_round(self, task_id: int) -> int:
-        return self._states[task_id].round
+        for _ in range(k):
+            engine.send(tid)
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]:
         st = self._states[task_id]
@@ -299,9 +289,6 @@ class FedAstServer:
 
     def mark_finished(self, engine: Engine, task_id: int) -> None:
         st = self._states[task_id]
-        if st.finished:
-            return
-        st.finished = True
         self.released_budget += st.r_target
         st.r_target = 0
 
@@ -321,7 +308,7 @@ class FedAstServer:
                 task_id=tid,
                 r_target=st.r_target,
                 buffer_target=st.b,
-                finished=st.finished,
+                finished=engine.finished[tid] is not None,
                 step_scale=st.spec.eta_c * st.spec.eta_s * st.spec.tau,
                 history=tuple(st.history),
             )
@@ -336,10 +323,10 @@ class FedAstServer:
             st.b = plan.b_new[tid]
         self.realloc_events.append((engine.now, self.c, dict(plan.r_new), dict(plan.sigma_sq)))
         # A shrunk buffer target may already be satisfied.
-        for st in self._states.values():
-            if not st.finished and len(st.buffer) >= st.b:
+        for tid, st in self._states.items():
+            if engine.finished[tid] is None and len(st.buffer) >= st.b:
                 self._aggregate(engine, st)
 
     def _aggregate(self, engine: Engine, st: ServerTaskState) -> None:
-        server_step(engine, st, st.buffer)
+        server_step(engine, st.spec, st.buffer)
         st.buffer.clear()

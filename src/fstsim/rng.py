@@ -95,25 +95,14 @@ def request_stream(key: RequestKey, stream: int) -> Generator:
 
 
 class RequestStreams:
-    """The two streams of one request; unpacks and indexes as (training, delay).
-
-    The delay stream is built once, here. The training stream is built
-    afresh, at its start, each time it is indexed; a caller that trains
-    later can keep only ``key`` and build it with ``request_stream``.
-    """
+    """One request's ``key`` and its ``delay`` stream, built here. The
+    training stream is built later, from ``key``, with ``request_stream``."""
 
     __slots__ = ("key", "delay")
 
     def __init__(self, key: RequestKey):
         self.key = key
         self.delay = request_stream(key, DELAY)
-
-    def __getitem__(self, stream: int) -> Generator:
-        if stream == TRAIN:
-            return request_stream(self.key, TRAIN)
-        if stream == DELAY:
-            return self.delay
-        raise IndexError(stream)
 
 
 def request_rngs(

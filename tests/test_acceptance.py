@@ -36,7 +36,7 @@ from fstsim.objectives import (
     local_stoch_grad,
 )
 from fstsim.realloc import apportion_largest_remainder, estimate_variances
-from fstsim.rng import request_rngs
+from fstsim.rng import TRAIN, request_stream
 
 
 def _zero_shards(n):
@@ -126,8 +126,8 @@ def test_single_local_step_delta_is_the_stochastic_gradient(criterion_report):
                         eta_c=float(rng.uniform(0.01, 1.0)), eta_s=1.0,
                         target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        train_rng, _ = request_rngs(7, 0, 0, case)
-        replay_rng, _ = request_rngs(7, 0, 0, case)
+        train_rng = request_stream((7, 0, 0, case), TRAIN)
+        replay_rng = request_stream((7, 0, 0, case), TRAIN)
         delta = local_train(task, x0, shard, train_rng)
         grad = local_stoch_grad(task, shard, x0, replay_rng)
         if not np.array_equal(delta, grad):

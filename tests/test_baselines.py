@@ -218,7 +218,7 @@ class TestFinishing:
         )
         log = engine.run(policy)
         assert log.finish_reasons == {0: "target", 1: "max_rounds"}
-        assert policy.state(0).finished
+        assert engine.finished[0] == "target"
         assert policy.state(1).expected == 5  # 2 + 3 redistributed
 
     def test_constructor_validation(self):

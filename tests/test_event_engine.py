@@ -48,11 +48,10 @@ CONSTANT_DELAY = DelaySpec(shift_factor=1.0, scale_factor=0.0)
 
 
 class StubPolicy:
-    """Scripted policy: zero models, caller-provided start/update hooks."""
+    """Scripted policy: caller-provided start/update hooks. A hook advances a
+    task by bumping ``engine.rounds`` by hand; the models stay at zero."""
 
     def __init__(self, task_ids, on_start=None, on_update=None):
-        self.models = {tid: np.zeros(1) for tid in task_ids}
-        self.rounds = {tid: 0 for tid in task_ids}
         self.finished_calls = []
         self.skipped = []
         self.updates = []
@@ -67,12 +66,6 @@ class StubPolicy:
         self.updates.append(update)
         if self._on_update:
             self._on_update(self, engine, update)
-
-    def model_snapshot(self, task_id):
-        return self.models[task_id]
-
-    def current_round(self, task_id):
-        return self.rounds[task_id]
 
     def task_metrics(self, task_id):
         return {"r": 0, "b": 0, "staleness_mean": 0.0, "staleness_max": 0,
@@ -95,12 +88,12 @@ class TestReferenceTrace:
         rotation = itertools.cycle([2, 0, 1])
 
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
-            engine.send_request_to(0, 1)
+            engine.send(0, 0)
+            engine.send(0, 1)
 
         def on_update(policy, engine, update):
-            policy.rounds[0] += 1
-            engine.send_request_to(0, next(rotation))
+            engine.rounds[0] += 1
+            engine.send(0, next(rotation))
 
         policy = StubPolicy([0], on_start, on_update)
         events = []
@@ -137,11 +130,11 @@ class TestFifoClients:
         profiles = [profile(0, {0: 1.0, 1: 4.0})]
 
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
-            engine.send_request_to(1, 0)
+            engine.send(0, 0)
+            engine.send(1, 0)
 
         def on_update(policy, engine, update):
-            policy.rounds[update.task_id] += 1
+            engine.rounds[update.task_id] += 1
 
         policy = StubPolicy([0, 1], on_start, on_update)
         events = []
@@ -170,13 +163,13 @@ class TestFifoClients:
                     profile(1, {0: 9.0, 1: 9.0, 2: 3.0})]
 
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
-            engine.send_request_to(2, 1)
+            engine.send(0, 0)
+            engine.send(2, 1)
 
         def on_update(policy, engine, update):
-            policy.rounds[update.task_id] += 1
+            engine.rounds[update.task_id] += 1
             if update.task_id == 2:
-                engine.send_request_to(1, 0)
+                engine.send(1, 0)
 
         policy = StubPolicy([0, 1, 2], on_start, on_update)
         events = []
@@ -207,13 +200,13 @@ class TestFifoClients:
                     profile(1, {0: 9.0, 1: 9.0, 2: 2.0})]
 
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
-            engine.send_request_to(2, 1)
+            engine.send(0, 0)
+            engine.send(2, 1)
 
         def on_update(policy, engine, update):
-            policy.rounds[update.task_id] += 1
+            engine.rounds[update.task_id] += 1
             if update.task_id == 2:
-                engine.send_request_to(1, 0)
+                engine.send(1, 0)
 
         policy = StubPolicy([0, 1, 2], on_start, on_update)
         events = []
@@ -284,13 +277,13 @@ class TestPolicyCallback:
             return sum(1 for e in events if isinstance(e, Dispatched) and e.time == 1.0)
 
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
+            engine.send(0, 0)
 
         def on_update(policy, engine, update):
             if engine.now == 1.0:
                 engine.call_at(1.0, lambda eng: seen.append(("first", dispatches_at_1(eng))))
-                engine.send_request_to(0, 0)
-                engine.send_request_to(0, 1)
+                engine.send(0, 0)
+                engine.send(0, 1)
                 engine.call_at(1.0, lambda eng: seen.append(("second", dispatches_at_1(eng))))
 
         engine = Engine(tasks=[quad_task()], shards=zero_shards([0], 2),
@@ -380,7 +373,7 @@ class TestStops:
         # task 0 hits its target at the t=0 eval; its pending dispatch is
         # then dropped and the policy is told about it
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
+            engine.send(0, 0)
 
         policy = StubPolicy([0, 1], on_start=on_start)
         events = []
@@ -400,11 +393,11 @@ class TestStops:
 
     def test_max_rounds_finishes_every_live_task(self):
         def on_start(policy, engine):
-            engine.send_request_to(0, 0)
+            engine.send(0, 0)
 
         def on_update(policy, engine, update):
-            policy.rounds[0] += 1
-            engine.send_request_to(0, 0)
+            engine.rounds[0] += 1
+            engine.send(0, 0)
 
         policy = StubPolicy([0], on_start, on_update)
         engine = Engine(
@@ -414,7 +407,7 @@ class TestStops:
         )
         log = engine.run(policy)
         assert log.stop_reason == "max_rounds"
-        assert policy.rounds[0] == 7
+        assert engine.rounds[0] == 7
         assert log.sim_time == 7.0  # unit steps, one request in flight
 
 

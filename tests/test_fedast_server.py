@@ -16,13 +16,21 @@ from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
 class FakeEngine:
     """Just enough engine surface for driving handle_update by hand."""
 
-    def __init__(self):
+    def __init__(self, tasks):
         self.now = 0.0
         self.sent = []
         self.observer = None
+        self.models = {t.task_id: t.new_model() for t in tasks}
+        self.rounds = {t.task_id: 0 for t in tasks}
+        self.finished = {t.task_id: None for t in tasks}
 
-    def send_requests(self, task_id, count):
-        self.sent.append((task_id, count))
+    def send(self, task_id, client_id=None):
+        self.sent.append(task_id)
+
+    def finish(self, policy, task_id):
+        """Finish a task as the engine does: flag first, then tell the policy."""
+        self.finished[task_id] = "target"
+        policy.mark_finished(self, task_id)
 
 
 def quad_task(tid=0, dim=1, tau=1, eta_c=0.1, eta_s=1.0):
@@ -40,39 +48,40 @@ class TestAggregation:
         # x <- x - eta_s*eta_c*tau * mean(deltas) = 0 - 1*0.1*5 * 2 = -1
         task = quad_task(tau=5, eta_c=0.1)
         srv = FedAstServer([task], r0={0: 2}, b0={0: 2})
-        eng, events = FakeEngine(), []
+        eng, events = FakeEngine([task]), []
         eng.observer = events.append
         srv.start(eng)
-        assert eng.sent == [(0, 2)]
+        assert eng.sent == [0, 0]
 
         srv.handle_update(eng, upd(0, [1.0]))
         st = srv.state(0)
-        assert st.round == 0 and len(st.buffer) == 1
+        assert eng.rounds[0] == 0 and len(st.buffer) == 1
+        # one replacement request per arrival in steady state
+        assert eng.sent == [0, 0, 0]
 
         eng.now = 3.5
         srv.handle_update(eng, upd(0, [3.0]))
-        assert st.round == 1
+        assert eng.rounds[0] == 1
         assert st.buffer == []
-        assert st.model[0] == pytest.approx(-1.0, abs=1e-15)
+        assert eng.models[0][0] == pytest.approx(-1.0, abs=1e-15)
         assert [(ev.time, ev.task_id, ev.round, ev.n_updates) for ev in events] == [
             (3.5, 0, 1, 2)
         ]
-        assert events[0].model is st.model
-        # one replacement request per arrival in steady state
-        assert eng.sent == [(0, 2), (0, 1), (0, 1)]
+        assert events[0].model is eng.models[0]
+        assert eng.sent == [0, 0, 0, 0]
 
     def test_round_advances_once_per_full_buffer(self):
         srv = FedAstServer([quad_task()], r0={0: 6}, b0={0: 3})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         for i in range(6):
-            srv.handle_update(eng, upd(0, [0.5], dispatch_round=srv.state(0).round))
-        assert srv.state(0).round == 2
+            srv.handle_update(eng, upd(0, [0.5], dispatch_round=eng.rounds[0]))
+        assert eng.rounds[0] == 2
         assert srv.c == 6
 
     def test_non_finite_aggregate_is_fatal(self):
         srv = FedAstServer([quad_task()], r0={0: 1}, b0={0: 1})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         with pytest.raises(SimulationError, match="non-finite"):
             srv.handle_update(eng, upd(0, [np.inf]))
@@ -81,10 +90,10 @@ class TestAggregation:
 class TestStaleness:
     def test_staleness_measured_at_arrival(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         st = srv.state(0)
-        st.round = 5
+        eng.rounds[0] = 5
         update = upd(0, [1.0], dispatch_round=3)
         srv.handle_update(eng, update)
         assert st.staleness_count == 1
@@ -95,23 +104,23 @@ class TestStaleness:
     def test_drop_enforcement_discards_but_still_redispatches(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10},
                            tau_max=1, drop_enforcement=True)
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         st = srv.state(0)
-        st.round = 5
+        eng.rounds[0] = 5
         srv.handle_update(eng, upd(0, [1.0], dispatch_round=3))  # staleness 2 > 1
         assert st.dropped == 1
         assert st.buffer == [] and len(st.history) == 0
         assert st.staleness_count == 0  # dropped updates leave the stats alone
         assert srv.c == 1               # but are counted as received
-        assert eng.sent[-1] == (0, 1)   # and still trigger a replacement
+        assert eng.sent == [0] * 5      # and still trigger a replacement
 
     def test_cap_without_enforcement_only_observes(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10}, tau_max=1)
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         st = srv.state(0)
-        st.round = 5
+        eng.rounds[0] = 5
         srv.handle_update(eng, upd(0, [1.0], dispatch_round=3))
         assert st.dropped == 0
         assert len(st.buffer) == 1
@@ -121,7 +130,7 @@ class TestStaleness:
 class TestDispatchWalk:
     def make(self):
         srv = FedAstServer([quad_task()], r0={0: 5}, b0={0: 50})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         eng.sent.clear()
         return srv, eng, srv.state(0)
@@ -137,13 +146,13 @@ class TestDispatchWalk:
         srv, eng, st = self.make()
         st.r_cur, st.r_target = 3, 5
         srv.handle_update(eng, upd(0, [1.0]))
-        assert eng.sent == [(0, 2)]
+        assert eng.sent == [0, 0]
         assert st.r_cur == 4
 
     def test_on_target_sends_one(self):
         srv, eng, st = self.make()
         srv.handle_update(eng, upd(0, [1.0]))
-        assert eng.sent == [(0, 1)]
+        assert eng.sent == [0]
         assert st.r_cur == 5
 
     def test_one_below_target_sends_two_and_overshoots_by_one(self):
@@ -151,17 +160,17 @@ class TestDispatchWalk:
         srv, eng, st = self.make()
         st.r_cur, st.r_target = 4, 5
         srv.handle_update(eng, upd(0, [1.0]))
-        assert eng.sent == [(0, 2)]
+        assert eng.sent == [0, 0]
         assert st.r_cur == 5
 
 
 class TestFinishing:
     def test_mark_finished_releases_budget_once(self):
-        srv = FedAstServer([quad_task(0), quad_task(1)], r0={0: 7, 1: 3},
-                           b0={0: 1, 1: 1})
-        eng = FakeEngine()
+        tasks = [quad_task(0), quad_task(1)]
+        srv = FedAstServer(tasks, r0={0: 7, 1: 3}, b0={0: 1, 1: 1})
+        eng = FakeEngine(tasks)
         srv.start(eng)
-        srv.mark_finished(eng, 0)
+        eng.finish(srv, 0)
         assert srv.released_budget == 7
         assert srv.state(0).r_target == 0
         srv.mark_finished(eng, 0)
@@ -169,9 +178,9 @@ class TestFinishing:
 
     def test_late_update_is_discarded_silently(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 2})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
-        srv.mark_finished(eng, 0)
+        eng.finish(srv, 0)
         eng.sent.clear()
         srv.handle_update(eng, upd(0, [1.0]))
         st = srv.state(0)
@@ -182,7 +191,7 @@ class TestFinishing:
 
     def test_skipped_dispatch_shrinks_outstanding_count(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 2})
-        eng = FakeEngine()
+        eng = FakeEngine([quad_task()])
         srv.start(eng)
         srv.on_dispatch_skipped(0)
         assert srv.state(0).r_cur == 3
@@ -256,7 +265,7 @@ class TestDynamicReallocation:
         t1 = quad_task(1, dim=2, tau=1, eta_c=1.0)   # step scale 1
         srv = FedAstServer([t0, t1], r0={0: 6, 1: 3}, b0={0: 2, 1: 3},
                            option="D", c_period=4)
-        eng = FakeEngine()
+        eng = FakeEngine([t0, t1])
         srv.start(eng)
 
         srv.handle_update(eng, upd(0, [1.0, 0.0]))
@@ -272,13 +281,13 @@ class TestDynamicReallocation:
         assert (s0.r_target, s0.b) == (8, 3)
         assert (s1.r_target, s1.b) == (1, 1)
         # task 1 held 2 buffered updates; the new target of 1 flushed them
-        assert s1.round == 1 and s1.buffer == []
-        assert np.allclose(s1.model, [-2.0, 0.0])
+        assert eng.rounds[1] == 1 and s1.buffer == []
+        assert np.allclose(eng.models[1], [-2.0, 0.0])
 
     def test_static_never_replans(self):
-        srv = FedAstServer([quad_task(0), quad_task(1)], r0={0: 2, 1: 2},
-                           b0={0: 9, 1: 9}, option="S", c_period=2)
-        eng = FakeEngine()
+        tasks = [quad_task(0), quad_task(1)]
+        srv = FedAstServer(tasks, r0={0: 2, 1: 2}, b0={0: 9, 1: 9}, option="S", c_period=2)
+        eng = FakeEngine(tasks)
         srv.start(eng)
         for i in range(8):
             srv.handle_update(eng, upd(i % 2, [float(i)]))
@@ -290,9 +299,9 @@ class TestDynamicReallocation:
         t1 = quad_task(1)
         srv = FedAstServer([t0, t1], r0={0: 3, 1: 3}, b0={0: 9, 1: 9},
                            option="D", c_period=4)
-        eng = FakeEngine()
+        eng = FakeEngine([t0, t1])
         srv.start(eng)
-        srv.mark_finished(eng, 1)
+        eng.finish(srv, 1)
         assert srv.released_budget == 3
         srv.handle_update(eng, upd(0, [1.0]))
         srv.handle_update(eng, upd(0, [3.0]))
@@ -375,4 +384,4 @@ class TestPolicyContract:
         dispatches = sum(1 for ev in events if isinstance(ev, Dispatched))
         arrivals = sum(1 for ev in events if isinstance(ev, Arrived))
         assert 0 <= dispatches - arrivals <= 3
-        assert st.round == 20
+        assert engine.rounds[0] == 20

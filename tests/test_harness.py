@@ -113,6 +113,13 @@ class TestConfigRoundTrip:
             d.update(stop_on_targets=False, max_rounds=None, max_sim_time=None)
             config_from_dict(d)
 
+    def test_values_that_fit_their_field_are_kept_as_given(self):
+        d = config_to_dict(quad_config(max_rounds=None, max_sim_time=50.0))
+        d["tasks"][0]["eta_c"] = 1
+        cfg = config_from_dict(d)
+        assert type(cfg.tasks[0].eta_c) is int  # a float field takes an int, uncoerced
+        assert json.loads(serialize_config(cfg)) == d
+
     def test_no_buffer_requires_unit_buffers(self):
         d = config_to_dict(quad_config(algorithm="no_buffer"))
         with pytest.raises(ConfigError, match="b0=1"):
@@ -332,6 +339,27 @@ class TestCli:
         for tid in (0, 1):
             assert (f"task {tid}: eta_c=0.05 exceeds the client-rate bound {bound} "
                     f"(binding: buffer term)") in out
+
+    @pytest.mark.parametrize("task_field, field, value, message", [
+        # the first five once printed "config ok" and then crashed `run`
+        (True, "r0", 8.0, "tasks[0].r0 must be an integer, not 8.0"),
+        (True, "tau", 2.5, "tasks[0].tau must be an integer, not 2.5"),
+        (False, "n_clients", 32.0, "n_clients must be an integer, not 32.0"),
+        (False, "seed", 1.5, "seed must be an integer, not 1.5"),
+        (True, "batch_size", True, "tasks[0].batch_size must be an integer, not True"),
+        (False, "n_clients", None, "n_clients must be an integer, not None"),
+        (False, "availability", True, "availability must be a number, not True"),
+        (False, "stop_on_targets", 1, "stop_on_targets must be true or false, not 1"),
+        (False, "speed_mix", [0.5, 0.5], "speed_mix must be three numbers, not [0.5, 0.5]"),
+    ])
+    def test_validate_rejects_a_value_of_the_wrong_type(self, task_field, field, value,
+                                                        message, tmp_path, capsys):
+        d = json.loads((CONFIGS / "quickstart.json").read_text())
+        (d["tasks"][0] if task_field else d)[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):
         # a cap of 0 with drop enforcement keeps only fresh updates; the

@@ -33,8 +33,10 @@ ALGORITHMS = {
 def test_request_streams_equal_the_public_philox_form(seed, task_id, client_id, dispatch_no):
     """Each stream is Philox under the run's key for that stream, started at
     the counter [0, task_id, client_id, dispatch_no], draw for draw."""
-    train, delay = request_rngs(seed, task_id, client_id, dispatch_no)
+    streams = request_rngs(seed, task_id, client_id, dispatch_no)
+    train, delay = rng.request_stream(streams.key, rng.TRAIN), streams.delay
     assert train is not delay
+    assert streams.key == (seed, task_id, client_id, dispatch_no)
     for stream, got in enumerate((train, delay)):
         key = np.random.SeedSequence(seed, spawn_key=(rng._REQUEST, stream)).generate_state(
             2, np.uint64
@@ -95,33 +97,38 @@ def small_config(algorithm: str, **extra) -> ExperimentConfig:
                             max_rounds=12, **extra)
 
 
-def instrumented_run(name, monkeypatch):
-    """Run one small simulation and return (engine, policy, updates, eager
-    deltas by update id, number of local_train calls the run made)."""
+def small_engine(name):
+    """A fresh (engine, policy) pair for one small simulation, not yet run."""
     cfg = small_config(**ALGORITHMS[name])
     scenario = build_scenario(cfg, SEED)
-    policy = build_policy(cfg, scenario.tasks)
     engine = Engine(
         tasks=scenario.tasks, shards=scenario.shards, eval_sets=scenario.eval_sets,
         profiles=scenario.profiles, seed=SEED, availability_p=cfg.availability,
         delay=scenario.delay, eval_interval=cfg.eval_interval,
         stop=StopConditions(stop_on_targets=False, max_rounds=cfg.max_rounds),
     )
+    return engine, build_policy(cfg, scenario.tasks)
+
+
+def instrumented_run(name, monkeypatch):
+    """Run one small simulation and return (engine, policy, updates, eager
+    deltas by update id, number of local_train calls the run made)."""
+    engine, policy = small_engine(name)
 
     updates, eager, dispatch_counts = [], {}, {}
     push = engine._push
 
     def push_training_eagerly(time, kind, payload=None):
         # An arrival is pushed by the dispatch that created it, so the
-        # policy's model is still the one the request was dispatched from.
+        # task's model is still the one the request was dispatched from.
         if kind is EventKind.UPDATE_ARRIVAL:
             tid, cid = payload.task_id, payload.client_id
             dispatch_no = dispatch_counts.get((tid, cid), 0)
             dispatch_counts[(tid, cid)] = dispatch_no + 1
             updates.append(payload)
             eager[id(payload)] = local_train(
-                engine.tasks[tid], np.array(policy.model_snapshot(tid)),
-                engine.shards[tid][cid], request_rngs(SEED, tid, cid, dispatch_no)[0],
+                engine.tasks[tid], np.array(engine.models[tid]), engine.shards[tid][cid],
+                rng.request_stream((SEED, tid, cid, dispatch_no), rng.TRAIN),
             )
         push(time, kind, payload)
 
@@ -169,12 +176,11 @@ def test_only_consumed_updates_are_trained(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_server_models_are_read_only(name, monkeypatch):
-    cfg = small_config(**ALGORITHMS[name])
-    fresh = build_policy(cfg, build_scenario(cfg, SEED).tasks)
+    fresh, _ = small_engine(name)
     with pytest.raises(ValueError):
-        fresh.model_snapshot(0)[0] = 1.0
-    _, policy, _, _, _ = instrumented_run(name, monkeypatch)
-    assert policy.current_round(0) > 0
+        fresh.models[0][0] = 1.0
+    engine, _, _, _, _ = instrumented_run(name, monkeypatch)
+    assert engine.rounds[0] > 0
     for tid in (0, 1):
         with pytest.raises(ValueError):
-            policy.model_snapshot(tid)[0] += 1.0
+            engine.models[tid][0] += 1.0

@@ -12,7 +12,7 @@ from fstsim.objectives import (
     TinyMlpObjective,
     local_stoch_grad,
 )
-from fstsim.rng import request_rngs
+from fstsim.rng import TRAIN, request_stream
 
 
 def scalar_task(tau, eta_c=0.1, batch_size=1):
@@ -55,8 +55,8 @@ def test_tau_one_returns_the_stochastic_gradient_bit_identical():
         task = TaskSpec(task_id=0, objective=obj, tau=1, eta_c=float(rng.uniform(0.01, 1.0)),
                         eta_s=1.0, target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        train_rng, _ = request_rngs(7, 0, 0, case)
-        replay_rng, _ = request_rngs(7, 0, 0, case)
+        train_rng = request_stream((7, 0, 0, case), TRAIN)
+        replay_rng = request_stream((7, 0, 0, case), TRAIN)
         delta = local_train(task, x0, shard, train_rng)
         grad = local_stoch_grad(task, shard, x0, replay_rng)
         assert np.array_equal(delta, grad)
@@ -73,8 +73,8 @@ def test_delta_equals_mean_of_path_gradients_bit_identical():
         task = TaskSpec(task_id=0, objective=obj, tau=tau, eta_c=0.2, eta_s=1.0,
                         target_metric=0.9, batch_size=4)
         x0 = rng.normal(size=obj.dim)
-        train_rng, _ = request_rngs(11, 0, 0, tau)
-        replay_rng, _ = request_rngs(11, 0, 0, tau)
+        train_rng = request_stream((11, 0, 0, tau), TRAIN)
+        replay_rng = request_stream((11, 0, 0, tau), TRAIN)
         delta = local_train(task, x0, shard, train_rng)
         x = x0.copy()
         acc = np.zeros_like(x)

@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
+import fstsim.harness as harness
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.event_engine import Aggregated, Arrived, Dispatched, Finished
+from fstsim.event_engine import Aggregated, Arrived, Dispatched, Engine, Finished
 from fstsim.harness import run_single
 from fstsim.metrics import write_csv
 
@@ -35,12 +36,28 @@ def small_config(algorithm: str, **extra) -> ExperimentConfig:
                             max_rounds=10, **extra)
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """Every (engine, policy) pair that ``run_single`` runs, each recorded
+    before its first event."""
+    recorded = []
+
+    class RecordedEngine(Engine):
+        def run(self, policy):
+            recorded.append((self, policy))
+            return super().run(policy)
+
+    monkeypatch.setattr(harness, "Engine", RecordedEngine)
+    return recorded
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ALGORITHMS)
-def test_stream_invariants_and_unchanged_output(name, seed, tmp_path):
+def test_stream_invariants_and_unchanged_output(name, seed, tmp_path, runs):
     cfg = small_config(**ALGORITHMS[name])
     events = []
-    log, policy = run_single(cfg, seed, observer=events.append)
+    log, _ = run_single(cfg, seed, observer=events.append)
+    engine, _ = runs[0]
 
     assert all(a.time <= b.time for a, b in zip(events, events[1:]))
 
@@ -57,7 +74,7 @@ def test_stream_invariants_and_unchanged_output(name, seed, tmp_path):
 
     for tid in (0, 1):
         steps = [ev for ev in events if isinstance(ev, Aggregated) and ev.task_id == tid]
-        final_round = policy.current_round(tid)
+        final_round = engine.rounds[tid]
         assert [ev.round for ev in steps] == list(range(1, final_round + 1))
         assert final_round == cfg.max_rounds
         assert all(ev.n_updates >= 1 for ev in steps)
@@ -70,3 +87,31 @@ def test_stream_invariants_and_unchanged_output(name, seed, tmp_path):
     write_csv(tmp_path / "observed.csv", log.records)
     write_csv(tmp_path / "quiet.csv", quiet.records)
     assert (tmp_path / "observed.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["fedast_static", "fedast_dynamic", "no_buffer"])
+def test_async_in_flight_counts_and_client_queues(name, seed, runs):
+    """At every arrival of a live task, the server's in-flight count r_cur
+    equals the task's dispatches minus its arrivals so far; and no client
+    runs two requests at once. mm_sync is left out: its barrier frees the
+    clients of cancelled stragglers, but their arrivals stay on the heap and
+    overlap the same clients' next requests (ROADMAP item 4)."""
+    in_flight, intervals, checked = Counter(), {}, []
+
+    def observe(ev):
+        if isinstance(ev, Dispatched):
+            in_flight[ev.task_id] += 1
+            intervals.setdefault(ev.client_id, []).append((ev.start, ev.arrival))
+        elif isinstance(ev, Arrived):
+            engine, policy = runs[0]
+            if engine.finished[ev.task_id] is None:
+                assert policy.state(ev.task_id).r_cur == in_flight[ev.task_id], ev
+                checked.append(ev)
+            in_flight[ev.task_id] -= 1
+
+    run_single(small_config(**ALGORITHMS[name]), seed, observer=observe)
+    assert checked
+    for spans in intervals.values():
+        spans.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))

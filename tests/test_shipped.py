@@ -14,20 +14,25 @@ from fstsim.harness import run_experiment
 ROOT = Path(__file__).resolve().parents[1]
 
 #: ``cat run_*.csv | sha256sum | cut -c1-16`` after ``fstsim run`` on each
-#: shipped config at its own seed. A change that moves one must say why.
+#: shipped config at its own seed, then the same for ``run_*.jsonl`` and for
+#: ``summary.json``. A change that moves one must say why.
 SHIPPED_HASHES = {
-    "quickstart": "12722d49fd504833",
-    "two_task_async": "a9dbc7a6c1eb6a17",
-    "two_task_sync": "54805e21b5bb48d6",
-    "dynamic_realloc": "252f4d0251405eba",
+    "quickstart": ("12722d49fd504833", "59084db463c4a157", "281345228e46e22d"),
+    "two_task_async": ("a9dbc7a6c1eb6a17", "f8382f48a2237ed4", "89126775e6947ec2"),
+    "two_task_sync": ("54805e21b5bb48d6", "e2cc36ac77a587e8", "123a1db43419add4"),
+    "dynamic_realloc": ("252f4d0251405eba", "d9a05cdef0eefb60", "390b3f46e17870e3"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
 def test_shipped_config_metrics_are_pinned(name, tmp_path):
     run_experiment(load_config(ROOT / "configs" / f"{name}.json"), out_dir=tmp_path)
-    data = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("run_*.csv")))
-    assert hashlib.sha256(data).hexdigest()[:16] == SHIPPED_HASHES[name]
+    got = tuple(
+        hashlib.sha256(b"".join(p.read_bytes() for p in sorted(tmp_path.glob(pattern))))
+        .hexdigest()[:16]
+        for pattern in ("run_*.csv", "run_*.jsonl", "summary.json")
+    )
+    assert got == SHIPPED_HASHES[name]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
