@@ -10,10 +10,11 @@ Requests are trained lazily. At dispatch the engine keys the request by
 sample the duration, and places an update on the event heap at its arrival
 time that holds the task's model by reference (the engine's models are
 read-only, so it cannot change), the client's shard and the request key.
-The local training runs the first time a server reads the update's delta,
-from a training stream built from the same key, so its result is what
-training at dispatch would have produced; updates no server reads are
-never trained.
+Servers train the updates a server step consumes (a full buffer or a sync
+barrier) with one ``train_updates`` call, which trains them stacked, each
+from a training stream built from its own key, so every result is what
+training at dispatch would have produced; updates no server step or
+replan reads are never trained.
 
 A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import rng as rng_tree
 from .delay_model import ClientProfile, DelaySpec, sample_duration
-from .local_trainer import Update, local_train
+from .local_trainer import TrainRequest, Update, local_train
 from .metrics import MetricsRecord
 from .objectives import ClientShard, Dataset, TaskSpec, evaluate
 
@@ -104,23 +105,17 @@ Event = Dispatched | Arrived | Aggregated | Finished
 Observer = Callable[[Event], None]
 
 
-@dataclass(slots=True)
-class TrainRequest:
-    """What one dispatched request needs to compute its delta.
-
-    ``snapshot`` is the task's read-only model at dispatch, held by
-    reference. ``train`` calls this module's ``local_train`` with a training
-    stream built from ``key``.
-    """
-
-    task: TaskSpec
-    snapshot: np.ndarray
-    shard: ClientShard
-    key: rng_tree.RequestKey
-
-    def train(self) -> np.ndarray:
-        rng = rng_tree.request_stream(self.key, rng_tree.TRAIN)
-        return local_train(self.task, self.snapshot, self.shard, rng)
+def train_updates(updates: Iterable[Update]) -> None:
+    """Give every untrained update among ``updates``, all of one task, its
+    delta, with one call of this module's ``local_train``."""
+    pending = [u for u in updates if u.delta is None]
+    if not pending:
+        return
+    requests = [u.request for u in pending]
+    deltas = local_train(requests[0].task, [r.snapshot for r in requests],
+                         [r.shard for r in requests], [r.stream() for r in requests])
+    for update, delta in zip(pending, deltas):
+        update.delta, update.request = delta, None
 
 
 @dataclass

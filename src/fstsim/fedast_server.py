@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .event_engine import Aggregated, Engine, SimulationError
+from .event_engine import Aggregated, Engine, SimulationError, train_updates
 from .local_trainer import Update
 from .objectives import TaskSpec
 from .realloc import TaskAllocView, compute_plan, default_c_period
@@ -123,11 +123,14 @@ def lr_bound_warnings(
 def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     """The server step of every strategy: x <- x - eta_c*eta_s*tau*mean(delta).
 
-    The only writer of ``engine.models`` and ``engine.rounds``: the task gets a
-    new read-only model (in-flight requests hold the old one by reference), a
-    finite check (SimulationError) and the next round, observed as ``Aggregated``.
+    Trains the untrained ``updates`` together first, so a DivergenceError
+    surfaces here. The only writer of ``engine.models`` and ``engine.rounds``:
+    the task gets a new read-only model (in-flight requests hold the old one
+    by reference), a finite check (SimulationError) and the next round,
+    observed as ``Aggregated``.
     """
     tid = spec.task_id
+    train_updates(updates)
     mean_delta = np.stack([u.delta for u in updates]).mean(axis=0)
     model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
     model.setflags(write=False)
@@ -258,7 +261,7 @@ class FedAstServer:
             st.dropped += 1
         else:
             st.buffer.append(update)
-            st.history.append(update.delta)
+            st.history.append(update)
             st.staleness_count += 1
             st.staleness_total += staleness
             if staleness > st.staleness_max:
@@ -303,14 +306,20 @@ class FedAstServer:
         return self._states[task_id]
 
     def _replan(self, engine: Engine) -> None:
+        # compute_plan reads the histories of live tasks, and only when each
+        # holds at least 2 updates: train and hand over just those.
+        live = {tid for tid in self._states if engine.finished[tid] is None}
+        read = live if all(len(self._states[tid].history) >= 2 for tid in live) else set()
+        for tid in read:
+            train_updates(self._states[tid].history)
         views = [
             TaskAllocView(
                 task_id=tid,
                 r_target=st.r_target,
                 buffer_target=st.b,
-                finished=engine.finished[tid] is not None,
+                finished=tid not in live,
                 step_scale=st.spec.eta_c * st.spec.eta_s * st.spec.tau,
-                history=tuple(st.history),
+                history=tuple(u.delta for u in st.history) if tid in read else (),
             )
             for tid, st in self._states.items()
         ]

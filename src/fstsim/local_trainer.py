@@ -5,15 +5,21 @@ snapshot and returns the mean of the gradients it took. That mean equals
 (x_start - x_end) / (tau * eta_c) in exact arithmetic; accumulating the
 gradients keeps the identity with the single gradient at tau = 1 exact in
 floating point as well.
+
+Requests of one task train stacked, one gradient call per local step for
+all with the same minibatch size; each row is bit for bit what training
+that request alone gives.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .objectives import ClientShard, TaskSpec, local_stoch_grad
+from .objectives import ClientShard, TaskSpec
+from .rng import TRAIN, RequestKey, request_stream
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
 DIVERGENCE_LIMIT = 1e12
@@ -32,75 +38,115 @@ class DivergenceError(RuntimeError):
         self.step_index = step_index
 
 
-class PendingTraining(Protocol):
-    """The work behind an update that has not been trained yet."""
+@dataclass(slots=True)
+class TrainRequest:
+    """What one dispatched request needs to compute its delta; ``snapshot`` is
+    the task's read-only model at dispatch, held by reference."""
 
-    def train(self) -> np.ndarray: ...
+    task: TaskSpec
+    snapshot: np.ndarray
+    shard: ClientShard
+    key: RequestKey
+
+    def stream(self) -> np.random.Generator | None:
+        """The training stream, or None when the whole shard is every step's
+        minibatch, so that training draws nothing."""
+        if self.task.batch_size >= self.shard.size:
+            return None
+        return request_stream(self.key, TRAIN)
 
 
+@dataclass(slots=True, eq=False)
 class Update:
-    """A dispatched training request and, once computed, its result.
+    """A dispatched training request and, once trained, its result.
 
     ``dispatch_round`` is the server round of the model snapshot the client
-    trained on; servers measure staleness against it at arrival.
-
-    An update is built either with its ``delta`` or with a ``request`` that
-    computes it. A request is trained the first time ``delta`` is read and
-    is released afterwards, so an update that no server reads (dropped,
-    discarded, late or still in flight when the run ends) is never trained
-    and a DivergenceError surfaces only from the read that trains it.
+    trained on; servers measure staleness against it at arrival. An update
+    has either its ``delta`` or the ``request`` that computes it, until
+    ``event_engine.train_updates`` trains it at the server step (or replan)
+    that reads it and releases the request. An update that no server step
+    or replan reads is never trained; a DivergenceError surfaces where one is.
     """
 
-    __slots__ = (
-        "task_id",
-        "client_id",
-        "dispatch_round",
-        "request",
-        "_delta",
-    )
+    task_id: int
+    client_id: int
+    dispatch_round: int
+    delta: np.ndarray | None = None
+    request: TrainRequest | None = None
 
-    def __init__(
-        self,
-        task_id: int,
-        client_id: int,
-        dispatch_round: int,
-        delta: np.ndarray | None = None,
-        request: PendingTraining | None = None,
-    ):
-        if (delta is None) == (request is None):
+    def __post_init__(self) -> None:
+        if (self.delta is None) == (self.request is None):
             raise ValueError("an update needs exactly one of delta and request")
-        self.task_id = task_id
-        self.client_id = client_id
-        self.dispatch_round = dispatch_round
-        self.request = request
-        self._delta = delta
-
-    @property
-    def delta(self) -> np.ndarray:
-        if self._delta is None:
-            self._delta = self.request.train()
-            self.request = None
-        return self._delta
 
 
 def local_train(
     task: TaskSpec,
-    x_snapshot: np.ndarray,
-    shard: ClientShard,
-    rng: np.random.Generator,
+    snapshots: Sequence[np.ndarray],
+    shards: Sequence[ClientShard],
+    rngs: Sequence[np.random.Generator | None],
 ) -> np.ndarray:
-    """Run tau local SGD steps and return the averaged gradient direction.
+    """Run tau local SGD steps per request; return each one's mean gradient, (B, d).
 
-    The snapshot is never mutated. Raises DivergenceError (with the
-    offending step index) instead of returning a poisoned update if an
-    iterate goes non-finite or exceeds DIVERGENCE_LIMIT in any coordinate.
+    Request i trains from ``snapshots[i]`` (never mutated) on ``shards[i]``,
+    drawing each step's minibatch from ``rngs[i]`` (None if the shard is the
+    minibatch). One model, shard and stream is the batch of one and gives
+    (d,). If an iterate goes non-finite or beyond DIVERGENCE_LIMIT, raises
+    DivergenceError for the first such request and its step, as training
+    one request at a time in order would.
     """
-    x = np.array(x_snapshot, dtype=np.float64, copy=True)
+    if isinstance(shards, ClientShard):
+        return local_train(task, [snapshots], [shards], [rngs])[0]
+    groups: dict[int, list[int]] = {}
+    for i, shard in enumerate(shards):
+        if shard.size == 0:
+            raise ValueError(f"client {shard.client_id} has an empty shard")
+        groups.setdefault(min(task.batch_size, shard.size), []).append(i)
+    results = [_train_rows(task, n, rows, snapshots, shards, rngs) for n, rows in groups.items()]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        row, step = min(failures)
+        raise DivergenceError(task.task_id, shards[row].client_id, step)
+    if len(results) == 1:
+        return results[0][0]
+    # Assembled last, so it never sits beside a group's temporaries.
+    out = np.empty((len(shards), task.dim))
+    for rows, (deltas, _) in zip(groups.values(), results):
+        out[rows] = deltas
+    return out
+
+
+def _train_rows(task, n, rows, snapshots, shards, rngs) -> tuple[np.ndarray, tuple | None]:
+    """Train ``rows``, all of minibatch size ``n``, stacked: their deltas, and
+    None or (row, step) of the first of them to diverge."""
+    x = np.array([snapshots[i] for i in rows], dtype=np.float64)
+    if x.shape[1:] != (task.dim,):
+        raise ValueError(f"task {task.task_id} expects models of shape ({task.dim},)")
     grad_sum = np.zeros_like(x)
+    # A whole shard is every step's minibatch; a drawn row is refilled each step.
+    features = np.array([shards[i].features[:n] for i in rows])
+    labels = shards[rows[0]].labels
+    labels = None if labels is None else np.array([shards[i].labels[:n] for i in rows])
+    draws = [(j, rngs[i], shards[i]) for j, i in enumerate(rows) if shards[i].size > n]
+    failure = None
     for step in range(1, task.tau + 1):
-        g = local_stoch_grad(task, shard, x, rng)
+        for j, rng, shard in draws:
+            pick = rng.choice(shard.size, size=n, replace=False)
+            features[j] = shard.features[pick]
+            if labels is not None:
+                labels[j] = shard.labels[pick]
+        g = task.objective.grad(x, features, labels)
         grad_sum += g
-        x -= task.eta_c * g
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(task.task_id, shard.client_id, step)
-    return grad_sum / task.tau
+        g *= task.eta_c
+        x -= g
+        del g
+        # NaN propagates through max, so non-finite rows count as bad too.
+        bad = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
+        if bad.any():
+            # Only the rows before the first diverged one still matter.
+            keep = int(bad.argmax())
+            failure = (rows[keep], step)
+            x, grad_sum, features = x[:keep], grad_sum[:keep], features[:keep]
+            labels = None if labels is None else labels[:keep]
+            draws = [d for d in draws if d[0] < keep]
+    grad_sum /= task.tau
+    return grad_sum, failure

@@ -67,9 +67,18 @@ class Objective(abc.ABC):
     def loss(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
         ...
 
-    @abc.abstractmethod
     def grad(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
-        ...
+        """Mean-loss gradient of one model (d,) over (n, f) rows, or of B stacked
+        models (B, d), row i over its own rows of (B, n, f) features and (B, n)
+        labels. The one-model form is the batch of one."""
+        if x.ndim == 1:
+            return self.grad(x[None], features[None], None if labels is None else labels[None])[0]
+        g = self._stacked_grad(x, features, labels)
+        return g + self.l2 * x if self.l2 else g
+
+    @abc.abstractmethod
+    def _stacked_grad(self, x, features, labels) -> np.ndarray:
+        """The unregularized gradient in the stacked form of ``grad``."""
 
     @abc.abstractmethod
     def accuracy(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
@@ -78,8 +87,10 @@ class Objective(abc.ABC):
     def _l2_loss(self, x: np.ndarray) -> float:
         return 0.5 * self.l2 * float(x @ x) if self.l2 else 0.0
 
-    def _l2_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.l2 * x if self.l2 else np.zeros_like(x)
+
+def _minus_one_at_labels(probs: np.ndarray, labels: np.ndarray) -> None:
+    """Subtract 1 at each row's label of stacked (B, n, classes) ``probs``."""
+    probs[np.arange(len(labels))[:, None], np.arange(labels.shape[1]), labels] -= 1.0
 
 
 @dataclass(frozen=True)
@@ -98,17 +109,17 @@ class QuadraticObjective(Objective):
         diffs = x[None, :] - features
         return float(0.5 * np.mean(np.sum(diffs * diffs, axis=1))) + self._l2_loss(x)
 
-    def grad(self, x, features, labels=None):
-        return (x - features.mean(axis=0)) + self._l2_grad(x)
+    def _stacked_grad(self, x, features, labels=None):
+        return x - features.sum(axis=1) / features.shape[1]
 
     def accuracy(self, x, features, labels=None):
         return 1.0 / (1.0 + self.loss(x, features, labels))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -136,11 +147,12 @@ class LogisticObjective(Objective):
         probs = _softmax(features @ self._weights(x).T)
         return _cross_entropy(probs, labels) + self._l2_loss(x)
 
-    def grad(self, x, features, labels):
-        probs = _softmax(features @ self._weights(x).T)
-        probs[np.arange(len(labels)), labels] -= 1.0
-        g = probs.T @ features / len(labels)
-        return g.reshape(-1) + self._l2_grad(x)
+    def _stacked_grad(self, x, features, labels):
+        w = x.reshape(len(x), self.n_classes, self.n_features)
+        probs = _softmax(features @ w.transpose(0, 2, 1))
+        _minus_one_at_labels(probs, labels)
+        g = probs.transpose(0, 2, 1) @ features / labels.shape[1]
+        return g.reshape(len(x), -1)
 
     def accuracy(self, x, features, labels):
         pred = np.argmax(features @ self._weights(x).T, axis=1)
@@ -167,15 +179,17 @@ class TinyMlpObjective(Objective):
         return h * f + h + c * h + c
 
     def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """W1, b1, W2, b2 of one model (d,) or of each of a stack (B, d)."""
         h, f, c = self.hidden_units, self.n_features, self.n_classes
+        lead = x.shape[:-1]
         i = 0
-        w1 = x[i : i + h * f].reshape(h, f)
+        w1 = x[..., i : i + h * f].reshape(*lead, h, f)
         i += h * f
-        b1 = x[i : i + h]
+        b1 = x[..., i : i + h]
         i += h
-        w2 = x[i : i + c * h].reshape(c, h)
+        w2 = x[..., i : i + c * h].reshape(*lead, c, h)
         i += c * h
-        b2 = x[i : i + c]
+        b2 = x[..., i : i + c]
         return w1, b1, w2, b2
 
     def _forward(self, x, features):
@@ -188,22 +202,19 @@ class TinyMlpObjective(Objective):
         _, logits = self._forward(x, features)
         return _cross_entropy(_softmax(logits), labels) + self._l2_loss(x)
 
-    def grad(self, x, features, labels):
+    def _stacked_grad(self, x, features, labels):
         w1, b1, w2, b2 = self._unpack(x)
-        n = len(labels)
-        hidden = np.tanh(features @ w1.T + b1)
-        probs = _softmax(hidden @ w2.T + b2)
-        dlogits = probs
-        dlogits[np.arange(n), labels] -= 1.0
-        dlogits /= n
-        dw2 = dlogits.T @ hidden
-        db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2
-        dz1 = dhidden * (1.0 - hidden * hidden)
-        dw1 = dz1.T @ features
-        db1 = dz1.sum(axis=0)
-        flat = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])
-        return flat + self._l2_grad(x)
+        b = len(x)
+        hidden = np.tanh(features @ w1.transpose(0, 2, 1) + b1[:, None])
+        dlogits = _softmax(hidden @ w2.transpose(0, 2, 1) + b2[:, None])
+        _minus_one_at_labels(dlogits, labels)
+        dlogits /= labels.shape[1]
+        dz1 = dlogits @ w2 * (1.0 - hidden * hidden)
+        dw1 = dz1.transpose(0, 2, 1) @ features
+        dw2 = dlogits.transpose(0, 2, 1) @ hidden
+        return np.concatenate(
+            [dw1.reshape(b, -1), dz1.sum(axis=1), dw2.reshape(b, -1), dlogits.sum(axis=1)], axis=1
+        )
 
     def accuracy(self, x, features, labels):
         _, logits = self._forward(x, features)

@@ -1,15 +1,21 @@
-"""Lazy request training: an update is trained only when a server consumes it,
-and the delta it gets is the one training at dispatch would have produced."""
+"""Lazy request training: an update is trained only when a server consumes it
+(a server step aggregates it, or the planner reads it), and the delta it gets
+is the one training at dispatch would have produced."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fstsim.baselines as baselines
 import fstsim.event_engine as event_engine
-from fstsim.baselines import MmSyncServer
+import fstsim.fedast_server as fedast_server
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.event_engine import Engine, EventKind, StopConditions
-from fstsim.harness import build_policy, build_scenario, run_experiment
+from fstsim.event_engine import Aggregated, Engine, EventKind, StopConditions
+from fstsim.fedast_server import server_step
+from fstsim.harness import build_policy, build_scenario, run_experiment, run_single
 from fstsim.local_trainer import local_train
+from fstsim.realloc import compute_plan
 from fstsim import rng
 from fstsim.rng import request_rngs
 
@@ -112,7 +118,9 @@ def small_engine(name):
 
 def instrumented_run(name, monkeypatch):
     """Run one small simulation and return (engine, policy, updates, eager
-    deltas by update id, number of local_train calls the run made)."""
+    deltas by update id, ids of the consumed updates, number of requests the
+    run trained). An update is consumed when a server step aggregates it or
+    the planner reads it from a history."""
     engine, policy = small_engine(name)
 
     updates, eager, dispatch_counts = [], {}, {}
@@ -134,44 +142,69 @@ def instrumented_run(name, monkeypatch):
 
     trained = 0
 
-    def counted_local_train(*args):
+    def counted_local_train(task, snapshots, shards, rngs):
         nonlocal trained
-        trained += 1
-        return local_train(*args)
+        trained += len(shards)
+        return local_train(task, snapshots, shards, rngs)
+
+    aggregated, n_updates, planner_reads = [], [], []
+
+    def recorded_server_step(engine, spec, step_updates):
+        aggregated.extend(id(u) for u in step_updates)
+        server_step(engine, spec, step_updates)
+
+    def recorded_compute_plan(views, released_budget=0):
+        planner_reads.extend(id(delta) for view in views for delta in view.history)
+        return compute_plan(views, released_budget)
+
+    def observe(event):
+        if isinstance(event, Aggregated):
+            n_updates.append(event.n_updates)
 
     engine._push = push_training_eagerly
+    engine.observer = observe
     monkeypatch.setattr(event_engine, "local_train", counted_local_train)
+    monkeypatch.setattr(fedast_server, "server_step", recorded_server_step)
+    monkeypatch.setattr(baselines, "server_step", recorded_server_step)
+    monkeypatch.setattr(fedast_server, "compute_plan", recorded_compute_plan)
     engine.run(policy)
-    return engine, policy, updates, eager, trained
 
-
-def consumed_count(policy) -> int:
-    states = [policy.state(tid) for tid in (0, 1)]
-    if isinstance(policy, MmSyncServer):
-        return sum(st.aggregated_total for st in states)
-    return sum(st.staleness_count for st in states)
+    assert len(aggregated) == sum(n_updates)
+    by_delta = {id(u.delta): id(u) for u in updates if u.delta is not None}
+    consumed = set(aggregated) | {by_delta[d] for d in planner_reads}
+    return engine, policy, updates, eager, consumed, trained
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_consumed_deltas_equal_training_at_dispatch(name, monkeypatch):
-    _, _, updates, eager, trained = instrumented_run(name, monkeypatch)
-    consumed = [u for u in updates if u.request is None]
-    assert len(consumed) == trained > 0
-    for update in consumed:
+    _, _, updates, eager, consumed, trained = instrumented_run(name, monkeypatch)
+    trained_updates = [u for u in updates if u.request is None]
+    assert len(trained_updates) == trained > 0
+    assert {id(u) for u in trained_updates} == consumed
+    for update in trained_updates:
         assert update.delta.tobytes() == eager[id(update)].tobytes()
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_only_consumed_updates_are_trained(name, monkeypatch):
-    _, policy, updates, _, trained = instrumented_run(name, monkeypatch)
-    assert trained == consumed_count(policy)
-    assert trained < len(updates)
-    if name == "no_buffer":
-        assert sum(policy.state(t).dropped for t in (0, 1)) > 0
+    _, policy, updates, _, consumed, trained = instrumented_run(name, monkeypatch)
+    assert trained == len(consumed) < len(updates)
+    states = [policy.state(tid) for tid in (0, 1)]
     if name == "mm_sync":
+        assert trained == sum(st.aggregated_total for st in states)
         assert policy.updates_discarded > 0
     else:
-        assert sum(policy.state(t).late_discards for t in (0, 1)) > 0
+        assert sum(st.late_discards for st in states) > 0
+    if name == "no_buffer":
+        assert sum(st.dropped for st in states) > 0
+
+
+def test_updates_buffered_at_the_horizon_are_not_trained():
+    cfg = replace(small_config("fedast_static", seed=SEED), max_rounds=None, max_sim_time=7.5)
+    log, policy = run_single(cfg, SEED)
+    assert log.stop_reason == "max_sim_time"
+    left = [u for tid in (0, 1) for u in policy.state(tid).buffer]
+    assert left and all(u.delta is None and u.request is not None for u in left)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
@@ -179,7 +212,7 @@ def test_server_models_are_read_only(name, monkeypatch):
     fresh, _ = small_engine(name)
     with pytest.raises(ValueError):
         fresh.models[0][0] = 1.0
-    engine, _, _, _, _ = instrumented_run(name, monkeypatch)
+    engine, *_ = instrumented_run(name, monkeypatch)
     assert engine.rounds[0] > 0
     for tid in (0, 1):
         with pytest.raises(ValueError):

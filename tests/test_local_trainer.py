@@ -137,3 +137,70 @@ def test_divergence_aborts_with_step_index():
     assert err.value.client_id == 3
     assert 1 <= err.value.step_index <= 200
     assert "step" in str(err.value)
+
+
+STACKED_FAMILIES = {
+    "quadratic": lambda l2: QuadraticObjective(dim=3, l2=l2),
+    "logistic": lambda l2: LogisticObjective(n_features=3, n_classes=3, l2=l2),
+    "tiny_mlp": lambda l2: TinyMlpObjective(n_features=3, hidden_units=4, n_classes=3, l2=l2),
+}
+
+#: Shard sizes against batch_size 4: drawn minibatches (7, 12, 9), whole
+#: shards smaller than the batch (2, 1, 3) and exactly the batch (4).
+SHARD_SIZES = (7, 2, 4, 1, 12, 3, 4, 9, 1)
+
+
+@pytest.mark.parametrize("family", STACKED_FAMILIES)
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_stacked_rows_equal_one_at_a_time_training(family, l2, b):
+    gen = np.random.default_rng([b, int(l2 * 100), len(family)])
+    obj = STACKED_FAMILIES[family](l2)
+    task = TaskSpec(task_id=2, objective=obj, tau=3, eta_c=0.1, eta_s=1.0,
+                    target_metric=0.9, batch_size=4)
+    shards = [
+        ClientShard(100 + i, gen.normal(size=(size, 3)),
+                    None if family == "quadratic" else gen.integers(0, 3, size=size))
+        for i, size in enumerate(SHARD_SIZES[:b])
+    ]
+    # Rows from two snapshots, as when a buffer holds stale updates.
+    snapshots = [gen.normal(size=obj.dim), gen.normal(size=obj.dim)]
+    rows = [snapshots[1] if i % 3 == 1 else snapshots[0] for i in range(b)]
+    keys = [(5, 2, 100 + i, i) for i in range(b)]
+    # Training draws nothing from a shard that fits in one batch, so the
+    # stacked call gets no stream for it, as the engine passes.
+    streams = [
+        request_stream(key, TRAIN) if shard.size > task.batch_size else None
+        for key, shard in zip(keys, shards)
+    ]
+    before = [x.copy() for x in snapshots]
+    stacked = local_train(task, rows, shards, streams)
+    assert stacked.shape == (b, obj.dim)
+    for i in range(b):
+        alone = local_train(task, rows[i], shards[i], request_stream(keys[i], TRAIN))
+        assert stacked[i].tobytes() == alone.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(snapshots, before))
+
+
+def test_stacked_divergence_names_the_first_row_in_order():
+    """Row 1 diverges at a later step than row 3, and in another minibatch
+    group; training one at a time in order stops at row 1."""
+    task = TaskSpec(task_id=4, objective=QuadraticObjective(dim=1), tau=40, eta_c=1e3,
+                    eta_s=1.0, target_metric=0.9, batch_size=2)
+    shards = [ClientShard(10 + i, np.zeros((size, 1))) for i, size in enumerate((1, 2, 1, 1))]
+    snapshots = [np.array([x]) for x in (0.0, 1e-3, 0.0, 1e6)]
+    first = None
+    for x, shard in zip(snapshots, shards):
+        try:
+            local_train(task, x, shard, None)
+        except DivergenceError as err:
+            first = first or err
+    assert first.client_id == 11
+    with pytest.raises(DivergenceError) as err:
+        local_train(task, snapshots[3], shards[3], None)
+    assert err.value.step_index < first.step_index
+
+    with pytest.raises(DivergenceError) as err:
+        local_train(task, snapshots, shards, [None] * 4)
+    got = (err.value.task_id, err.value.client_id, err.value.step_index)
+    assert got == (first.task_id, first.client_id, first.step_index)
