@@ -6,9 +6,10 @@ order, so reruns are bit-reproducible. Clients are single-threaded queues:
 a request dispatched to a busy client starts when the client frees up.
 
 Requests are trained lazily. At dispatch the engine keys the request by
-(seed, task, client, dispatch counter), builds only its delay stream to
-sample the duration, and places an update on the event heap at its arrival
-time that holds the task's model by reference (the engine's models are
+(seed, task, client, dispatch counter), re-keys the run's one delay
+generator to the request's delay stream (``rng.request_rngs``) to sample
+the duration, and places an update on the event heap at its arrival time
+that holds the task's model by reference (the engine's models are
 read-only, so it cannot change), the client's shard and the request key.
 Servers train the updates a server step consumes (a full buffer or a sync
 barrier) with one ``train_updates`` call, which trains them stacked, each
@@ -31,7 +32,7 @@ import enum
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Protocol
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -105,17 +106,21 @@ Event = Dispatched | Arrived | Aggregated | Finished
 Observer = Callable[[Event], None]
 
 
-def train_updates(updates: Iterable[Update]) -> None:
+def train_updates(updates: Collection[Update]) -> np.ndarray | None:
     """Give every untrained update among ``updates``, all of one task, its
-    delta, with one call of this module's ``local_train``."""
+    delta, with one call of this module's ``local_train``.
+
+    Returns the (B, d) array of deltas when it trained every update, in
+    order, and None when some had been trained before (or none are left)."""
     pending = [u for u in updates if u.delta is None]
     if not pending:
-        return
+        return None
     requests = [u.request for u in pending]
     deltas = local_train(requests[0].task, [r.snapshot for r in requests],
                          [r.shard for r in requests], [r.stream() for r in requests])
     for update, delta in zip(pending, deltas):
         update.delta, update.request = delta, None
+    return deltas if len(pending) == len(updates) else None
 
 
 @dataclass
@@ -228,9 +233,12 @@ class Engine:
         self._seq = 0
         #: the server-side decision stream (sampling, availability, shuffles)
         self.server_stream = rng_tree.server_rng(seed)
+        #: re-keyed to each request's delay stream at its dispatch
+        self._delay_stream = rng_tree.delay_generator(seed)
         self._dispatch_counts: dict[tuple[int, int], int] = {}
         self.rounds: dict[int, int] = {tid: 0 for tid in self.tasks}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
+        self._live_tasks = len(self.tasks)
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
         self.records: list[MetricsRecord] = []
         self.observer = observer
@@ -301,17 +309,18 @@ class Engine:
         pair = (task_id, client_id)
         dispatch_no = self._dispatch_counts.get(pair, 0)
         self._dispatch_counts[pair] = dispatch_no + 1
-        streams = rng_tree.request_rngs(self.seed, task_id, client_id, dispatch_no)
+        delay_stream = rng_tree.request_rngs(
+            self._delay_stream, self.seed, task_id, client_id, dispatch_no
+        )
 
         client = self.clients[client_id]
-        duration = sample_duration(client.profile, task, streams.delay, self.delay)
+        duration = sample_duration(client.profile, task, delay_stream, self.delay)
         start = max(self.now, client.busy_until)
         completion = start + duration
         client.busy_until = completion
 
-        request = TrainRequest(
-            task, self.models[task_id], self.shards[task_id][client_id], streams.key
-        )
+        request = TrainRequest(task, self.models[task_id], self.shards[task_id][client_id],
+                               (self.seed, task_id, client_id, dispatch_no))
         update = Update(task_id, client_id, dispatch_round, request=request)
         self._push(completion, EventKind.UPDATE_ARRIVAL, update)
         if self.observer is not None:
@@ -331,6 +340,7 @@ class Engine:
 
     def _finish_task(self, policy: ServerPolicy, task_id: int, reason: str) -> None:
         self.finished[task_id] = reason
+        self._live_tasks -= 1
         policy.mark_finished(self, task_id)
         if self.observer is not None:
             self.observer(Finished(self.now, task_id, reason))
@@ -370,7 +380,7 @@ class Engine:
                 for task_id, rnd in self.rounds.items():
                     if self.finished[task_id] is None and rnd >= self.stop.max_rounds:
                         self._finish_task(policy, task_id, "max_rounds")
-            if self.tasks and all(reason is not None for reason in self.finished.values()):
+            if not self._live_tasks and self.tasks:
                 reasons = set(self.finished.values())
                 stop_reason = "targets" if reasons == {"target"} else "max_rounds"
                 break

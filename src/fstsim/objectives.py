@@ -369,10 +369,13 @@ def partition_dirichlet(
             assigned[client].extend(cls_idx[start : start + cnt])
             start += cnt
 
+    sizes = [len(a) for a in assigned]
     for client in range(n_clients):
-        if not assigned[client]:
-            donor = max(range(n_clients), key=lambda c: len(assigned[c]))
+        if not sizes[client]:
+            donor = sizes.index(max(sizes))  # the first largest shard
             assigned[client].append(assigned[donor].pop())
+            sizes[donor] -= 1
+            sizes[client] = 1
 
     shards = []
     for client in range(n_clients):

@@ -7,6 +7,11 @@ streams of dispatched requests are counter-based: one Philox key per
 into Philox's counter. Any two runs with the same seed therefore consume
 identical streams regardless of wall-clock interleaving. Philox is stable
 across platforms and numpy versions.
+
+Because Philox is counter-based, writing a key and counter into an existing
+generator starts exactly the stream a new one would. Each run therefore
+owns one delay generator, and ``request_rngs`` re-keys it for every
+dispatched request instead of building a stream per request.
 """
 
 from __future__ import annotations
@@ -94,25 +99,36 @@ def request_stream(key: RequestKey, stream: int) -> Generator:
     return Generator(Philox(_PhiloxKey(_run_key(seed, stream)), counter=counter))
 
 
-class RequestStreams:
-    """One request's ``key`` and its ``delay`` stream, built here. The
-    training stream is built later, from ``key``, with ``request_stream``."""
+@lru_cache(maxsize=64)
+def _run_key_words(seed: int, stream: int) -> tuple[int, int]:
+    """``_run_key`` as Python ints, which the Philox state setter reads fastest."""
+    return tuple(int(word) for word in _run_key(seed, stream))
 
-    __slots__ = ("key", "delay")
 
-    def __init__(self, key: RequestKey):
-        self.key = key
-        self.delay = request_stream(key, DELAY)
+def delay_generator(seed: int) -> Generator:
+    """The one delay generator of a run; ``request_rngs`` re-keys it for each
+    request before it draws."""
+    return Generator(Philox(_PhiloxKey(_run_key(seed, DELAY))))
 
 
 def request_rngs(
-    seed: int, task_id: int, client_id: int, dispatch_no: int
-) -> RequestStreams:
-    """Streams for one dispatched training request.
+    delay: Generator, seed: int, task_id: int, client_id: int, dispatch_no: int
+) -> Generator:
+    """Re-key the run's ``delay`` generator to one request's delay stream and
+    return it.
 
-    They are keyed by the request identity (task, client, per-pair dispatch
-    counter), so event-processing order can never change which batches a
-    given request samples or how long it runs. Only the delay stream is
-    built by this call; see RequestStreams.
+    It then draws exactly what ``request_stream(key, DELAY)`` would for the
+    request key (seed, task_id, client_id, dispatch_no), so event-processing
+    order can never change how long a request runs.
     """
-    return RequestStreams((seed, task_id, client_id, dispatch_no))
+    delay.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, task_id, client_id, dispatch_no),
+                  "key": _run_key_words(seed, DELAY)},
+        # buffer_pos at the end of Philox's 4-word output buffer: nothing left
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return delay

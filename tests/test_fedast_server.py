@@ -6,11 +6,16 @@ import pytest
 import fstsim.fedast_server as fedast_server
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
-from fstsim.event_engine import Arrived, Dispatched, Engine, SimulationError, StopConditions
-from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds
+from fstsim.event_engine import (
+    Arrived, Dispatched, Engine, SimulationError, StopConditions, train_updates,
+)
+from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds, server_step
 from fstsim.harness import build_policy, build_scenario
-from fstsim.local_trainer import Update
-from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
+from fstsim.local_trainer import TrainRequest, Update, local_train
+from fstsim.objectives import (
+    ClientShard, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
+)
+from fstsim.rng import TRAIN, request_stream
 
 
 class FakeEngine:
@@ -78,6 +83,33 @@ class TestAggregation:
             srv.handle_update(eng, upd(0, [0.5], dispatch_round=eng.rounds[0]))
         assert eng.rounds[0] == 2
         assert srv.c == 6
+
+    @pytest.mark.parametrize("b, replanned", [(1, 0), (1, 1), (2, 0), (2, 1), (9, 0), (9, 4)])
+    def test_step_writes_the_bits_of_the_stacked_mean(self, b, replanned):
+        """The model after a step is what ``np.stack(deltas).mean(axis=0)``
+        gives, when the step trains every update and when a replan trained
+        the first ``replanned`` of them before."""
+        gen = np.random.default_rng([b, replanned])
+        task = TaskSpec(task_id=0, objective=LogisticObjective(n_features=10, n_classes=4),
+                        tau=2, eta_c=0.1, eta_s=1.5, target_metric=0.9, batch_size=4)
+        snapshots = [gen.normal(size=task.dim), gen.normal(size=task.dim)]
+        updates, deltas = [], []
+        for i in range(b):
+            size = (7, 2, 4, 1, 12, 3, 4, 9, 1)[i]
+            shard = ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size))
+            key, snapshot = (5, 0, i, i), snapshots[i % 2]
+            request = TrainRequest(task, snapshot, shard, key)
+            updates.append(Update(0, i, dispatch_round=0, request=request))
+            stream = request_stream(key, TRAIN) if size > task.batch_size else None
+            deltas.append(local_train(task, snapshot, shard, stream))
+        if replanned:
+            train_updates(updates[:replanned])
+        eng = FakeEngine([task])
+        eng.models[0] = model = gen.normal(size=task.dim)
+        server_step(eng, task, updates)
+        want = model - task.eta_c * task.eta_s * task.tau * np.stack(deltas).mean(axis=0)
+        assert eng.models[0].tobytes() == want.tobytes()
+        assert eng.rounds[0] == 1 and all(u.request is None for u in updates)
 
     def test_non_finite_aggregate_is_fatal(self):
         srv = FedAstServer([quad_task()], r0={0: 1}, b0={0: 1})

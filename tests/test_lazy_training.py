@@ -38,11 +38,12 @@ ALGORITHMS = {
 )
 def test_request_streams_equal_the_public_philox_form(seed, task_id, client_id, dispatch_no):
     """Each stream is Philox under the run's key for that stream, started at
-    the counter [0, task_id, client_id, dispatch_no], draw for draw."""
-    streams = request_rngs(seed, task_id, client_id, dispatch_no)
-    train, delay = rng.request_stream(streams.key, rng.TRAIN), streams.delay
-    assert train is not delay
-    assert streams.key == (seed, task_id, client_id, dispatch_no)
+    the counter [0, task_id, client_id, dispatch_no], draw for draw: the
+    training stream as built, the delay stream as the run's re-keyed delay
+    generator."""
+    key = (seed, task_id, client_id, dispatch_no)
+    train = rng.request_stream(key, rng.TRAIN)
+    delay = request_rngs(rng.delay_generator(seed), *key)
     for stream, got in enumerate((train, delay)):
         key = np.random.SeedSequence(seed, spawn_key=(rng._REQUEST, stream)).generate_state(
             2, np.uint64

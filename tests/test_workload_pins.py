@@ -1,10 +1,12 @@
-"""Pinned outputs of the paper-scale benchmark workloads on a short horizon.
+"""Pinned outputs of the benchmark workloads on a short horizon.
 
 No shipped config trains ``tiny_mlp`` or has shards smaller than the batch
 size, so the shipped hashes cannot see a bit change in those gradients or in
-how such requests are trained together. ``bench/workloads.py`` is loaded
-unmodified, so the workloads are the benchmark's own. The final models are
-pinned as well: an ulp in one coordinate need not reach a printed loss.
+how such requests are trained together. None runs ``no_buffer`` with
+staleness drops either, the path of ``drop_unit``. ``bench/workloads.py`` is
+loaded unmodified, so the workloads are the benchmark's own. The final
+models are pinned as well: an ulp in one coordinate need not reach a printed
+loss.
 """
 
 import hashlib
@@ -25,6 +27,9 @@ PINNED = {
     "paper_async": ("e8a827846f81c7d2", "152ed09df520e987"),
     "paper_sync": ("ed82093268b1c312", "be02174cada5e60f"),
 }
+#: The same pair for ``drop_unit``: no_buffer with staleness drops and b=1,
+#: so every server step averages one update.
+DROP_UNIT_PIN = ("87a40ae5edb6d443", "72cb5a7ef534dc74")
 
 
 def load_workloads():
@@ -40,6 +45,12 @@ def sha16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def output_shas(log, tmp_path) -> tuple[str, str]:
+    write_csv(tmp_path / "run.csv", log.records)
+    models = b"".join(log.final_models[tid].tobytes() for tid in sorted(log.final_models))
+    return sha16((tmp_path / "run.csv").read_bytes()), sha16(models)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_paper_workload_outputs_are_pinned(name, tmp_path):
     cfg = load_workloads().build(name, HORIZON)
@@ -48,6 +59,12 @@ def test_paper_workload_outputs_are_pinned(name, tmp_path):
     assert all(r.round > 0 for r in log.records[-len(cfg.tasks):])
     if name == "paper_async":
         assert policy.realloc_events
-    write_csv(tmp_path / "run.csv", log.records)
-    models = b"".join(log.final_models[tid].tobytes() for tid in sorted(log.final_models))
-    assert (sha16((tmp_path / "run.csv").read_bytes()), sha16(models)) == PINNED[name]
+    assert output_shas(log, tmp_path) == PINNED[name]
+
+
+def test_drop_unit_outputs_are_pinned(tmp_path):
+    cfg = load_workloads().build("drop_unit", HORIZON)
+    assert (cfg.algorithm, cfg.drop_enforcement) == ("no_buffer", True)
+    log, _ = run_single(cfg, seed=1)
+    assert all(r.round > 0 and r.dropped > 0 for r in log.records[-len(cfg.tasks):])
+    assert output_shas(log, tmp_path) == DROP_UNIT_PIN
