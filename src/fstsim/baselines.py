@@ -7,8 +7,10 @@ allocation means waiting for everyone) with the asynchronous server's
 step, x <- x - eta_s * eta_c * tau * mean(delta). The round ends at a
 barrier callback, scheduled once the last task collects its k-th update
 and run after every update that arrives at the same time; all
-still-running requests are cancelled and their clients freed. No update
-ever crosses a round boundary, so staleness is identically zero.
+still-running requests are cancelled and their clients freed. A cancelled
+request still arrives, at its original time, and is discarded; until then
+it stays counted in ``Engine.in_flight``. No update ever crosses a round
+boundary, so staleness is identically zero.
 """
 
 from __future__ import annotations
@@ -124,9 +126,6 @@ class MmSyncServer:
         self._states[task_id].collected = []
         # The round may now be complete without another arrival.
         self._maybe_close_round(engine)
-
-    def on_dispatch_skipped(self, task_id: int) -> None:
-        pass
 
     # -- internals -----------------------------------------------------------
 

@@ -79,12 +79,11 @@ class ExperimentConfig:
     scale_factor: float = 2.0
     speed_mix: tuple[float, float, float] = (0.25, 0.50, 0.25)
     speed_multipliers: tuple[float, float, float] = (1.3, 1.0, 0.7)
-    history_size: int = 8
     c_period: int | None = None
+    #: staleness cap: async servers drop staler updates only with
+    #: drop_enforcement; either way it feeds the learning-rate check
     tau_max: int | None = None
     drop_enforcement: bool = False
-    ratio_cap: float = 37.0
-    strict_ratio: bool = False
     eval_interval: float = 1.0
     stop_on_targets: bool = True
     max_sim_time: float | None = None
@@ -121,16 +120,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("speed_mix must be three fractions summing to 1")
     if len(cfg.speed_multipliers) != 3 or any(m <= 0 for m in cfg.speed_multipliers):
         raise ConfigError("speed_multipliers must be three positive factors")
-    if cfg.history_size < 2:
-        raise ConfigError("history_size must be at least 2")
     if cfg.c_period is not None and cfg.c_period < 1:
         raise ConfigError("c_period must be at least 1")
     if cfg.drop_enforcement and cfg.tau_max is None:
         raise ConfigError("drop_enforcement requires tau_max")
     if cfg.tau_max is not None and cfg.tau_max < 0:
         raise ConfigError("tau_max must be nonnegative")
-    if cfg.ratio_cap <= 0:
-        raise ConfigError("ratio_cap must be positive")
     if cfg.eval_interval <= 0:
         raise ConfigError("eval_interval must be positive")
     if not cfg.stop_on_targets and cfg.max_sim_time is None and cfg.max_rounds is None:
@@ -167,10 +162,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.algorithm == AlgorithmKind.NO_BUFFER.value and t.b0 != 1:
             raise ConfigError(
                 f"{where}: the no-buffer baseline aggregates every update alone; set b0=1"
-            )
-        if cfg.strict_ratio and t.r0 > cfg.ratio_cap * t.b0:
-            raise ConfigError(
-                f"{where}: r0={t.r0} exceeds ratio_cap ({cfg.ratio_cap:g}) x b0={t.b0}"
             )
         if t.kind == "quadratic":
             if t.dim < 1:

@@ -155,10 +155,11 @@ class ServerPolicy(Protocol):
     """What the engine needs from a server-side training algorithm.
 
     A policy keeps only strategy state: it advances a task only through
-    ``server_step`` and dispatches through ``Engine.send``. ``mark_finished``
-    comes once per task, after ``Engine.finished`` is set. ``task_metrics``
-    returns exactly the ``MetricsRecord`` fields r, b, staleness_mean,
-    staleness_max, c and dropped, as Python numbers."""
+    ``server_step``, dispatches through ``Engine.send`` and reads how many
+    of a task's requests are outstanding from ``Engine.in_flight``.
+    ``mark_finished`` comes once per task, after ``Engine.finished`` is set.
+    ``task_metrics`` returns exactly the ``MetricsRecord`` fields r, b,
+    staleness_mean, staleness_max, c and dropped, as Python numbers."""
 
     def start(self, engine: "Engine") -> None: ...
 
@@ -167,8 +168,6 @@ class ServerPolicy(Protocol):
     def task_metrics(self, task_id: int) -> dict[str, float | int]: ...
 
     def mark_finished(self, engine: "Engine", task_id: int) -> None: ...
-
-    def on_dispatch_skipped(self, task_id: int) -> None: ...
 
 
 @dataclass
@@ -187,8 +186,11 @@ class RunLog:
 class Engine:
     """Owns the clock, the event heap, the client pool and each task's
     progress: ``models`` (read-only arrays, each replaced by ``server_step``),
-    ``rounds`` and ``finished`` (None, or the finish reason). ``observer``,
-    off by default, is called with every ``Event`` of the run, in order."""
+    ``rounds``, ``finished`` (None, or the finish reason) and ``in_flight``,
+    the requests sent and neither skipped nor arrived yet. A request cancelled
+    by ``release_clients`` stays counted until its arrival leaves the heap.
+    ``observer``, off by default, is called with every ``Event`` of the run,
+    in order."""
 
     def __init__(
         self,
@@ -238,6 +240,7 @@ class Engine:
         self._dispatch_counts: dict[tuple[int, int], int] = {}
         self.rounds: dict[int, int] = {tid: 0 for tid in self.tasks}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
+        self.in_flight: dict[int, int] = {tid: 0 for tid in self.tasks}
         self._live_tasks = len(self.tasks)
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
         self.records: list[MetricsRecord] = []
@@ -256,6 +259,7 @@ class Engine:
     def send(self, task_id: int, client_id: int | None = None) -> None:
         """Queue one dispatch, effective now, to ``client_id`` or, if None, to
         a client sampled at dispatch."""
+        self.in_flight[task_id] += 1
         self._push(self.now, EventKind.DISPATCH, (task_id, client_id))
 
     def call_at(self, time: float, callback: Callable[["Engine"], None]) -> None:
@@ -289,18 +293,19 @@ class Engine:
         return [int(i) for i in np.flatnonzero(mask)]
 
     def release_clients(self, at: float) -> None:
-        """Cancel queued work: no client stays busy past `at`."""
+        """Free every client at ``at``: no client stays busy past it. The
+        requests it was running still arrive, at their original times."""
         for client in self.clients:
             if client.busy_until > at:
                 client.busy_until = at
 
     # -- event handlers -----------------------------------------------------
 
-    def _do_dispatch(self, policy: ServerPolicy, payload: tuple[int, int | None]) -> None:
+    def _do_dispatch(self, payload: tuple[int, int | None]) -> None:
         task_id, forced_client = payload
         if self.finished[task_id] is not None:
             self.skipped_dispatches += 1
-            policy.on_dispatch_skipped(task_id)
+            self.in_flight[task_id] -= 1
             return
         client_id = forced_client if forced_client is not None else self.sample_clients(1)[0]
         task = self.tasks[task_id]
@@ -363,11 +368,12 @@ class Engine:
             self._events_processed += 1
 
             if kind is EventKind.DISPATCH:
-                self._do_dispatch(policy, payload)
+                self._do_dispatch(payload)
             elif kind is EventKind.UPDATE_ARRIVAL:
                 if self.observer is not None:
                     self.observer(Arrived(time, payload.task_id, payload.client_id,
                                           payload.dispatch_round))
+                self.in_flight[payload.task_id] -= 1
                 policy.handle_update(self, payload)
             elif kind is EventKind.EVAL_TICK:
                 self._do_eval(policy)

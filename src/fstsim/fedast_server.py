@@ -9,10 +9,10 @@ updates the model takes one step against their mean:
 
 after which the buffer clears and t_m advances. Every arrival is answered
 by dispatching K in {0, 1, 2} fresh requests, chosen to walk the task's
-concurrent-request count one step toward its target, so the total number
-of outstanding requests is conserved in steady state. Targets are constant
-under static allocation ("S") and periodically re-planned from estimated
-update variances under dynamic allocation ("D").
+in-flight count (``Engine.in_flight``) one step toward its target, so the
+total number of outstanding requests is conserved in steady state. Targets
+are constant under static allocation ("S") and periodically re-planned from
+estimated update variances under dynamic allocation ("D").
 """
 
 from __future__ import annotations
@@ -32,9 +32,13 @@ from .realloc import TaskAllocView, compute_plan, default_c_period
 
 logger = logging.getLogger(__name__)
 
-#: Default ceiling on requests-per-buffer-slot; concurrency beyond this is
-#: known to stop paying for itself and mostly adds staleness.
+#: Ceiling on requests-per-buffer-slot above which the server warns;
+#: concurrency beyond this is known to stop paying for itself and mostly
+#: adds staleness.
 DEFAULT_RATIO_CAP = 37.0
+
+#: Updates retained per task for the dynamic planner's variance estimates.
+HISTORY_SIZE = 8
 
 
 def _bound_terms(
@@ -152,14 +156,14 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
 
 @dataclass
 class ServerTaskState:
-    """Per-task strategy state; the model and round live on the engine."""
+    """Per-task strategy state; the model, round and in-flight count live on
+    the engine."""
 
     spec: TaskSpec
     buffer: list[Update] = field(default_factory=list)
-    r_cur: int = 0
     r_target: int = 0
     b: int = 1
-    history: deque = field(default_factory=deque)
+    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_SIZE))
     staleness_count: int = 0
     staleness_total: int = 0
     staleness_max: int = 0
@@ -173,10 +177,13 @@ class FedAstServer:
     ``r0`` and ``b0`` map task id to the initial concurrent-request count
     and buffer size. ``option`` selects static ("S") or dynamic ("D")
     reallocation; dynamic re-plans every ``c_period`` received updates
-    (default: 0.75 * n_tasks * total requests). ``tau_max`` with
-    ``drop_enforcement`` discards updates staler than the cap instead of
-    aggregating them. It keeps only buffers, targets and counters: each full
-    buffer is one ``server_step`` of the engine's model.
+    (default: 0.75 * n_tasks * total requests) from the last
+    ``HISTORY_SIZE`` updates of each task. ``tau_max``, when not None,
+    discards updates staler than the cap instead of aggregating them. A task
+    whose ``r0`` exceeds ``DEFAULT_RATIO_CAP * b0`` draws a warning. The
+    server keeps only buffers, targets and counters: each full buffer is one
+    ``server_step`` of the engine's model, and each arrival's dispatch count
+    reads the task's ``Engine.in_flight``.
     """
 
     def __init__(
@@ -185,26 +192,17 @@ class FedAstServer:
         r0: Mapping[int, int],
         b0: Mapping[int, int],
         option: str = "S",
-        history_size: int = 8,
         c_period: int | None = None,
         tau_max: int | None = None,
-        drop_enforcement: bool = False,
-        ratio_cap: float = DEFAULT_RATIO_CAP,
-        strict_ratio: bool = False,
     ):
         if option not in ("S", "D"):
             raise ValueError("option must be 'S' (static) or 'D' (dynamic)")
         if not tasks:
             raise ValueError("need at least one task")
-        if history_size < 2:
-            raise ValueError("history_size must be at least 2")
-        if drop_enforcement and tau_max is None:
-            raise ValueError("drop_enforcement requires tau_max")
         if tau_max is not None and tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
         self.option = option
         self.tau_max = tau_max
-        self.drop_enforcement = drop_enforcement
         self.warnings: list[str] = []
         self.c = 0
         self.released_budget = 0
@@ -218,22 +216,15 @@ class FedAstServer:
                 raise ValueError(f"task {tid} is missing r0 or b0")
             if r0[tid] < 1 or b0[tid] < 1:
                 raise ValueError(f"task {tid}: r0 and b0 must be at least 1")
-            if r0[tid] > ratio_cap * b0[tid]:
+            if r0[tid] > DEFAULT_RATIO_CAP * b0[tid]:
                 msg = (
-                    f"task {tid}: r0={r0[tid]} exceeds {ratio_cap:g} x b0={b0[tid]}; "
+                    f"task {tid}: r0={r0[tid]} exceeds {DEFAULT_RATIO_CAP:g} x b0={b0[tid]}; "
                     f"extra concurrency past that ratio buys no speedup and "
                     f"inflates staleness"
                 )
-                if strict_ratio:
-                    raise ValueError(msg)
                 logger.warning(msg)
                 self.warnings.append(msg)
-            self._states[tid] = ServerTaskState(
-                spec=task,
-                r_target=r0[tid],
-                b=b0[tid],
-                history=deque(maxlen=history_size),
-            )
+            self._states[tid] = ServerTaskState(spec=task, r_target=r0[tid], b=b0[tid])
         self.c_period = (
             c_period
             if c_period is not None
@@ -246,7 +237,6 @@ class FedAstServer:
 
     def start(self, engine: Engine) -> None:
         for tid, st in self._states.items():
-            st.r_cur = st.r_target
             for _ in range(st.r_target):
                 engine.send(tid)
 
@@ -254,15 +244,13 @@ class FedAstServer:
         tid = update.task_id
         st = self._states[tid]
         if engine.finished[tid] is not None:
-            # Late straggler for a completed task: drop silently, shrink the
-            # outstanding count, dispatch nothing.
+            # Late straggler for a completed task: drop silently, dispatch nothing.
             st.late_discards += 1
-            st.r_cur = max(0, st.r_cur - 1)
             return
 
         self.c += 1
         staleness = engine.rounds[tid] - update.dispatch_round
-        if self.drop_enforcement and staleness > self.tau_max:
+        if self.tau_max is not None and staleness > self.tau_max:
             st.dropped += 1
         else:
             st.buffer.append(update)
@@ -278,9 +266,7 @@ class FedAstServer:
         if len(st.buffer) >= st.b:
             self._aggregate(engine, st)
 
-        k = min(2, max(0, st.r_target - (st.r_cur - 1)))
-        st.r_cur += k - 1
-        for _ in range(k):
+        for _ in range(min(2, max(0, st.r_target - engine.in_flight[tid]))):
             engine.send(tid)
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]:
@@ -299,10 +285,6 @@ class FedAstServer:
         st = self._states[task_id]
         self.released_budget += st.r_target
         st.r_target = 0
-
-    def on_dispatch_skipped(self, task_id: int) -> None:
-        st = self._states[task_id]
-        st.r_cur = max(0, st.r_cur - 1)
 
     # -- internals -----------------------------------------------------------
 

@@ -134,18 +134,9 @@ def build_policy(cfg: ExperimentConfig, tasks: list[TaskSpec]):
     if algo is AlgorithmKind.MM_SYNC:
         return MmSyncServer(tasks, allocation=r0, k=cfg.k_sync)
     option = "D" if algo is AlgorithmKind.FEDAST_DYNAMIC else "S"
-    return FedAstServer(
-        tasks,
-        r0=r0,
-        b0=b0,
-        option=option,
-        history_size=cfg.history_size,
-        c_period=cfg.c_period,
-        tau_max=cfg.tau_max,
-        drop_enforcement=cfg.drop_enforcement,
-        ratio_cap=cfg.ratio_cap,
-        strict_ratio=cfg.strict_ratio,
-    )
+    tau_max = cfg.tau_max if cfg.drop_enforcement else None
+    return FedAstServer(tasks, r0=r0, b0=b0, option=option, c_period=cfg.c_period,
+                        tau_max=tau_max)
 
 
 def run_single(

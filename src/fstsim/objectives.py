@@ -13,18 +13,11 @@ samples.
 from __future__ import annotations
 
 import abc
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .realloc import largest_remainder
-
-
-class ObjectiveKind(str, enum.Enum):
-    QUADRATIC = "quadratic"
-    LOGISTIC = "logistic"
-    TINY_MLP = "tiny_mlp"
 
 
 @dataclass(eq=False)
@@ -59,7 +52,6 @@ class ClientShard(Dataset):
 class Objective(abc.ABC):
     """Mean loss, its gradient, and an accuracy measure over sample rows."""
 
-    kind: ObjectiveKind
     dim: int
     l2: float
 
@@ -103,7 +95,6 @@ class QuadraticObjective(Objective):
 
     dim: int
     l2: float = 0.0
-    kind: ObjectiveKind = field(default=ObjectiveKind.QUADRATIC, init=False)
 
     def loss(self, x, features, labels=None):
         diffs = x[None, :] - features
@@ -134,7 +125,6 @@ class LogisticObjective(Objective):
     n_features: int
     n_classes: int = 2
     l2: float = 0.0
-    kind: ObjectiveKind = field(default=ObjectiveKind.LOGISTIC, init=False)
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -171,7 +161,6 @@ class TinyMlpObjective(Objective):
     hidden_units: int = 8
     n_classes: int = 2
     l2: float = 0.0
-    kind: ObjectiveKind = field(default=ObjectiveKind.TINY_MLP, init=False)
 
     @property
     def dim(self) -> int:  # type: ignore[override]

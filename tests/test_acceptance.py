@@ -327,8 +327,7 @@ def test_staleness_cap_drops_all_overage_when_enforced(criterion_report):
         task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                         eta_c=0.1, eta_s=1.0, target_metric=0.9)
         policy = FedAstServer([task], r0={0: 30}, b0={0: 1},
-                              tau_max=3 if enforce else None,
-                              drop_enforcement=enforce)
+                              tau_max=3 if enforce else None)
         engine = Engine(tasks=[task], shards=_zero_shards(n),
                         eval_sets={0: Dataset(np.zeros((1, 1)))},
                         profiles=_uniform_profiles(n), seed=77,

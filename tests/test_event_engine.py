@@ -53,7 +53,6 @@ class StubPolicy:
 
     def __init__(self, task_ids, on_start=None, on_update=None):
         self.finished_calls = []
-        self.skipped = []
         self.updates = []
         self._on_start = on_start
         self._on_update = on_update
@@ -73,9 +72,6 @@ class StubPolicy:
 
     def mark_finished(self, engine, task_id):
         self.finished_calls.append(task_id)
-
-    def on_dispatch_skipped(self, task_id):
-        self.skipped.append(task_id)
 
 
 class TestReferenceTrace:
@@ -371,9 +367,10 @@ class TestStops:
 
     def test_dispatch_for_finished_task_is_skipped(self):
         # task 0 hits its target at the t=0 eval; its pending dispatch is
-        # then dropped and the policy is told about it
+        # then dropped and stops counting as in flight
         def on_start(policy, engine):
             engine.send(0, 0)
+            assert engine.in_flight == {0: 1, 1: 0}
 
         policy = StubPolicy([0, 1], on_start=on_start)
         events = []
@@ -387,7 +384,7 @@ class TestStops:
         )
         log = engine.run(policy)
         assert engine.skipped_dispatches == 1
-        assert policy.skipped == [0]
+        assert engine.in_flight == {0: 0, 1: 0}
         assert not any(isinstance(ev, Arrived) for ev in events)
         assert log.stop_reason == "max_sim_time"
 
@@ -409,6 +406,7 @@ class TestStops:
         assert log.stop_reason == "max_rounds"
         assert engine.rounds[0] == 7
         assert log.sim_time == 7.0  # unit steps, one request in flight
+        assert engine.in_flight == {0: 1}  # the last one, sent but never dispatched
 
 
 class TestEngineIntegration:

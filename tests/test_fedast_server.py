@@ -28,9 +28,17 @@ class FakeEngine:
         self.models = {t.task_id: t.new_model() for t in tasks}
         self.rounds = {t.task_id: 0 for t in tasks}
         self.finished = {t.task_id: None for t in tasks}
+        self.in_flight = {t.task_id: 0 for t in tasks}
 
     def send(self, task_id, client_id=None):
         self.sent.append(task_id)
+        self.in_flight[task_id] += 1
+
+    def deliver(self, policy, update):
+        """Hand an update to the policy as the engine loop does: the request
+        stops counting as in flight first."""
+        self.in_flight[update.task_id] -= 1
+        policy.handle_update(self, update)
 
     def finish(self, policy, task_id):
         """Finish a task as the engine does: flag first, then tell the policy."""
@@ -58,14 +66,14 @@ class TestAggregation:
         srv.start(eng)
         assert eng.sent == [0, 0]
 
-        srv.handle_update(eng, upd(0, [1.0]))
+        eng.deliver(srv, upd(0, [1.0]))
         st = srv.state(0)
         assert eng.rounds[0] == 0 and len(st.buffer) == 1
         # one replacement request per arrival in steady state
         assert eng.sent == [0, 0, 0]
 
         eng.now = 3.5
-        srv.handle_update(eng, upd(0, [3.0]))
+        eng.deliver(srv, upd(0, [3.0]))
         assert eng.rounds[0] == 1
         assert st.buffer == []
         assert eng.models[0][0] == pytest.approx(-1.0, abs=1e-15)
@@ -80,7 +88,7 @@ class TestAggregation:
         eng = FakeEngine([quad_task()])
         srv.start(eng)
         for i in range(6):
-            srv.handle_update(eng, upd(0, [0.5], dispatch_round=eng.rounds[0]))
+            eng.deliver(srv, upd(0, [0.5], dispatch_round=eng.rounds[0]))
         assert eng.rounds[0] == 2
         assert srv.c == 6
 
@@ -116,7 +124,7 @@ class TestAggregation:
         eng = FakeEngine([quad_task()])
         srv.start(eng)
         with pytest.raises(SimulationError, match="non-finite"):
-            srv.handle_update(eng, upd(0, [np.inf]))
+            eng.deliver(srv, upd(0, [np.inf]))
 
 
 class TestStaleness:
@@ -127,36 +135,38 @@ class TestStaleness:
         st = srv.state(0)
         eng.rounds[0] = 5
         update = upd(0, [1.0], dispatch_round=3)
-        srv.handle_update(eng, update)
+        eng.deliver(srv, update)
         assert st.staleness_count == 1
         assert st.staleness_total == 2
         assert st.staleness_max == 2
         assert srv.task_metrics(0)["staleness_mean"] == 2.0
 
     def test_drop_enforcement_discards_but_still_redispatches(self):
-        srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10},
-                           tau_max=1, drop_enforcement=True)
+        srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10}, tau_max=1)
         eng = FakeEngine([quad_task()])
         srv.start(eng)
         st = srv.state(0)
         eng.rounds[0] = 5
-        srv.handle_update(eng, upd(0, [1.0], dispatch_round=3))  # staleness 2 > 1
+        eng.deliver(srv, upd(0, [1.0], dispatch_round=3))  # staleness 2 > 1
         assert st.dropped == 1
         assert st.buffer == [] and len(st.history) == 0
         assert st.staleness_count == 0  # dropped updates leave the stats alone
         assert srv.c == 1               # but are counted as received
         assert eng.sent == [0] * 5      # and still trigger a replacement
 
-    def test_cap_without_enforcement_only_observes(self):
-        srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 10}, tau_max=1)
-        eng = FakeEngine([quad_task()])
-        srv.start(eng)
-        st = srv.state(0)
-        eng.rounds[0] = 5
-        srv.handle_update(eng, upd(0, [1.0], dispatch_round=3))
-        assert st.dropped == 0
-        assert len(st.buffer) == 1
-        assert st.staleness_max == 2
+    def test_build_policy_caps_staleness_only_with_drop_enforcement(self):
+        """A config's tau_max reaches the server only with drop_enforcement;
+        without it the cap just feeds the learning-rate check."""
+        for enforce in (False, True):
+            cfg = ExperimentConfig(tasks=(TaskConfig(0, r0=4, b0=10),), tau_max=1,
+                                   drop_enforcement=enforce)
+            srv = build_policy(cfg, [quad_task()])
+            eng = FakeEngine([quad_task()])
+            srv.start(eng)
+            st = srv.state(0)
+            eng.rounds[0] = 5
+            eng.deliver(srv, upd(0, [1.0], dispatch_round=3))  # staleness 2 > 1
+            assert (st.dropped, len(st.buffer)) == ((1, 0) if enforce else (0, 1)), enforce
 
 
 class TestDispatchWalk:
@@ -169,31 +179,32 @@ class TestDispatchWalk:
 
     def test_above_target_sends_nothing(self):
         srv, eng, st = self.make()
-        st.r_cur, st.r_target = 5, 3
-        srv.handle_update(eng, upd(0, [1.0]))
+        st.r_target = 3
+        eng.deliver(srv, upd(0, [1.0]))
         assert eng.sent == []
-        assert st.r_cur == 4
+        assert eng.in_flight[0] == 4
 
     def test_below_target_sends_two(self):
         srv, eng, st = self.make()
-        st.r_cur, st.r_target = 3, 5
-        srv.handle_update(eng, upd(0, [1.0]))
+        eng.in_flight[0], st.r_target = 3, 5
+        eng.deliver(srv, upd(0, [1.0]))
         assert eng.sent == [0, 0]
-        assert st.r_cur == 4
+        assert eng.in_flight[0] == 4
 
     def test_on_target_sends_one(self):
         srv, eng, st = self.make()
-        srv.handle_update(eng, upd(0, [1.0]))
+        eng.deliver(srv, upd(0, [1.0]))
         assert eng.sent == [0]
-        assert st.r_cur == 5
+        assert eng.in_flight[0] == 5
 
     def test_one_below_target_sends_two_and_overshoots_by_one(self):
-        # r_cur 4 -> target 5: K = min(2, 5 - 3) = 2, landing exactly on 5
+        # 4 in flight, 3 after the arrival, target 5: K = min(2, 5 - 3) = 2,
+        # landing exactly on 5
         srv, eng, st = self.make()
-        st.r_cur, st.r_target = 4, 5
-        srv.handle_update(eng, upd(0, [1.0]))
+        eng.in_flight[0] = 4
+        eng.deliver(srv, upd(0, [1.0]))
         assert eng.sent == [0, 0]
-        assert st.r_cur == 5
+        assert eng.in_flight[0] == 5
 
 
 class TestFinishing:
@@ -214,19 +225,12 @@ class TestFinishing:
         srv.start(eng)
         eng.finish(srv, 0)
         eng.sent.clear()
-        srv.handle_update(eng, upd(0, [1.0]))
+        eng.deliver(srv, upd(0, [1.0]))
         st = srv.state(0)
         assert st.late_discards == 1
-        assert st.r_cur == 3
+        assert eng.in_flight[0] == 3
         assert srv.c == 0
         assert eng.sent == []
-
-    def test_skipped_dispatch_shrinks_outstanding_count(self):
-        srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 2})
-        eng = FakeEngine([quad_task()])
-        srv.start(eng)
-        srv.on_dispatch_skipped(0)
-        assert srv.state(0).r_cur == 3
 
 
 class TestLearningRateBounds:
@@ -280,12 +284,10 @@ class TestRatioCap:
 
     def test_over_cap_warns_by_default(self):
         srv = FedAstServer([quad_task()], r0={0: 38}, b0={0: 1})
-        assert len(srv.warnings) == 1
-        assert "37" in srv.warnings[0]
-
-    def test_over_cap_strict_raises(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            FedAstServer([quad_task()], r0={0: 38}, b0={0: 1}, strict_ratio=True)
+        assert srv.warnings == [
+            "task 0: r0=38 exceeds 37 x b0=1; extra concurrency past that ratio "
+            "buys no speedup and inflates staleness"
+        ]
 
 
 class TestDynamicReallocation:
@@ -300,11 +302,11 @@ class TestDynamicReallocation:
         eng = FakeEngine([t0, t1])
         srv.start(eng)
 
-        srv.handle_update(eng, upd(0, [1.0, 0.0]))
-        srv.handle_update(eng, upd(0, [3.0, 0.0]))   # aggregates task 0
-        srv.handle_update(eng, upd(1, [2.0, 0.0]))
+        eng.deliver(srv, upd(0, [1.0, 0.0]))
+        eng.deliver(srv, upd(0, [3.0, 0.0]))   # aggregates task 0
+        eng.deliver(srv, upd(1, [2.0, 0.0]))
         eng.now = 9.0
-        srv.handle_update(eng, upd(1, [2.0, 0.0]))   # c = 4: trigger
+        eng.deliver(srv, upd(1, [2.0, 0.0]))   # c = 4: trigger
 
         assert srv.realloc_events == [
             (9.0, 4, {0: 8, 1: 1}, {0: pytest.approx(0.5), 1: 0.0})
@@ -322,7 +324,7 @@ class TestDynamicReallocation:
         eng = FakeEngine(tasks)
         srv.start(eng)
         for i in range(8):
-            srv.handle_update(eng, upd(i % 2, [float(i)]))
+            eng.deliver(srv, upd(i % 2, [float(i)]))
         assert srv.realloc_events == []
         assert srv.state(0).r_target == 2
 
@@ -335,10 +337,10 @@ class TestDynamicReallocation:
         srv.start(eng)
         eng.finish(srv, 1)
         assert srv.released_budget == 3
-        srv.handle_update(eng, upd(0, [1.0]))
-        srv.handle_update(eng, upd(0, [3.0]))
-        srv.handle_update(eng, upd(0, [1.0]))
-        srv.handle_update(eng, upd(0, [3.0]))  # c = 4: trigger, budget 3 + 3
+        eng.deliver(srv, upd(0, [1.0]))
+        eng.deliver(srv, upd(0, [3.0]))
+        eng.deliver(srv, upd(0, [1.0]))
+        eng.deliver(srv, upd(0, [3.0]))  # c = 4: trigger, budget 3 + 3
         assert srv.realloc_events[0][2][0] == 6
         assert srv.released_budget == 0
 
@@ -386,9 +388,7 @@ class TestPolicyContract:
         with pytest.raises(ValueError):
             FedAstServer([quad_task()], r0={0: 1}, b0={0: 1}, option="Q")
         with pytest.raises(ValueError):
-            FedAstServer([quad_task()], r0={0: 1}, b0={0: 1}, history_size=1)
-        with pytest.raises(ValueError):
-            FedAstServer([quad_task()], r0={0: 1}, b0={0: 1}, drop_enforcement=True)
+            FedAstServer([quad_task()], r0={0: 1}, b0={0: 1}, tau_max=-1)
         with pytest.raises(ValueError):
             FedAstServer([quad_task()], r0={}, b0={0: 1})
         with pytest.raises(ValueError):
@@ -410,8 +410,7 @@ class TestPolicyContract:
                         stop=StopConditions(stop_on_targets=False, max_rounds=20),
                         observer=events.append)
         engine.run(srv)
-        st = srv.state(0)
-        assert st.r_cur == 3
+        assert engine.in_flight[0] == 3
         assert engine.skipped_dispatches == 0
         dispatches = sum(1 for ev in events if isinstance(ev, Dispatched))
         arrivals = sum(1 for ev in events if isinstance(ev, Arrived))

@@ -80,6 +80,12 @@ class TestConfigRoundTrip:
         d["buffersize"] = 3
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(d)
+        # options that existed once are rejected too, not silently ignored
+        for key, value in (("history_size", 8), ("ratio_cap", 37.0), ("strict_ratio", False)):
+            d = config_to_dict(quad_config())
+            d[key] = value
+            with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+                config_from_dict(d)
 
     def test_unknown_task_key_rejected(self):
         d = config_to_dict(quad_config())

@@ -95,7 +95,7 @@ def finite_diff_grad(f, x, eps=1e-6):
 def test_gradients_match_central_differences(objective, rng):
     """Analytic gradients agree with central finite differences at 20 points."""
     n = 12
-    if objective.kind.value == "quadratic":
+    if isinstance(objective, QuadraticObjective):
         feats, labels = rng.normal(size=(n, objective.dim)), None
     else:
         feats = rng.normal(size=(n, objective.n_features))

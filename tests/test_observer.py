@@ -7,7 +7,7 @@ import pytest
 
 import fstsim.harness as harness
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.event_engine import Aggregated, Arrived, Dispatched, Engine, Finished
+from fstsim.event_engine import Aggregated, Arrived, Dispatched, Engine, EventKind, Finished
 from fstsim.harness import run_single
 from fstsim.metrics import write_csv
 
@@ -39,13 +39,19 @@ def small_config(algorithm: str, **extra) -> ExperimentConfig:
 @pytest.fixture
 def runs(monkeypatch):
     """Every (engine, policy) pair that ``run_single`` runs, each recorded
-    before its first event."""
+    before its first event; each engine counts its ``send`` calls per task
+    in ``sent``."""
     recorded = []
 
     class RecordedEngine(Engine):
         def run(self, policy):
+            self.sent = Counter()
             recorded.append((self, policy))
             return super().run(policy)
+
+        def send(self, task_id, client_id=None):
+            self.sent[task_id] += 1
+            super().send(task_id, client_id)
 
     monkeypatch.setattr(harness, "Engine", RecordedEngine)
     return recorded
@@ -92,11 +98,12 @@ def test_stream_invariants_and_unchanged_output(name, seed, tmp_path, runs):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["fedast_static", "fedast_dynamic", "no_buffer"])
 def test_async_in_flight_counts_and_client_queues(name, seed, runs):
-    """At every arrival of a live task, the server's in-flight count r_cur
-    equals the task's dispatches minus its arrivals so far; and no client
-    runs two requests at once. mm_sync is left out: its barrier frees the
-    clients of cancelled stragglers, but their arrivals stay on the heap and
-    overlap the same clients' next requests (ROADMAP item 4)."""
+    """At every arrival of a live task, the engine's in-flight count equals
+    the task's dispatches minus its arrivals so far; and no client runs two
+    requests at once. mm_sync is left out: its barrier frees the clients of
+    cancelled stragglers, but their arrivals stay on the heap and overlap the
+    same clients' next requests (ROADMAP item 4); its in-flight counts are
+    checked by ``test_in_flight_counts_balance_at_run_end``."""
     in_flight, intervals, checked = Counter(), {}, []
 
     def observe(ev):
@@ -104,9 +111,9 @@ def test_async_in_flight_counts_and_client_queues(name, seed, runs):
             in_flight[ev.task_id] += 1
             intervals.setdefault(ev.client_id, []).append((ev.start, ev.arrival))
         elif isinstance(ev, Arrived):
-            engine, policy = runs[0]
+            engine, _ = runs[0]
             if engine.finished[ev.task_id] is None:
-                assert policy.state(ev.task_id).r_cur == in_flight[ev.task_id], ev
+                assert engine.in_flight[ev.task_id] == in_flight[ev.task_id], ev
                 checked.append(ev)
             in_flight[ev.task_id] -= 1
 
@@ -115,3 +122,36 @@ def test_async_in_flight_counts_and_client_queues(name, seed, runs):
     for spans in intervals.values():
         spans.sort()
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_in_flight_counts_balance_at_run_end(name, seed, runs):
+    """The engine's in-flight count of a task is never negative, and at run
+    end it is the task's sends minus its skipped dispatches minus its
+    arrivals: its Dispatched events, less its Arrived events, plus the sends
+    still queued on the heap. Under mm_sync it includes the cancelled
+    stragglers whose arrivals are still queued."""
+    dispatched, arrived = Counter(), Counter()
+
+    def observe(ev):
+        engine, _ = runs[0]
+        assert min(engine.in_flight.values()) >= 0, ev
+        if isinstance(ev, Dispatched):
+            dispatched[ev.task_id] += 1
+        elif isinstance(ev, Arrived):
+            assert engine.in_flight[ev.task_id] >= 1, ev  # counts this one still
+            arrived[ev.task_id] += 1
+
+    run_single(small_config(**ALGORITHMS[name]), seed, observer=observe)
+    engine, _ = runs[0]
+    queued = Counter(payload[0] for _, _, kind, payload in engine._heap
+                     if kind is EventKind.DISPATCH)
+    skipped = {tid: engine.sent[tid] - dispatched[tid] - queued[tid] for tid in (0, 1)}
+    assert min(skipped.values()) >= 0
+    assert sum(skipped.values()) == engine.skipped_dispatches
+    assert sum(arrived.values()) > 0
+    for tid in (0, 1):
+        balance = engine.sent[tid] - skipped[tid] - arrived[tid]
+        assert engine.in_flight[tid] == balance == dispatched[tid] - arrived[tid] + queued[tid]
+        assert engine.in_flight[tid] >= 0
