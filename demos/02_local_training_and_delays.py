@@ -23,6 +23,7 @@ from fstsim.delay_model import (
 )
 from fstsim.local_trainer import local_train
 from fstsim.objectives import ClientShard, QuadraticObjective, TaskSpec, local_stoch_grad
+from fstsim.rng import request_generator
 
 rng = np.random.default_rng(3)
 
@@ -31,12 +32,13 @@ shard = ClientShard(0, np.array([[5.0]]))
 for tau in (1, 2, 4):
     task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=tau,
                     eta_c=0.1, eta_s=1.0, target_metric=0.9)
-    delta = local_train(task, np.array([0.0]), shard, np.random.default_rng(0))
+    # a one-point shard is every step's minibatch, so the request key draws nothing
+    delta = local_train(task, np.array([0.0]), shard, (0, 0, 0, 0), request_generator())
     print(f"  tau={tau}: delta = {delta[0]:+.4f}   (mean of the {tau} local gradients)")
 print("  tau=1 equals the stochastic gradient bit for bit:")
 task1 = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                  eta_c=0.1, eta_s=1.0, target_metric=0.9)
-d = local_train(task1, np.array([0.0]), shard, np.random.default_rng(0))
+d = local_train(task1, np.array([0.0]), shard, (0, 0, 0, 0), request_generator())
 g = local_stoch_grad(task1, shard, np.array([0.0]), np.random.default_rng(0))
 print(f"    delta == grad: {np.array_equal(d, g)}")
 

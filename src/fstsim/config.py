@@ -118,6 +118,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("delay distribution is degenerate at zero")
     if len(cfg.speed_mix) != 3 or abs(sum(cfg.speed_mix) - 1.0) > 1e-9:
         raise ConfigError("speed_mix must be three fractions summing to 1")
+    if any(f < 0 for f in cfg.speed_mix):
+        raise ConfigError("speed_mix fractions must be nonnegative")
     if len(cfg.speed_multipliers) != 3 or any(m <= 0 for m in cfg.speed_multipliers):
         raise ConfigError("speed_multipliers must be three positive factors")
     if cfg.c_period is not None and cfg.c_period < 1:
@@ -141,6 +143,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     for t in cfg.tasks:
         where = f"task {t.task_id}"
+        if t.task_id < 0:
+            raise ConfigError(f"{where}: task_id must be nonnegative")
         if t.kind not in _OBJECTIVE_KINDS:
             raise ConfigError(f"{where}: unknown objective kind {t.kind!r}")
         if t.tau < 1:

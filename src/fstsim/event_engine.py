@@ -6,16 +6,17 @@ order, so reruns are bit-reproducible. Clients are single-threaded queues:
 a request dispatched to a busy client starts when the client frees up.
 
 Requests are trained lazily. At dispatch the engine keys the request by
-(seed, task, client, dispatch counter), re-keys the run's one delay
-generator to the request's delay stream (``rng.request_rngs``) to sample
-the duration, and places an update on the event heap at its arrival time
-that holds the task's model by reference (the engine's models are
-read-only, so it cannot change), the client's shard and the request key.
-Servers train the updates a server step consumes (a full buffer or a sync
-barrier) with one ``train_updates`` call, which trains them stacked, each
-from a training stream built from its own key, so every result is what
-training at dispatch would have produced; updates no server step or
-replan reads are never trained.
+(seed, task, client, dispatch counter), re-keys the run's one request
+generator, ``Engine.streams``, to the request's delay stream
+(``rng.request_rngs``) to sample the duration, and places an update on the
+event heap at its arrival time that holds the task's model by reference
+(the engine's models are read-only, so it cannot change), the client's
+shard and the request key. Servers train the updates a server step
+consumes (a full buffer or a sync barrier) with one ``train_updates``
+call, which trains them stacked, re-keying the same generator to each
+request's training stream, so every result is what training at dispatch
+would have produced; updates no server step or replan reads are never
+trained.
 
 A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
@@ -106,21 +107,22 @@ Event = Dispatched | Arrived | Aggregated | Finished
 Observer = Callable[[Event], None]
 
 
-def train_updates(updates: Collection[Update]) -> np.ndarray | None:
+def train_updates(updates: Collection[Update], streams: np.random.Generator) -> np.ndarray:
     """Give every untrained update among ``updates``, all of one task, its
-    delta, with one call of this module's ``local_train``.
-
-    Returns the (B, d) array of deltas when it trained every update, in
-    order, and None when some had been trained before (or none are left)."""
+    delta, with at most one call of this module's ``local_train``, drawing
+    from the request generator ``streams``; return all their deltas in
+    order, (B, d)."""
     pending = [u for u in updates if u.delta is None]
-    if not pending:
-        return None
-    requests = [u.request for u in pending]
-    deltas = local_train(requests[0].task, [r.snapshot for r in requests],
-                         [r.shard for r in requests], [r.stream() for r in requests])
-    for update, delta in zip(pending, deltas):
-        update.delta, update.request = delta, None
-    return deltas if len(pending) == len(updates) else None
+    if pending:
+        requests = [u.request for u in pending]
+        deltas = local_train(requests[0].task, [r.snapshot for r in requests],
+                             [r.shard for r in requests], [r.key for r in requests], streams)
+        for update, delta in zip(pending, deltas):
+            update.delta, update.request = delta, None
+        if len(pending) == len(updates):
+            return deltas
+    # A replan trained some of them before.
+    return np.stack([u.delta for u in updates])
 
 
 @dataclass
@@ -235,8 +237,9 @@ class Engine:
         self._seq = 0
         #: the server-side decision stream (sampling, availability, shuffles)
         self.server_stream = rng_tree.server_rng(seed)
-        #: re-keyed to each request's delay stream at its dispatch
-        self._delay_stream = rng_tree.delay_generator(seed)
+        #: re-keyed to a request's delay stream at its dispatch and to its
+        #: training stream when a server step or replan trains it
+        self.streams = rng_tree.request_generator()
         self._dispatch_counts: dict[tuple[int, int], int] = {}
         self.rounds: dict[int, int] = {tid: 0 for tid in self.tasks}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
@@ -315,7 +318,7 @@ class Engine:
         dispatch_no = self._dispatch_counts.get(pair, 0)
         self._dispatch_counts[pair] = dispatch_no + 1
         delay_stream = rng_tree.request_rngs(
-            self._delay_stream, self.seed, task_id, client_id, dispatch_no
+            self.streams, self.seed, task_id, client_id, dispatch_no
         )
 
         client = self.clients[client_id]

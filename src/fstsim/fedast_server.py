@@ -128,18 +128,15 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     """The server step of every strategy: x <- x - eta_c*eta_s*tau*mean(delta).
 
     Trains the untrained ``updates`` together first, so a DivergenceError
-    surfaces here, and averages the (B, d) array that training returns;
-    rows are stacked only when some were trained before, by a replan. The
-    sum-then-divide is what ``ndarray.mean(axis=0)`` computes, bit for bit.
+    surfaces here, and averages the (B, d) deltas ``train_updates`` returns.
+    The sum-then-divide is what ``ndarray.mean(axis=0)`` computes, bit for bit.
     The only writer of ``engine.models`` and ``engine.rounds``:
     the task gets a new read-only model (in-flight requests hold the old one
     by reference), a finite check (SimulationError) and the next round,
     observed as ``Aggregated``.
     """
     tid = spec.task_id
-    deltas = train_updates(updates)
-    if deltas is None:
-        deltas = np.stack([u.delta for u in updates])
+    deltas = train_updates(updates, engine.streams)
     mean_delta = np.add.reduce(deltas, axis=0) / len(updates)
     model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
     model.setflags(write=False)
@@ -298,7 +295,7 @@ class FedAstServer:
         live = {tid for tid in self._states if engine.finished[tid] is None}
         read = live if all(len(self._states[tid].history) >= 2 for tid in live) else set()
         for tid in read:
-            train_updates(self._states[tid].history)
+            train_updates(self._states[tid].history, engine.streams)
         views = [
             TaskAllocView(
                 task_id=tid,

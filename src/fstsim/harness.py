@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rng_tree
 from .baselines import MmSyncServer
-from .config import AlgorithmKind, ConfigError, ExperimentConfig, config_to_dict, validate_config
+from .config import AlgorithmKind, ConfigError, ExperimentConfig, save_config, validate_config
 from .delay_model import ClientProfile, DelaySpec, make_profiles
 from .event_engine import Engine, Observer, RunLog, ServerPolicy, StopConditions
 from .fedast_server import FedAstServer, lr_bound_warnings
@@ -271,7 +271,7 @@ def run_experiment(
             write_csv(out / f"run_{r:03d}.csv", log.records)
             write_jsonl(out / f"run_{r:03d}.jsonl", log.records)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+        save_config(cfg, out / "config.json")
     return summary
 
 

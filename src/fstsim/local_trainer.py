@@ -8,7 +8,9 @@ floating point as well.
 
 Requests of one task train stacked, one gradient call per local step for
 all with the same minibatch size; each row is bit for bit what training
-that request alone gives.
+that request alone gives. A request that draws minibatches re-keys the
+run's one request generator to its training stream (``rng.rekey``) and
+draws all tau of them before the first step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import ClientShard, TaskSpec
-from .rng import TRAIN, RequestKey, request_stream
+from .rng import TRAIN, RequestKey, rekey
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
 DIVERGENCE_LIMIT = 1e12
@@ -41,19 +43,13 @@ class DivergenceError(RuntimeError):
 @dataclass(slots=True)
 class TrainRequest:
     """What one dispatched request needs to compute its delta; ``snapshot`` is
-    the task's read-only model at dispatch, held by reference."""
+    the task's read-only model at dispatch, held by reference, and ``key``
+    names the request's training stream."""
 
     task: TaskSpec
     snapshot: np.ndarray
     shard: ClientShard
     key: RequestKey
-
-    def stream(self) -> np.random.Generator | None:
-        """The training stream, or None when the whole shard is every step's
-        minibatch, so that training draws nothing."""
-        if self.task.batch_size >= self.shard.size:
-            return None
-        return request_stream(self.key, TRAIN)
 
 
 @dataclass(slots=True, eq=False)
@@ -83,25 +79,28 @@ def local_train(
     task: TaskSpec,
     snapshots: Sequence[np.ndarray],
     shards: Sequence[ClientShard],
-    rngs: Sequence[np.random.Generator | None],
+    keys: Sequence[RequestKey],
+    streams: np.random.Generator,
 ) -> np.ndarray:
     """Run tau local SGD steps per request; return each one's mean gradient, (B, d).
 
     Request i trains from ``snapshots[i]`` (never mutated) on ``shards[i]``,
-    drawing each step's minibatch from ``rngs[i]`` (None if the shard is the
-    minibatch). One model, shard and stream is the batch of one and gives
+    drawing each step's minibatch from its training stream: ``streams``
+    re-keyed (``rng.rekey``) to ``keys[i]``. A shard that is the minibatch
+    draws nothing. One model, shard and key is the batch of one and gives
     (d,). If an iterate goes non-finite or beyond DIVERGENCE_LIMIT, raises
     DivergenceError for the first such request and its step, as training
     one request at a time in order would.
     """
     if isinstance(shards, ClientShard):
-        return local_train(task, [snapshots], [shards], [rngs])[0]
+        return local_train(task, [snapshots], [shards], [keys], streams)[0]
     groups: dict[int, list[int]] = {}
     for i, shard in enumerate(shards):
         if shard.size == 0:
             raise ValueError(f"client {shard.client_id} has an empty shard")
         groups.setdefault(min(task.batch_size, shard.size), []).append(i)
-    results = [_train_rows(task, n, rows, snapshots, shards, rngs) for n, rows in groups.items()]
+    results = [_train_rows(task, n, rows, snapshots, shards, keys, streams)
+               for n, rows in groups.items()]
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         row, step = min(failures)
@@ -115,22 +114,30 @@ def local_train(
     return out
 
 
-def _train_rows(task, n, rows, snapshots, shards, rngs) -> tuple[np.ndarray, tuple | None]:
+def _train_rows(
+    task, n, rows, snapshots, shards, keys, streams
+) -> tuple[np.ndarray, tuple | None]:
     """Train ``rows``, all of minibatch size ``n``, stacked: their deltas, and
     None or (row, step) of the first of them to diverge."""
     x = np.array([snapshots[i] for i in rows], dtype=np.float64)
     if x.shape[1:] != (task.dim,):
         raise ValueError(f"task {task.task_id} expects models of shape ({task.dim},)")
     grad_sum = np.zeros_like(x)
-    # A whole shard is every step's minibatch; a drawn row is refilled each step.
+    # A whole shard is every step's minibatch; a drawn row is refilled each step
+    # from the tau minibatches its stream gives, drawn up front in step order.
     features = np.array([shards[i].features[:n] for i in rows])
     labels = shards[rows[0]].labels
     labels = None if labels is None else np.array([shards[i].labels[:n] for i in rows])
-    draws = [(j, rngs[i], shards[i]) for j, i in enumerate(rows) if shards[i].size > n]
+    draws = []
+    for j, i in enumerate(rows):
+        if shards[i].size > n:
+            rng = rekey(streams, keys[i], TRAIN)
+            picks = [rng.choice(shards[i].size, size=n, replace=False) for _ in range(task.tau)]
+            draws.append((j, picks, shards[i]))
     failure = None
     for step in range(1, task.tau + 1):
-        for j, rng, shard in draws:
-            pick = rng.choice(shard.size, size=n, replace=False)
+        for j, picks, shard in draws:
+            pick = picks[step - 1]
             features[j] = shard.features[pick]
             if labels is not None:
                 labels[j] = shard.labels[pick]

@@ -10,8 +10,9 @@ across platforms and numpy versions.
 
 Because Philox is counter-based, writing a key and counter into an existing
 generator starts exactly the stream a new one would. Each run therefore
-owns one delay generator, and ``request_rngs`` re-keys it for every
-dispatched request instead of building a stream per request.
+owns one request generator, and ``rekey`` points it at a request's delay
+stream at dispatch (through ``request_rngs``) and at its training stream
+before local training draws; no stream is built per request.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from numpy.random.bit_generator import ISeedSequence
 
 # Top-level branch indices of the seed tree. Streams under different
 # branches never collide.
@@ -62,73 +62,46 @@ RequestKey = tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=64)
-def _run_key(seed: int, stream: int) -> np.ndarray:
-    """The read-only Philox key shared by one stream of every request of a run."""
-    key = SeedSequence(seed, spawn_key=(_REQUEST, stream)).generate_state(2, np.uint64)
-    key.setflags(write=False)
-    return key
+def _run_key(seed: int, stream: int) -> tuple[int, int]:
+    """The Philox key shared by one stream of every request of a run, as the
+    Python ints the Philox state setter reads fastest."""
+    words = SeedSequence(seed, spawn_key=(_REQUEST, stream)).generate_state(2, np.uint64)
+    return tuple(int(word) for word in words)
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands a ready Philox key to ``Philox``.
-
-    ``Philox(key=..., counter=...)`` draws the same numbers but also seeds an
-    unused ``SeedSequence`` from OS entropy, which costs more than the rest
-    of building the stream.
-    """
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is exactly 2 uint64 words")
-        return self.key.copy()
+def request_generator() -> Generator:
+    """A generator for request streams; ``rekey`` it before every draw."""
+    return Generator(Philox(0))
 
 
-def request_stream(key: RequestKey, stream: int) -> Generator:
-    """Build one stream (TRAIN or DELAY) of the request ``key``.
+def rekey(generator: Generator, key: RequestKey, stream: int) -> Generator:
+    """Re-key ``generator`` to one stream (TRAIN or DELAY) of the request
+    ``key`` and return it.
 
-    It is ``Philox`` under the run's key for ``stream``, started at the
+    The stream is Philox under the run's key for ``stream``, started at the
     counter ``[0, task_id, client_id, dispatch_no]``. Counter word 0 is
     Philox's own block counter, so the streams of two requests never share
-    a block.
+    a block. Whatever the generator drew before, it then draws exactly what a
+    fresh ``Philox`` at that key and counter would.
     """
     seed, task_id, client_id, dispatch_no = key
-    counter = [0, task_id, client_id, dispatch_no]
-    return Generator(Philox(_PhiloxKey(_run_key(seed, stream)), counter=counter))
-
-
-@lru_cache(maxsize=64)
-def _run_key_words(seed: int, stream: int) -> tuple[int, int]:
-    """``_run_key`` as Python ints, which the Philox state setter reads fastest."""
-    return tuple(int(word) for word in _run_key(seed, stream))
-
-
-def delay_generator(seed: int) -> Generator:
-    """The one delay generator of a run; ``request_rngs`` re-keys it for each
-    request before it draws."""
-    return Generator(Philox(_PhiloxKey(_run_key(seed, DELAY))))
-
-
-def request_rngs(
-    delay: Generator, seed: int, task_id: int, client_id: int, dispatch_no: int
-) -> Generator:
-    """Re-key the run's ``delay`` generator to one request's delay stream and
-    return it.
-
-    It then draws exactly what ``request_stream(key, DELAY)`` would for the
-    request key (seed, task_id, client_id, dispatch_no), so event-processing
-    order can never change how long a request runs.
-    """
-    delay.bit_generator.state = {
+    generator.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, task_id, client_id, dispatch_no),
-                  "key": _run_key_words(seed, DELAY)},
+                  "key": _run_key(seed, stream)},
         # buffer_pos at the end of Philox's 4-word output buffer: nothing left
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return delay
+    return generator
+
+
+def request_rngs(
+    generator: Generator, seed: int, task_id: int, client_id: int, dispatch_no: int
+) -> Generator:
+    """Re-key ``generator`` to the delay stream of the request (seed, task_id,
+    client_id, dispatch_no) and return it. The engine calls it once per
+    dispatch and training never does, so benchmarks count requests by it."""
+    return rekey(generator, (seed, task_id, client_id, dispatch_no), DELAY)

@@ -36,7 +36,7 @@ from fstsim.objectives import (
     local_stoch_grad,
 )
 from fstsim.realloc import apportion_largest_remainder, estimate_variances
-from fstsim.rng import TRAIN, request_stream
+from fstsim.rng import TRAIN, rekey, request_generator
 
 
 def _zero_shards(n):
@@ -106,6 +106,7 @@ def test_single_local_step_delta_is_the_stochastic_gradient(criterion_report):
     """tau=1 returns exactly the sampled gradient, bit for bit, 1000 cases."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
+    streams, replay = request_generator(), request_generator()
     mismatches = 0
     for case in range(1000):
         kind = case % 3
@@ -126,10 +127,8 @@ def test_single_local_step_delta_is_the_stochastic_gradient(criterion_report):
                         eta_c=float(rng.uniform(0.01, 1.0)), eta_s=1.0,
                         target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        train_rng = request_stream((7, 0, 0, case), TRAIN)
-        replay_rng = request_stream((7, 0, 0, case), TRAIN)
-        delta = local_train(task, x0, shard, train_rng)
-        grad = local_stoch_grad(task, shard, x0, replay_rng)
+        delta = local_train(task, x0, shard, (7, 0, 0, case), streams)
+        grad = local_stoch_grad(task, shard, x0, rekey(replay, (7, 0, 0, case), TRAIN))
         if not np.array_equal(delta, grad):
             mismatches += 1
     elapsed = time.perf_counter() - t0

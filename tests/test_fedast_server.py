@@ -15,7 +15,7 @@ from fstsim.local_trainer import TrainRequest, Update, local_train
 from fstsim.objectives import (
     ClientShard, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
 )
-from fstsim.rng import TRAIN, request_stream
+from fstsim.rng import request_generator
 
 
 class FakeEngine:
@@ -29,6 +29,7 @@ class FakeEngine:
         self.rounds = {t.task_id: 0 for t in tasks}
         self.finished = {t.task_id: None for t in tasks}
         self.in_flight = {t.task_id: 0 for t in tasks}
+        self.streams = request_generator()
 
     def send(self, task_id, client_id=None):
         self.sent.append(task_id)
@@ -54,6 +55,23 @@ def quad_task(tid=0, dim=1, tau=1, eta_c=0.1, eta_s=1.0):
 def upd(tid, delta, dispatch_round=0, cid=0):
     return Update(task_id=tid, client_id=cid, delta=np.asarray(delta, dtype=float),
                   dispatch_round=dispatch_round)
+
+
+def untrained_updates(gen, b):
+    """A logistic task and ``b`` untrained updates of it, from two snapshots,
+    with the delta training each request alone gives."""
+    task = TaskSpec(task_id=0, objective=LogisticObjective(n_features=10, n_classes=4),
+                    tau=2, eta_c=0.1, eta_s=1.5, target_metric=0.9, batch_size=4)
+    snapshots = [gen.normal(size=task.dim), gen.normal(size=task.dim)]
+    updates, deltas = [], []
+    for i in range(b):
+        size = (7, 2, 4, 1, 12, 3, 4, 9, 1)[i]
+        shard = ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size))
+        key, snapshot = (5, 0, i, i), snapshots[i % 2]
+        updates.append(Update(0, i, dispatch_round=0,
+                              request=TrainRequest(task, snapshot, shard, key)))
+        deltas.append(local_train(task, snapshot, shard, key, request_generator()))
+    return task, updates, deltas
 
 
 class TestAggregation:
@@ -98,26 +116,28 @@ class TestAggregation:
         gives, when the step trains every update and when a replan trained
         the first ``replanned`` of them before."""
         gen = np.random.default_rng([b, replanned])
-        task = TaskSpec(task_id=0, objective=LogisticObjective(n_features=10, n_classes=4),
-                        tau=2, eta_c=0.1, eta_s=1.5, target_metric=0.9, batch_size=4)
-        snapshots = [gen.normal(size=task.dim), gen.normal(size=task.dim)]
-        updates, deltas = [], []
-        for i in range(b):
-            size = (7, 2, 4, 1, 12, 3, 4, 9, 1)[i]
-            shard = ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size))
-            key, snapshot = (5, 0, i, i), snapshots[i % 2]
-            request = TrainRequest(task, snapshot, shard, key)
-            updates.append(Update(0, i, dispatch_round=0, request=request))
-            stream = request_stream(key, TRAIN) if size > task.batch_size else None
-            deltas.append(local_train(task, snapshot, shard, stream))
+        task, updates, deltas = untrained_updates(gen, b)
         if replanned:
-            train_updates(updates[:replanned])
+            train_updates(updates[:replanned], request_generator())
         eng = FakeEngine([task])
         eng.models[0] = model = gen.normal(size=task.dim)
         server_step(eng, task, updates)
         want = model - task.eta_c * task.eta_s * task.tau * np.stack(deltas).mean(axis=0)
         assert eng.models[0].tobytes() == want.tobytes()
         assert eng.rounds[0] == 1 and all(u.request is None for u in updates)
+
+    @pytest.mark.parametrize("trained_before", [0, 2, 5])
+    def test_train_updates_returns_every_delta_in_order(self, trained_before):
+        """Whether none, some or all of the updates were trained before, the
+        result is the (B, d) array of all their deltas, each the delta of
+        training that request alone."""
+        task, updates, deltas = untrained_updates(np.random.default_rng(trained_before), 5)
+        streams = request_generator()
+        if trained_before:
+            train_updates(updates[:trained_before], streams)
+        got = train_updates(updates, streams)
+        assert got.tobytes() == np.stack(deltas).tobytes()
+        assert all(u.request is None for u in updates)
 
     def test_non_finite_aggregate_is_fatal(self):
         srv = FedAstServer([quad_task()], r0={0: 1}, b0={0: 1})

@@ -234,6 +234,11 @@ class TestRunExperiment:
         stored = json.loads((tmp_path / "config.json").read_text())
         assert stored["seed"] == 20 and stored["runs"] == 2
 
+    def test_written_config_is_the_serialized_config(self, tmp_path):
+        cfg = quad_config(algorithm="fedast_dynamic", c_period=5, seed=3)
+        run_experiment(cfg, out_dir=tmp_path)
+        assert (tmp_path / "config.json").read_text() == serialize_config(cfg)
+
     def test_unreached_target_reported_with_cap(self):
         cfg = quad_config(tasks=(quad_task_config(target_metric=1e-12),),
                           max_rounds=3)
@@ -365,6 +370,22 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task_field, field, value, message", [
+        # both once printed "config ok" and then crashed `run` with exit 2
+        (True, "task_id", -1, "task -1: task_id must be nonnegative"),
+        (False, "speed_mix", [1.5, -0.5, 0.0], "speed_mix fractions must be nonnegative"),
+    ])
+    def test_validate_and_run_reject_a_negative_value(self, task_field, field, value,
+                                                      message, tmp_path, capsys):
+        d = json.loads((CONFIGS / "quickstart.json").read_text())
+        (d["tasks"][0] if task_field else d)[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["validate", "--config", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
     def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):

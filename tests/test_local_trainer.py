@@ -12,7 +12,11 @@ from fstsim.objectives import (
     TinyMlpObjective,
     local_stoch_grad,
 )
-from fstsim.rng import TRAIN, request_stream
+from fstsim.rng import TRAIN, rekey, request_generator
+
+
+#: A request key for training that draws nothing: the shard is the minibatch.
+NO_DRAW = (0, 0, 0, 0)
 
 
 def scalar_task(tau, eta_c=0.1, batch_size=1):
@@ -23,20 +27,21 @@ def scalar_task(tau, eta_c=0.1, batch_size=1):
 def test_one_step_scalar_example():
     # f(x) = (x-5)^2/2 from x0=0, eta_c=0.1: x1=0.5, delta=-5
     shard = ClientShard(0, np.array([[5.0]]))
-    delta = local_train(scalar_task(tau=1), np.array([0.0]), shard, np.random.default_rng(0))
+    delta = local_train(scalar_task(tau=1), np.array([0.0]), shard, NO_DRAW, request_generator())
     assert delta[0] == -5.0
 
 
 def test_two_step_scalar_example():
     # second step: x2 = 0.5 - 0.1*(0.5-5) = 0.95; delta = mean(-5, -4.5) = -4.75
     shard = ClientShard(0, np.array([[5.0]]))
-    delta = local_train(scalar_task(tau=2), np.array([0.0]), shard, np.random.default_rng(0))
+    delta = local_train(scalar_task(tau=2), np.array([0.0]), shard, NO_DRAW, request_generator())
     assert delta[0] == pytest.approx(-4.75, abs=1e-15)
 
 
 def test_tau_one_returns_the_stochastic_gradient_bit_identical():
     """1000 random tasks/models: tau=1 delta is the gradient, bit for bit."""
     rng = np.random.default_rng(99)
+    streams, replay = request_generator(), request_generator()
     for case in range(1000):
         kind = case % 3
         if kind == 0:
@@ -55,10 +60,8 @@ def test_tau_one_returns_the_stochastic_gradient_bit_identical():
         task = TaskSpec(task_id=0, objective=obj, tau=1, eta_c=float(rng.uniform(0.01, 1.0)),
                         eta_s=1.0, target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        train_rng = request_stream((7, 0, 0, case), TRAIN)
-        replay_rng = request_stream((7, 0, 0, case), TRAIN)
-        delta = local_train(task, x0, shard, train_rng)
-        grad = local_stoch_grad(task, shard, x0, replay_rng)
+        delta = local_train(task, x0, shard, (7, 0, 0, case), streams)
+        grad = local_stoch_grad(task, shard, x0, rekey(replay, (7, 0, 0, case), TRAIN))
         assert np.array_equal(delta, grad)
 
 
@@ -73,9 +76,8 @@ def test_delta_equals_mean_of_path_gradients_bit_identical():
         task = TaskSpec(task_id=0, objective=obj, tau=tau, eta_c=0.2, eta_s=1.0,
                         target_metric=0.9, batch_size=4)
         x0 = rng.normal(size=obj.dim)
-        train_rng = request_stream((11, 0, 0, tau), TRAIN)
-        replay_rng = request_stream((11, 0, 0, tau), TRAIN)
-        delta = local_train(task, x0, shard, train_rng)
+        delta = local_train(task, x0, shard, (11, 0, 0, tau), request_generator())
+        replay_rng = rekey(request_generator(), (11, 0, 0, tau), TRAIN)
         x = x0.copy()
         acc = np.zeros_like(x)
         for _ in range(tau):
@@ -88,7 +90,7 @@ def test_delta_equals_mean_of_path_gradients_bit_identical():
 def test_snapshot_is_never_mutated():
     shard = ClientShard(0, np.array([[5.0]]))
     x0 = np.array([0.0])
-    local_train(scalar_task(tau=3), x0, shard, np.random.default_rng(0))
+    local_train(scalar_task(tau=3), x0, shard, NO_DRAW, request_generator())
     assert x0[0] == 0.0
 
 
@@ -101,7 +103,7 @@ def test_telescoping_identity_holds_numerically():
     task = TaskSpec(task_id=0, objective=obj, tau=5, eta_c=0.07, eta_s=1.0,
                     target_metric=0.9, batch_size=5)
     x0 = rng.normal(size=3)
-    delta = local_train(task, x0, shard, np.random.default_rng(0))
+    delta = local_train(task, x0, shard, NO_DRAW, request_generator())
     x = x0.copy()
     for _ in range(task.tau):
         x = x - task.eta_c * obj.grad(x, feats, None)
@@ -120,7 +122,7 @@ def test_small_eta_c_delta_approaches_local_gradient():
     for eta_c in (0.1, 0.05, 0.025):
         task = TaskSpec(task_id=0, objective=obj, tau=4, eta_c=eta_c, eta_s=1.0,
                         target_metric=0.9, batch_size=4)
-        delta = local_train(task, x0, shard, np.random.default_rng(0))
+        delta = local_train(task, x0, shard, NO_DRAW, request_generator())
         errs.append(np.linalg.norm(delta - g0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[0] == pytest.approx(0.5, rel=0.15)  # first-order in eta_c
@@ -132,7 +134,7 @@ def test_divergence_aborts_with_step_index():
     task = TaskSpec(task_id=1, objective=QuadraticObjective(dim=1), tau=200, eta_c=1e6,
                     eta_s=1.0, target_metric=0.9, batch_size=1)
     with pytest.raises(DivergenceError) as err:
-        local_train(task, np.array([1.0]), shard, np.random.default_rng(0))
+        local_train(task, np.array([1.0]), shard, NO_DRAW, request_generator())
     assert err.value.task_id == 1
     assert err.value.client_id == 3
     assert 1 <= err.value.step_index <= 200
@@ -167,17 +169,11 @@ def test_stacked_rows_equal_one_at_a_time_training(family, l2, b):
     snapshots = [gen.normal(size=obj.dim), gen.normal(size=obj.dim)]
     rows = [snapshots[1] if i % 3 == 1 else snapshots[0] for i in range(b)]
     keys = [(5, 2, 100 + i, i) for i in range(b)]
-    # Training draws nothing from a shard that fits in one batch, so the
-    # stacked call gets no stream for it, as the engine passes.
-    streams = [
-        request_stream(key, TRAIN) if shard.size > task.batch_size else None
-        for key, shard in zip(keys, shards)
-    ]
     before = [x.copy() for x in snapshots]
-    stacked = local_train(task, rows, shards, streams)
+    stacked = local_train(task, rows, shards, keys, request_generator())
     assert stacked.shape == (b, obj.dim)
     for i in range(b):
-        alone = local_train(task, rows[i], shards[i], request_stream(keys[i], TRAIN))
+        alone = local_train(task, rows[i], shards[i], keys[i], request_generator())
         assert stacked[i].tobytes() == alone.tobytes()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(snapshots, before))
 
@@ -192,15 +188,15 @@ def test_stacked_divergence_names_the_first_row_in_order():
     first = None
     for x, shard in zip(snapshots, shards):
         try:
-            local_train(task, x, shard, None)
+            local_train(task, x, shard, NO_DRAW, request_generator())
         except DivergenceError as err:
             first = first or err
     assert first.client_id == 11
     with pytest.raises(DivergenceError) as err:
-        local_train(task, snapshots[3], shards[3], None)
+        local_train(task, snapshots[3], shards[3], NO_DRAW, request_generator())
     assert err.value.step_index < first.step_index
 
     with pytest.raises(DivergenceError) as err:
-        local_train(task, snapshots, shards, [None] * 4)
+        local_train(task, snapshots, shards, [NO_DRAW] * 4, request_generator())
     got = (err.value.task_id, err.value.client_id, err.value.step_index)
     assert got == (first.task_id, first.client_id, first.step_index)

@@ -1,5 +1,5 @@
-"""The run's delay generator, re-keyed per request, draws exactly the fresh
-counter-based stream of that request, whatever was drawn before it."""
+"""The run's request generator, re-keyed per request and stream, draws exactly
+the fresh counter-based stream of that request, whatever was drawn before it."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,12 @@ from fstsim.harness import run_single
 #: (task_id, client_id, dispatch_no), including counter words past 32 bits.
 GRID = [(t, c, d) for t in (0, 1, 2) for c in (0, 1, 999) for d in (0, 1, 41, 2**40)]
 
+STREAMS = (rng.TRAIN, rng.DELAY)
 
-def fresh_delay(seed, task_id, client_id, dispatch_no):
-    key = np.random.SeedSequence(seed, spawn_key=(3, 1)).generate_state(2, np.uint64)
+
+def fresh(seed, stream, task_id, client_id, dispatch_no):
+    """The public form of one request stream: a new Philox at its key and counter."""
+    key = np.random.SeedSequence(seed, spawn_key=(3, stream)).generate_state(2, np.uint64)
     return np.random.Generator(
         np.random.Philox(key=key, counter=[0, task_id, client_id, dispatch_no])
     )
@@ -23,40 +26,64 @@ def fresh_delay(seed, task_id, client_id, dispatch_no):
 
 @pytest.mark.parametrize("seed", [1, 7919])
 def test_rekeyed_generator_draws_each_fresh_stream(seed):
-    delay = rng.delay_generator(seed)
+    streams = rng.request_generator()
+    for stream in STREAMS:
+        for t, c, d in GRID:
+            assert rng.rekey(streams, (seed, t, c, d), stream) is streams
+            assert streams.random() == fresh(seed, stream, t, c, d).random()
     for t, c, d in GRID:
-        assert rng.request_rngs(delay, seed, t, c, d) is delay
-        assert delay.random() == fresh_delay(seed, t, c, d).random()
+        assert rng.request_rngs(streams, seed, t, c, d) is streams
+        assert streams.random() == fresh(seed, rng.DELAY, t, c, d).random()
 
 
 def test_consecutive_requests_ignore_what_the_last_one_left_behind():
     """A request re-keys after the last one drew a part of Philox's output
     buffer, or half a 64-bit word as a uint32, and still draws its own stream."""
-    seed, delay = 3, rng.delay_generator(3)
+    seed, streams = 3, rng.request_generator()
     leftovers = [
         lambda g: g.random(),
         lambda g: g.random(3),
         lambda g: g.integers(2**32, dtype=np.uint32),
         lambda g: g.normal(size=5),
     ]
-    for i, (t, c, d) in enumerate(GRID):
-        leftovers[i % len(leftovers)](rng.request_rngs(delay, seed, t, c, d))
-        want = fresh_delay(seed, t, c, d + 1)
-        got = rng.request_rngs(delay, seed, t, c, d + 1)
-        assert np.array_equal(got.random(9), want.random(9))
-        assert np.array_equal(got.integers(2**32, size=3, dtype=np.uint32),
-                              want.integers(2**32, size=3, dtype=np.uint32))
+    for stream in STREAMS:
+        for i, (t, c, d) in enumerate(GRID):
+            leftovers[i % len(leftovers)](rng.rekey(streams, (seed, t, c, d), stream))
+            want = fresh(seed, stream, t, c, d + 1)
+            got = rng.rekey(streams, (seed, t, c, d + 1), stream)
+            assert np.array_equal(got.random(9), want.random(9))
+            assert np.array_equal(got.integers(2**32, size=3, dtype=np.uint32),
+                                  want.integers(2**32, size=3, dtype=np.uint32))
 
 
 def test_two_runs_rekeyed_alternately_keep_their_own_streams():
     """Each run owns its generator: re-keying one between the other's
     re-key and draw leaves the other's draw alone."""
-    first, second = rng.delay_generator(1), rng.delay_generator(2)
-    for t, c, d in GRID:
-        a = rng.request_rngs(first, 1, t, c, d)
-        b = rng.request_rngs(second, 2, t, c, d)
-        assert a.random() == fresh_delay(1, t, c, d).random()
-        assert b.random() == fresh_delay(2, t, c, d).random()
+    first, second = rng.request_generator(), rng.request_generator()
+    for stream in STREAMS:
+        for t, c, d in GRID:
+            a = rng.rekey(first, (1, t, c, d), stream)
+            b = rng.rekey(second, (2, t, c, d), stream)
+            assert a.random() == fresh(1, stream, t, c, d).random()
+            assert b.random() == fresh(2, stream, t, c, d).random()
+
+
+def test_one_generator_alternates_delay_and_training_draws():
+    """As in a run: one request's delay draw falls between another request's
+    training draws, and each draw is that request's fresh stream."""
+    seed, streams = 7919, rng.request_generator()
+    for i, (t, c, d) in enumerate(GRID):
+        # the request being dispatched, and one trained at a server step
+        t2, c2, d2 = GRID[-1 - i]
+        delay = rng.request_rngs(streams, seed, t, c, d).random()
+        assert delay == fresh(seed, rng.DELAY, t, c, d).random()
+        train = rng.rekey(streams, (seed, t2, c2, d2), rng.TRAIN)
+        picks = [train.choice(50, size=4, replace=False) for _ in range(3)]
+        want = fresh(seed, rng.TRAIN, t2, c2, d2)
+        for pick in picks:
+            assert np.array_equal(pick, want.choice(50, size=4, replace=False))
+        delay = rng.request_rngs(streams, seed, t, c, d + 1).random()
+        assert delay == fresh(seed, rng.DELAY, t, c, d + 1).random()
 
 
 def dispatches(seed):
