@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,6 +146,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         where = f"task {t.task_id}"
         if t.task_id < 0:
             raise ConfigError(f"{where}: task_id must be nonnegative")
+        if t.task_id >= 2**64:
+            raise ConfigError(f"{where}: task_id must be below 2**64")
         if t.kind not in _OBJECTIVE_KINDS:
             raise ConfigError(f"{where}: unknown objective kind {t.kind!r}")
         if t.tau < 1:
@@ -199,13 +202,18 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-#: What JSON value each field annotation takes: a bool is not a number here.
+def _number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+#: What JSON value each field annotation takes: a bool is not a number here,
+#: and neither is NaN or Infinity.
 _ACCEPTS = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
+    "float": ("a number", _number),
     "bool": ("true or false", lambda v: type(v) is bool),
     "tuple[float, float, float]": ("three numbers", lambda v: type(v) in (list, tuple)
-                                   and len(v) == 3 and all(type(x) in (int, float) for x in v)),
+                                   and len(v) == 3 and all(map(_number, v))),
 }
 
 
@@ -267,7 +275,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from None
+    return parse_config(text)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:

@@ -1,22 +1,23 @@
 """Deterministic discrete-event loop driving any server policy.
 
-Events are processed in strictly nondecreasing (time, sequence) order; the
+Every event is a handler called with its argument at its time: a dispatch,
+an arrival, an evaluation tick (which schedules the next) or a policy
+callback. Events run in strictly nondecreasing (time, sequence) order; the
 monotone sequence number breaks simultaneous-event ties by scheduling
 order, so reruns are bit-reproducible. Clients are single-threaded queues:
 a request dispatched to a busy client starts when the client frees up.
 
-Requests are trained lazily. At dispatch the engine keys the request by
-(seed, task, client, dispatch counter), re-keys the run's one request
-generator, ``Engine.streams``, to the request's delay stream
-(``rng.request_rngs``) to sample the duration, and places an update on the
-event heap at its arrival time that holds the task's model by reference
-(the engine's models are read-only, so it cannot change), the client's
-shard and the request key. Servers train the updates a server step
+Requests are trained lazily. At dispatch the engine numbers the request
+per (task, client), re-keys the run's one request generator,
+``Engine.streams``, to its delay stream (``rng.request_rngs``) to sample
+the duration, and schedules the arrival of an ``Update`` that names the
+request and holds the task's model by reference (the engine's models are
+read-only, so it cannot change). Servers train the updates a server step
 consumes (a full buffer or a sync barrier) with one ``train_updates``
-call, which trains them stacked, re-keying the same generator to each
-request's training stream, so every result is what training at dispatch
-would have produced; updates no server step or replan reads are never
-trained.
+call, which reads each request's shard and key off the engine and trains
+them stacked, re-keying the same generator to each training stream, so
+every result is what training at dispatch would have produced; updates no
+server step or replan reads are never trained.
 
 A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
@@ -29,7 +30,6 @@ callback with ``call_at``.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import logging
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rng as rng_tree
 from .delay_model import ClientProfile, DelaySpec, sample_duration
-from .local_trainer import TrainRequest, Update, local_train
+from .local_trainer import Update, local_train
 from .metrics import MetricsRecord
 from .objectives import ClientShard, Dataset, TaskSpec, evaluate
 
@@ -55,14 +55,6 @@ class SimulationError(RuntimeError):
 
 class StarvedError(SimulationError):
     """Event queue ran dry before any stop condition was satisfied."""
-
-
-class EventKind(enum.Enum):
-    UPDATE_ARRIVAL = "update_arrival"
-    DISPATCH = "dispatch"
-    EVAL_TICK = "eval_tick"
-    #: a policy callback; its payload is called with the engine
-    CALLBACK = "callback"
 
 
 class Dispatched(NamedTuple):
@@ -107,28 +99,24 @@ Event = Dispatched | Arrived | Aggregated | Finished
 Observer = Callable[[Event], None]
 
 
-def train_updates(updates: Collection[Update], streams: np.random.Generator) -> np.ndarray:
+def train_updates(engine: "Engine", updates: Collection[Update]) -> np.ndarray:
     """Give every untrained update among ``updates``, all of one task, its
-    delta, with at most one call of this module's ``local_train``, drawing
-    from the request generator ``streams``; return all their deltas in
+    delta, with at most one call of this module's ``local_train`` on the
+    engine's task, shards and request generator; return all their deltas in
     order, (B, d)."""
     pending = [u for u in updates if u.delta is None]
     if pending:
-        requests = [u.request for u in pending]
-        deltas = local_train(requests[0].task, [r.snapshot for r in requests],
-                             [r.shard for r in requests], [r.key for r in requests], streams)
+        tid = pending[0].task_id
+        deltas = local_train(engine.tasks[tid], [u.snapshot for u in pending],
+                             [engine.shards[tid][u.client_id] for u in pending],
+                             [(engine.seed, tid, u.client_id, u.dispatch_no) for u in pending],
+                             engine.streams)
         for update, delta in zip(pending, deltas):
-            update.delta, update.request = delta, None
+            update.delta, update.snapshot = delta, None
         if len(pending) == len(updates):
             return deltas
     # A replan trained some of them before.
     return np.stack([u.delta for u in updates])
-
-
-@dataclass
-class ClientState:
-    profile: ClientProfile
-    busy_until: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -147,7 +135,7 @@ class StopConditions:
     def __post_init__(self) -> None:
         if not self.stop_on_targets and self.max_sim_time is None and self.max_rounds is None:
             raise ValueError("no stop condition enabled; the run would never halt")
-        if self.max_sim_time is not None and self.max_sim_time <= 0:
+        if self.max_sim_time is not None and not self.max_sim_time > 0:  # NaN too
             raise ValueError("max_sim_time must be positive")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
@@ -186,13 +174,14 @@ class RunLog:
 
 
 class Engine:
-    """Owns the clock, the event heap, the client pool and each task's
+    """Owns the clock, the event heap, the client pool (``profiles`` and
+    ``busy_until``, when each client's queue empties) and each task's
     progress: ``models`` (read-only arrays, each replaced by ``server_step``),
     ``rounds``, ``finished`` (None, or the finish reason) and ``in_flight``,
     the requests sent and neither skipped nor arrived yet. A request cancelled
     by ``release_clients`` stays counted until its arrival leaves the heap.
     ``observer``, off by default, is called with every ``Event`` of the run,
-    in order."""
+    in order; ``policy`` is the one ``run`` drives."""
 
     def __init__(
         self,
@@ -210,7 +199,7 @@ class Engine:
         self.tasks: dict[int, TaskSpec] = {t.task_id: t for t in tasks}
         if not 0.0 < availability_p <= 1.0:
             raise ValueError("availability_p must lie in (0, 1]")
-        if eval_interval is not None and eval_interval <= 0:
+        if eval_interval is not None and not eval_interval > 0:
             raise ValueError("eval_interval must be positive")
         self.models: dict[int, np.ndarray] = {}
         for tid, task in self.tasks.items():
@@ -224,7 +213,8 @@ class Engine:
                 raise ValueError(f"task {tid} has no evaluation set")
         self.shards = shards
         self.eval_sets = eval_sets
-        self.clients = [ClientState(profile=p) for p in profiles]
+        self.profiles = profiles
+        self.busy_until = [0.0] * len(profiles)
         self.seed = seed
         self.availability_p = availability_p
         self.delay = delay
@@ -232,8 +222,8 @@ class Engine:
         self.stop = stop
 
         self.now = 0.0
-        #: (time, seq, kind, payload); seq is unique, so ties never reach kind
-        self._heap: list[tuple[float, int, EventKind, Any]] = []
+        #: (time, seq, handler, arg); seq is unique, so ties never reach handler
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         #: the server-side decision stream (sampling, availability, shuffles)
         self.server_stream = rng_tree.server_rng(seed)
@@ -248,27 +238,28 @@ class Engine:
         self.target_times: dict[int, float | None] = {tid: None for tid in self.tasks}
         self.records: list[MetricsRecord] = []
         self.observer = observer
+        self.policy: ServerPolicy | None = None
         self.skipped_dispatches = 0
         self._events_processed = 0
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, payload: Any = None) -> None:
-        if time < self.now:
+    def _push(self, time: float, handler: Callable[[Any], None], arg: Any) -> None:
+        if not time >= self.now:  # NaN too
             raise SimulationError(f"event scheduled in the past: {time} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, handler, arg))
 
     def send(self, task_id: int, client_id: int | None = None) -> None:
         """Queue one dispatch, effective now, to ``client_id`` or, if None, to
         a client sampled at dispatch."""
         self.in_flight[task_id] += 1
-        self._push(self.now, EventKind.DISPATCH, (task_id, client_id))
+        self._push(self.now, self._do_dispatch, (task_id, client_id))
 
     def call_at(self, time: float, callback: Callable[["Engine"], None]) -> None:
         """Call ``callback(engine)`` at ``time``, after every event already
         queued for that time."""
-        self._push(time, EventKind.CALLBACK, callback)
+        self._push(time, callback, self)
 
     # -- client pool --------------------------------------------------------
 
@@ -285,22 +276,20 @@ class Engine:
                     f"availability sampler exceeded {SAMPLER_ITERATION_CAP} iterations "
                     f"(availability_p={self.availability_p})"
                 )
-            candidate = int(self.server_stream.integers(len(self.clients)))
+            candidate = int(self.server_stream.integers(len(self.profiles)))
             if self.server_stream.random() < self.availability_p:
                 out.append(candidate)
         return out
 
     def draw_available(self) -> list[int]:
         """Round-style availability: one Bernoulli coin per client."""
-        mask = self.server_stream.random(len(self.clients)) < self.availability_p
+        mask = self.server_stream.random(len(self.profiles)) < self.availability_p
         return [int(i) for i in np.flatnonzero(mask)]
 
     def release_clients(self, at: float) -> None:
         """Free every client at ``at``: no client stays busy past it. The
         requests it was running still arrive, at their original times."""
-        for client in self.clients:
-            if client.busy_until > at:
-                client.busy_until = at
+        self.busy_until = [min(busy, at) for busy in self.busy_until]
 
     # -- event handlers -----------------------------------------------------
 
@@ -311,84 +300,70 @@ class Engine:
             self.in_flight[task_id] -= 1
             return
         client_id = forced_client if forced_client is not None else self.sample_clients(1)[0]
-        task = self.tasks[task_id]
-        dispatch_round = self.rounds[task_id]
-
         pair = (task_id, client_id)
         dispatch_no = self._dispatch_counts.get(pair, 0)
         self._dispatch_counts[pair] = dispatch_no + 1
-        delay_stream = rng_tree.request_rngs(
-            self.streams, self.seed, task_id, client_id, dispatch_no
-        )
-
-        client = self.clients[client_id]
-        duration = sample_duration(client.profile, task, delay_stream, self.delay)
-        start = max(self.now, client.busy_until)
-        completion = start + duration
-        client.busy_until = completion
-
-        request = TrainRequest(task, self.models[task_id], self.shards[task_id][client_id],
-                               (self.seed, task_id, client_id, dispatch_no))
-        update = Update(task_id, client_id, dispatch_round, request=request)
-        self._push(completion, EventKind.UPDATE_ARRIVAL, update)
+        delay_stream = rng_tree.request_rngs(self.streams, self.seed, task_id, client_id,
+                                             dispatch_no)
+        duration = sample_duration(self.profiles[client_id], self.tasks[task_id], delay_stream,
+                                   self.delay)
+        start = max(self.now, self.busy_until[client_id])
+        completion = self.busy_until[client_id] = start + duration
+        update = Update(task_id, client_id, self.rounds[task_id], dispatch_no,
+                        snapshot=self.models[task_id])
+        self._push(completion, self._do_arrival, update)
         if self.observer is not None:
-            self.observer(Dispatched(self.now, task_id, client_id, dispatch_round,
+            self.observer(Dispatched(self.now, task_id, client_id, update.dispatch_round,
                                      start, completion))
 
-    def _do_eval(self, policy: ServerPolicy) -> None:
+    def _do_arrival(self, update: Update) -> None:
+        if self.observer is not None:
+            self.observer(Arrived(self.now, update.task_id, update.client_id,
+                                  update.dispatch_round))
+        self.in_flight[update.task_id] -= 1
+        self.policy.handle_update(self, update)
+
+    def _do_eval(self) -> None:
         for task_id in sorted(self.tasks):
             task = self.tasks[task_id]
             loss, accuracy = evaluate(task, self.models[task_id], self.eval_sets[task_id])
             self.records.append(MetricsRecord(self.now, task_id, self.rounds[task_id], loss,
-                                              accuracy, **policy.task_metrics(task_id)))
+                                              accuracy, **self.policy.task_metrics(task_id)))
             if self.target_times[task_id] is None and task.target_reached(loss, accuracy):
                 self.target_times[task_id] = self.now
                 if self.stop.stop_on_targets and self.finished[task_id] is None:
-                    self._finish_task(policy, task_id, "target")
+                    self._finish_task(task_id, "target")
+        self.call_at(self.now + self.eval_interval, type(self)._do_eval)
 
-    def _finish_task(self, policy: ServerPolicy, task_id: int, reason: str) -> None:
+    def _finish_task(self, task_id: int, reason: str) -> None:
         self.finished[task_id] = reason
         self._live_tasks -= 1
-        policy.mark_finished(self, task_id)
+        self.policy.mark_finished(self, task_id)
         if self.observer is not None:
             self.observer(Finished(self.now, task_id, reason))
 
     # -- main loop ----------------------------------------------------------
 
     def run(self, policy: ServerPolicy) -> RunLog:
+        self.policy = policy
         if self.eval_interval is not None and self.tasks:
-            self._push(0.0, EventKind.EVAL_TICK)
+            self.call_at(0.0, type(self)._do_eval)
         policy.start(self)
 
         stop_reason: str | None = None
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, handler, arg = heapq.heappop(self._heap)
             if self.stop.max_sim_time is not None and time > self.stop.max_sim_time:
                 self.now = self.stop.max_sim_time
                 stop_reason = "max_sim_time"
                 break
             self.now = time
             self._events_processed += 1
-
-            if kind is EventKind.DISPATCH:
-                self._do_dispatch(payload)
-            elif kind is EventKind.UPDATE_ARRIVAL:
-                if self.observer is not None:
-                    self.observer(Arrived(time, payload.task_id, payload.client_id,
-                                          payload.dispatch_round))
-                self.in_flight[payload.task_id] -= 1
-                policy.handle_update(self, payload)
-            elif kind is EventKind.EVAL_TICK:
-                self._do_eval(policy)
-                if self.eval_interval is not None:
-                    self._push(self.now + self.eval_interval, EventKind.EVAL_TICK)
-            else:  # EventKind.CALLBACK
-                payload(self)
-
+            handler(arg)
             if self.stop.max_rounds is not None:
                 for task_id, rnd in self.rounds.items():
                     if self.finished[task_id] is None and rnd >= self.stop.max_rounds:
-                        self._finish_task(policy, task_id, "max_rounds")
+                        self._finish_task(task_id, "max_rounds")
             if not self._live_tasks and self.tasks:
                 reasons = set(self.finished.values())
                 stop_reason = "targets" if reasons == {"target"} else "max_rounds"

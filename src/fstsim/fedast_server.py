@@ -136,7 +136,7 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     observed as ``Aggregated``.
     """
     tid = spec.task_id
-    deltas = train_updates(updates, engine.streams)
+    deltas = train_updates(engine, updates)
     mean_delta = np.add.reduce(deltas, axis=0) / len(updates)
     model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
     model.setflags(write=False)
@@ -295,7 +295,7 @@ class FedAstServer:
         live = {tid for tid in self._states if engine.finished[tid] is None}
         read = live if all(len(self._states[tid].history) >= 2 for tid in live) else set()
         for tid in read:
-            train_updates(self._states[tid].history, engine.streams)
+            train_updates(engine, self._states[tid].history)
         views = [
             TaskAllocView(
                 task_id=tid,

@@ -8,9 +8,11 @@ floating point as well.
 
 Requests of one task train stacked, one gradient call per local step for
 all with the same minibatch size; each row is bit for bit what training
-that request alone gives. A request that draws minibatches re-keys the
-run's one request generator to its training stream (``rng.rekey``) and
-draws all tau of them before the first step.
+that request alone gives. An ``Update`` names its request by task, client
+and dispatch number; with the run seed that is the request's key. A request
+that draws minibatches re-keys the run's one request generator to the
+key's training stream (``rng.rekey``) and draws all tau of them before the
+first step.
 """
 
 from __future__ import annotations
@@ -40,39 +42,30 @@ class DivergenceError(RuntimeError):
         self.step_index = step_index
 
 
-@dataclass(slots=True)
-class TrainRequest:
-    """What one dispatched request needs to compute its delta; ``snapshot`` is
-    the task's read-only model at dispatch, held by reference, and ``key``
-    names the request's training stream."""
-
-    task: TaskSpec
-    snapshot: np.ndarray
-    shard: ClientShard
-    key: RequestKey
-
-
 @dataclass(slots=True, eq=False)
 class Update:
     """A dispatched training request and, once trained, its result.
 
+    The request is request number ``dispatch_no`` of the task to the client;
     ``dispatch_round`` is the server round of the model snapshot the client
-    trained on; servers measure staleness against it at arrival. An update
-    has either its ``delta`` or the ``request`` that computes it, until
+    trained on, and servers measure staleness against it at arrival. An
+    update holds either its ``delta`` or the ``snapshot`` it trains from (the
+    task's read-only model at dispatch, by reference), until
     ``event_engine.train_updates`` trains it at the server step (or replan)
-    that reads it and releases the request. An update that no server step
-    or replan reads is never trained; a DivergenceError surfaces where one is.
+    that reads it and drops the snapshot. An update that no server step or
+    replan reads is never trained; a DivergenceError surfaces where one is.
     """
 
     task_id: int
     client_id: int
     dispatch_round: int
+    dispatch_no: int = 0
     delta: np.ndarray | None = None
-    request: TrainRequest | None = None
+    snapshot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.delta is None) == (self.request is None):
-            raise ValueError("an update needs exactly one of delta and request")
+        if (self.delta is None) == (self.snapshot is None):
+            raise ValueError("an update needs exactly one of delta and snapshot")
 
 
 def local_train(

@@ -14,7 +14,6 @@ from fstsim.event_engine import (
     Arrived,
     Dispatched,
     Engine,
-    EventKind,
     Finished,
     SimulationError,
     StarvedError,
@@ -218,6 +217,43 @@ class TestFifoClients:
         assert Arrived(5.0, 1, 0, 0) in events
 
 
+    def test_release_frees_busy_clients_and_leaves_idle_ones(self):
+        # client 0 is busy until 5 and client 1 until 1; after a release at
+        # t=2, a request to client 0 starts at 2 instead of 5, and client 1
+        # keeps the time it went idle
+        profiles = [profile(0, {0: 5.0}), profile(1, {0: 1.0})]
+        released = []
+
+        def release(engine):
+            engine.release_clients(engine.now)
+            released.append(list(engine.busy_until))
+            engine.send(0, 0)
+
+        def on_start(policy, engine):
+            engine.send(0, 0)
+            engine.send(0, 1)
+            engine.call_at(2.0, release)
+
+        def on_update(policy, engine, update):
+            engine.rounds[0] += 1
+
+        events = []
+        engine = Engine(
+            tasks=[quad_task()], shards=zero_shards([0], 2), eval_sets=zero_evals([0]),
+            profiles=profiles, seed=0, delay=CONSTANT_DELAY, eval_interval=None,
+            stop=StopConditions(stop_on_targets=False, max_rounds=3),
+            observer=events.append,
+        )
+        engine.run(StubPolicy([0], on_start, on_update))
+        assert released == [[2.0, 1.0]]
+        assert [ev for ev in events if isinstance(ev, Dispatched)] == [
+            Dispatched(0.0, 0, 0, 0, 0.0, 5.0),
+            Dispatched(0.0, 0, 1, 0, 0.0, 1.0),
+            Dispatched(2.0, 0, 0, 1, 2.0, 7.0),
+        ]
+        assert events[-2:] == [Arrived(7.0, 0, 0, 1), Finished(7.0, 0, "max_rounds")]
+
+
 class TestSampling:
     def make_engine(self, n_clients, availability=1.0, seed=0):
         profiles = [profile(i, {0: 1.0}) for i in range(n_clients)]
@@ -302,8 +338,9 @@ class TestStops:
     def test_event_scheduled_in_the_past_is_an_error(self):
         engine = TestSampling().make_engine(1)
         engine.now = 5.0
-        with pytest.raises(SimulationError, match="past"):
-            engine._push(4.9, EventKind.EVAL_TICK)
+        for time in (4.9, float("nan")):
+            with pytest.raises(SimulationError, match="past"):
+                engine._push(time, lambda arg: None, None)
 
     def test_no_tasks_starves(self):
         engine = Engine(tasks=[], shards={}, eval_sets={}, profiles=[profile(0, {})],
@@ -323,8 +360,9 @@ class TestStops:
     def test_stop_conditions_validation(self):
         with pytest.raises(ValueError):
             StopConditions(stop_on_targets=False)
-        with pytest.raises(ValueError):
-            StopConditions(max_sim_time=-1.0)
+        for horizon in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                StopConditions(max_sim_time=horizon)
         with pytest.raises(ValueError):
             StopConditions(max_rounds=0)
 

@@ -11,7 +11,7 @@ from fstsim.event_engine import (
 )
 from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds, server_step
 from fstsim.harness import build_policy, build_scenario
-from fstsim.local_trainer import TrainRequest, Update, local_train
+from fstsim.local_trainer import Update, local_train
 from fstsim.objectives import (
     ClientShard, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
 )
@@ -21,10 +21,13 @@ from fstsim.rng import request_generator
 class FakeEngine:
     """Just enough engine surface for driving handle_update by hand."""
 
-    def __init__(self, tasks):
+    def __init__(self, tasks, shards=None, seed=0):
         self.now = 0.0
         self.sent = []
         self.observer = None
+        self.tasks = {t.task_id: t for t in tasks}
+        self.shards = shards
+        self.seed = seed
         self.models = {t.task_id: t.new_model() for t in tasks}
         self.rounds = {t.task_id: 0 for t in tasks}
         self.finished = {t.task_id: None for t in tasks}
@@ -58,20 +61,20 @@ def upd(tid, delta, dispatch_round=0, cid=0):
 
 
 def untrained_updates(gen, b):
-    """A logistic task and ``b`` untrained updates of it, from two snapshots,
-    with the delta training each request alone gives."""
+    """A logistic task, an engine holding its shards, ``b`` untrained
+    updates of it from two snapshots, and the delta training each request
+    alone gives."""
     task = TaskSpec(task_id=0, objective=LogisticObjective(n_features=10, n_classes=4),
                     tau=2, eta_c=0.1, eta_s=1.5, target_metric=0.9, batch_size=4)
     snapshots = [gen.normal(size=task.dim), gen.normal(size=task.dim)]
-    updates, deltas = [], []
+    shards, updates, deltas = [], [], []
     for i in range(b):
         size = (7, 2, 4, 1, 12, 3, 4, 9, 1)[i]
-        shard = ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size))
-        key, snapshot = (5, 0, i, i), snapshots[i % 2]
-        updates.append(Update(0, i, dispatch_round=0,
-                              request=TrainRequest(task, snapshot, shard, key)))
-        deltas.append(local_train(task, snapshot, shard, key, request_generator()))
-    return task, updates, deltas
+        shards.append(ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size)))
+        snapshot = snapshots[i % 2]
+        updates.append(Update(0, i, dispatch_round=0, dispatch_no=i, snapshot=snapshot))
+        deltas.append(local_train(task, snapshot, shards[i], (5, 0, i, i), request_generator()))
+    return FakeEngine([task], {0: shards}, seed=5), task, updates, deltas
 
 
 class TestAggregation:
@@ -116,28 +119,26 @@ class TestAggregation:
         gives, when the step trains every update and when a replan trained
         the first ``replanned`` of them before."""
         gen = np.random.default_rng([b, replanned])
-        task, updates, deltas = untrained_updates(gen, b)
+        eng, task, updates, deltas = untrained_updates(gen, b)
         if replanned:
-            train_updates(updates[:replanned], request_generator())
-        eng = FakeEngine([task])
+            train_updates(eng, updates[:replanned])
         eng.models[0] = model = gen.normal(size=task.dim)
         server_step(eng, task, updates)
         want = model - task.eta_c * task.eta_s * task.tau * np.stack(deltas).mean(axis=0)
         assert eng.models[0].tobytes() == want.tobytes()
-        assert eng.rounds[0] == 1 and all(u.request is None for u in updates)
+        assert eng.rounds[0] == 1 and all(u.snapshot is None for u in updates)
 
     @pytest.mark.parametrize("trained_before", [0, 2, 5])
     def test_train_updates_returns_every_delta_in_order(self, trained_before):
         """Whether none, some or all of the updates were trained before, the
         result is the (B, d) array of all their deltas, each the delta of
         training that request alone."""
-        task, updates, deltas = untrained_updates(np.random.default_rng(trained_before), 5)
-        streams = request_generator()
+        eng, _, updates, deltas = untrained_updates(np.random.default_rng(trained_before), 5)
         if trained_before:
-            train_updates(updates[:trained_before], streams)
-        got = train_updates(updates, streams)
+            train_updates(eng, updates[:trained_before])
+        got = train_updates(eng, updates)
         assert got.tobytes() == np.stack(deltas).tobytes()
-        assert all(u.request is None for u in updates)
+        assert all(u.snapshot is None for u in updates)
 
     def test_non_finite_aggregate_is_fatal(self):
         srv = FedAstServer([quad_task()], r0={0: 1}, b0={0: 1})

@@ -119,6 +119,39 @@ class TestConfigRoundTrip:
             d.update(stop_on_targets=False, max_rounds=None, max_sim_time=None)
             config_from_dict(d)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("task_field, field, message", [
+        (False, "max_sim_time", "max_sim_time must be a number, not"),
+        (False, "eval_interval", "eval_interval must be a number, not"),
+        (True, "eta_c", "tasks[0].eta_c must be a number, not"),
+        (False, "speed_mix", "speed_mix must be three numbers, not"),
+    ])
+    def test_non_finite_numbers_rejected(self, task_field, field, message, value):
+        d = config_to_dict(quad_config(max_sim_time=5.0))
+        target = d["tasks"][0] if task_field else d
+        target[field] = [0.5, value, 0.5] if field == "speed_mix" else value
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(d))  # writes NaN, Infinity and -Infinity
+        assert message in str(excinfo.value)
+
+    def test_task_id_must_fit_a_counter_word(self):
+        d = config_to_dict(quad_config())
+        d["tasks"][0]["task_id"] = 2**64
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(d))
+        assert "task_id must be below 2**64" in str(excinfo.value)
+        d["tasks"][0]["task_id"] = 2**64 - 1
+        assert parse_config(json.dumps(d)).tasks[0].task_id == 2**64 - 1
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, binary):
+            with pytest.raises(ConfigError, match="cannot read config file"):
+                load_config(path)
+        with pytest.raises(ConfigError, match="config file not found"):
+            load_config(tmp_path / "missing.json")
+
     def test_values_that_fit_their_field_are_kept_as_given(self):
         d = config_to_dict(quad_config(max_rounds=None, max_sim_time=50.0))
         d["tasks"][0]["eta_c"] = 1
@@ -294,6 +327,14 @@ class TestCli:
         save_config(cfg, path)
         return str(path)
 
+    def quickstart_with(self, tmp_path, task_field, field, value, name="bad.json"):
+        """The shipped quickstart config with one field set to ``value``."""
+        d = json.loads((CONFIGS / "quickstart.json").read_text())
+        (d["tasks"][0] if task_field else d)[field] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(d))
+        return str(path)
+
     def test_run_ok(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path, quad_config())
         code = cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
@@ -362,15 +403,41 @@ class TestCli:
         (False, "availability", True, "availability must be a number, not True"),
         (False, "stop_on_targets", 1, "stop_on_targets must be true or false, not 1"),
         (False, "speed_mix", [0.5, 0.5], "speed_mix must be three numbers, not [0.5, 0.5]"),
+        # JSON has no NaN or Infinity; each of these once printed "config ok":
+        # a NaN or infinite horizon without the target stop made `run` loop
+        # forever, a NaN eval_interval wrote one metrics row and a NaN eta_c
+        # crashed the run
+        (False, "max_sim_time", math.nan, "max_sim_time must be a number, not nan"),
+        (False, "max_sim_time", math.inf, "max_sim_time must be a number, not inf"),
+        (False, "eval_interval", math.nan, "eval_interval must be a number, not nan"),
+        (True, "eta_c", math.nan, "tasks[0].eta_c must be a number, not nan"),
+        (False, "speed_multipliers", [1.3, math.inf, 0.7],
+         "speed_multipliers must be three numbers, not [1.3, inf, 0.7]"),
     ])
     def test_validate_rejects_a_value_of_the_wrong_type(self, task_field, field, value,
                                                         message, tmp_path, capsys):
-        d = json.loads((CONFIGS / "quickstart.json").read_text())
-        (d["tasks"][0] if task_field else d)[field] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(d))
-        assert cli_main(["validate", "--config", str(bad)]) == 1
+        bad = self.quickstart_with(tmp_path, task_field, field, value)
+        assert cli_main(["validate", "--config", bad]) == 1
         assert message in capsys.readouterr().err
+
+    def test_task_id_past_64_bits_exits_1(self, tmp_path, capsys):
+        # 2**64 once printed "config ok" and then crashed `run` with exit 2:
+        # the id is a word of the request streams' Philox counter
+        bad = self.quickstart_with(tmp_path, True, "task_id", 2**64)
+        for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert cli_main([*command, "--config", bad]) == 1
+            err = capsys.readouterr().err
+            assert "task 18446744073709551616: task_id must be below 2**64" in err
+        top = self.quickstart_with(tmp_path, True, "task_id", 2**64 - 1, name="top.json")
+        assert cli_main(["run", "--config", top, "--out", str(tmp_path / "top")]) == 0
+
+    def test_unreadable_config_path_exits_1(self, tmp_path, capsys):
+        # a directory once crashed `validate` with exit 2 (IsADirectoryError)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, binary):
+            assert cli_main(["validate", "--config", str(path)]) == 1
+            assert "config error: cannot read config file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task_field, field, value, message", [
         # both once printed "config ok" and then crashed `run` with exit 2
@@ -379,13 +446,10 @@ class TestCli:
     ])
     def test_validate_and_run_reject_a_negative_value(self, task_field, field, value,
                                                       message, tmp_path, capsys):
-        d = json.loads((CONFIGS / "quickstart.json").read_text())
-        (d["tasks"][0] if task_field else d)[field] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(d))
-        assert cli_main(["validate", "--config", str(bad)]) == 1
+        bad = self.quickstart_with(tmp_path, task_field, field, value)
+        assert cli_main(["validate", "--config", bad]) == 1
         assert message in capsys.readouterr().err
-        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert cli_main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
     def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):

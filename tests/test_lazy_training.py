@@ -11,7 +11,7 @@ import fstsim.baselines as baselines
 import fstsim.event_engine as event_engine
 import fstsim.fedast_server as fedast_server
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.event_engine import Aggregated, Engine, EventKind, StopConditions
+from fstsim.event_engine import Aggregated, Engine, StopConditions
 from fstsim.fedast_server import server_step
 from fstsim.harness import build_policy, build_scenario, run_experiment, run_single
 from fstsim.local_trainer import local_train
@@ -113,19 +113,20 @@ def instrumented_run(name, monkeypatch):
     updates, eager, dispatch_counts = [], {}, {}
     push = engine._push
 
-    def push_training_eagerly(time, kind, payload=None):
+    def push_training_eagerly(time, handler, arg):
         # An arrival is pushed by the dispatch that created it, so the
         # task's model is still the one the request was dispatched from.
-        if kind is EventKind.UPDATE_ARRIVAL:
-            tid, cid = payload.task_id, payload.client_id
+        if handler == engine._do_arrival:
+            tid, cid = arg.task_id, arg.client_id
             dispatch_no = dispatch_counts.get((tid, cid), 0)
             dispatch_counts[(tid, cid)] = dispatch_no + 1
-            updates.append(payload)
-            eager[id(payload)] = local_train(
+            assert arg.dispatch_no == dispatch_no
+            updates.append(arg)
+            eager[id(arg)] = local_train(
                 engine.tasks[tid], np.array(engine.models[tid]), engine.shards[tid][cid],
                 (SEED, tid, cid, dispatch_no), rng.request_generator(),
             )
-        push(time, kind, payload)
+        push(time, handler, arg)
 
     trained = 0
 
@@ -165,7 +166,7 @@ def instrumented_run(name, monkeypatch):
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_consumed_deltas_equal_training_at_dispatch(name, monkeypatch):
     _, _, updates, eager, consumed, trained = instrumented_run(name, monkeypatch)
-    trained_updates = [u for u in updates if u.request is None]
+    trained_updates = [u for u in updates if u.snapshot is None]
     assert len(trained_updates) == trained > 0
     assert {id(u) for u in trained_updates} == consumed
     for update in trained_updates:
@@ -191,7 +192,7 @@ def test_updates_buffered_at_the_horizon_are_not_trained():
     log, policy = run_single(cfg, SEED)
     assert log.stop_reason == "max_sim_time"
     left = [u for tid in (0, 1) for u in policy.state(tid).buffer]
-    assert left and all(u.delta is None and u.request is not None for u in left)
+    assert left and all(u.delta is None and u.snapshot is not None for u in left)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)

@@ -7,7 +7,7 @@ import pytest
 
 import fstsim.harness as harness
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.event_engine import Aggregated, Arrived, Dispatched, Engine, EventKind, Finished
+from fstsim.event_engine import Aggregated, Arrived, Dispatched, Engine, Finished
 from fstsim.harness import run_single
 from fstsim.metrics import write_csv
 
@@ -145,8 +145,8 @@ def test_in_flight_counts_balance_at_run_end(name, seed, runs):
 
     run_single(small_config(**ALGORITHMS[name]), seed, observer=observe)
     engine, _ = runs[0]
-    queued = Counter(payload[0] for _, _, kind, payload in engine._heap
-                     if kind is EventKind.DISPATCH)
+    queued = Counter(arg[0] for _, _, handler, arg in engine._heap
+                     if handler == engine._do_dispatch)
     skipped = {tid: engine.sent[tid] - dispatched[tid] - queued[tid] for tid in (0, 1)}
     assert min(skipped.values()) >= 0
     assert sum(skipped.values()) == engine.skipped_dispatches
