@@ -141,9 +141,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be nonnegative")
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
+    _check_finite("", cfg)
 
     for t in cfg.tasks:
         where = f"task {t.task_id}"
+        _check_finite(f"{where}: ", t)
         if t.task_id < 0:
             raise ConfigError(f"{where}: task_id must be nonnegative")
         if t.task_id >= 2**64:
@@ -192,6 +194,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{where}: alpha must be positive")
             if t.n_train < t.n_classes or t.n_eval < t.n_classes:
                 raise ConfigError(f"{where}: need at least one sample per class per split")
+
+
+def _check_finite(where: str, obj) -> None:
+    """Raise ConfigError naming a float field of ``obj`` that is NaN or infinite."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{where}{f.name} must be finite, not {value!r}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

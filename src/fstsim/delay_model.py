@@ -127,14 +127,10 @@ def make_profiles(
     profiles: list[ClientProfile | None] = [None] * n_clients
     pos = 0
     for cls, count, mult in zip(classes, counts, multipliers):
-        for client_id in shuffled[pos : pos + count]:
-            betas = {tid: base * mult for tid, base in base_betas.items()}
-            profiles[int(client_id)] = ClientProfile(
-                client_id=int(client_id),
-                speed_class=cls,
-                speed_multiplier=mult,
-                beta_per_task=MappingProxyType(betas),
-            )
+        # one read-only beta mapping, shared by every client of the class
+        betas = MappingProxyType({tid: base * mult for tid, base in base_betas.items()})
+        for client_id in shuffled[pos : pos + count].tolist():
+            profiles[client_id] = ClientProfile(client_id, cls, mult, betas)
         pos += count
     return profiles  # type: ignore[return-value]
 

@@ -42,7 +42,8 @@ class Dataset:
 
 
 class ClientShard(Dataset):
-    """One client's local slice of a task's data."""
+    """One client's local slice of a task's data. The shards that the builders
+    below deal are read-only row slices of one array per task."""
 
     def __init__(self, client_id: int, features: np.ndarray, labels: np.ndarray | None = None):
         super().__init__(features, labels)
@@ -334,9 +335,10 @@ def partition_dirichlet(
     Dirichlet(alpha) and converted to counts by largest remainder, then that
     class's (shuffled) samples are dealt out contiguously. Every sample
     lands in exactly one shard. Small alpha concentrates classes on few
-    clients; large alpha approaches a uniform split. Any client left with
-    zero samples then steals one from the currently largest shard, so every
-    shard is trainable.
+    clients; large alpha approaches a uniform split. Then each client left
+    with zero samples, in increasing id order, takes one from the first
+    largest shard: the sample that shard was dealt last. So every shard is
+    trainable. A shard holds its samples in dataset order.
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -347,36 +349,37 @@ def partition_dirichlet(
     if dataset.size < n_clients:
         raise ValueError("fewer samples than clients; cannot make every shard nonempty")
 
-    assigned: list[list[int]] = [[] for _ in range(n_clients)]
+    # owner[i] is the client of sample i; dealt[i] its place in dealing order
+    owner = np.empty(dataset.size, dtype=np.int64)
+    dealt = np.empty(dataset.size, dtype=np.int64)
+    offset = 0
     for cls in np.unique(dataset.labels):
         cls_idx = np.flatnonzero(dataset.labels == cls)
         rng.shuffle(cls_idx)
         props = rng.dirichlet(np.full(n_clients, alpha))
         counts = largest_remainder(props * len(cls_idx), len(cls_idx))
-        start = 0
-        for client, cnt in enumerate(counts):
-            assigned[client].extend(cls_idx[start : start + cnt])
-            start += cnt
+        owner[cls_idx] = np.repeat(np.arange(n_clients), counts)
+        dealt[cls_idx] = np.arange(offset, offset + len(cls_idx))
+        offset += len(cls_idx)
 
-    sizes = [len(a) for a in assigned]
-    for client in range(n_clients):
-        if not sizes[client]:
-            donor = sizes.index(max(sizes))  # the first largest shard
-            assigned[client].append(assigned[donor].pop())
-            sizes[donor] -= 1
-            sizes[client] = 1
+    sizes = np.bincount(owner, minlength=n_clients)
+    # a donor always holds at least two samples, so no client empties again
+    for client in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))  # the first largest shard
+        held = np.flatnonzero(owner == donor)
+        moved = held[np.argmax(dealt[held])]
+        owner[moved], dealt[moved] = client, offset
+        offset += 1
+        sizes[donor] -= 1
+        sizes[client] = 1
 
-    shards = []
-    for client in range(n_clients):
-        idx = np.sort(np.asarray(assigned[client], dtype=np.int64))
-        shards.append(
-            ClientShard(
-                client_id=client,
-                features=dataset.features[idx],
-                labels=dataset.labels[idx],
-            )
-        )
-    return shards
+    order = np.argsort(owner, kind="stable")
+    features, labels = dataset.features[order], dataset.labels[order]
+    for array in (features, labels):
+        array.setflags(write=False)
+    ends = np.cumsum(sizes).tolist()
+    return [ClientShard(client, features[a:b], labels[a:b])
+            for client, (a, b) in enumerate(zip([0, *ends], ends))]
 
 
 def generate_blobs(
@@ -418,13 +421,11 @@ def generate_quadratic_shards(
         raise ValueError("spread parameters must be nonnegative")
     mu_vec = np.broadcast_to(np.asarray(mu, dtype=np.float64), (dim,))
     centers = mu_vec + sigma_g * rng.standard_normal((n_clients, dim))
-    shards = []
-    pool = []
-    for client in range(n_clients):
-        pts = np.repeat(centers[client][None, :], points_per_client, axis=0)
-        if local_spread > 0:
-            pts = pts + local_spread * rng.standard_normal(pts.shape)
-        shards.append(ClientShard(client_id=client, features=pts))
-        pool.append(pts)
-    return shards, Dataset(features=np.concatenate(pool, axis=0))
+    pts = np.repeat(centers[:, None, :], points_per_client, axis=1)
+    if local_spread > 0:
+        # one draw in C order: the same numbers as one draw per client in turn
+        pts += local_spread * rng.standard_normal(pts.shape)
+    pts.setflags(write=False)
+    shards = [ClientShard(client, pts[client]) for client in range(n_clients)]
+    return shards, Dataset(features=pts.reshape(-1, dim))
 

@@ -20,6 +20,7 @@ from fstsim.config import (
     parse_config,
     save_config,
     serialize_config,
+    validate_config,
 )
 from fstsim.fedast_server import FedAstServer
 from fstsim.harness import (
@@ -132,6 +133,25 @@ class TestConfigRoundTrip:
         target[field] = [0.5, value, 0.5] if field == "speed_mix" else value
         with pytest.raises(ConfigError) as excinfo:
             parse_config(json.dumps(d))  # writes NaN, Infinity and -Infinity
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("task_field, field, message", [
+        # each was accepted in a config built in Python, where no JSON
+        # parsing rejects it: every comparison with NaN is false
+        (True, "eta_c", "task 0: eta_c must be finite, not nan"),
+        (False, "max_sim_time", "max_sim_time must be finite, not nan"),
+        (True, "base_beta", "task 0: base_beta must be finite, not nan"),
+    ])
+    def test_non_finite_numbers_rejected_in_python_configs(self, task_field, field, message):
+        cfg = load_config(CONFIGS / "quickstart.json")
+        if task_field:
+            cfg = dataclasses.replace(
+                cfg, tasks=(dataclasses.replace(cfg.tasks[0], **{field: math.nan}),)
+            )
+        else:
+            cfg = dataclasses.replace(cfg, **{field: math.nan})
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(cfg)
         assert message in str(excinfo.value)
 
     def test_task_id_must_fit_a_counter_word(self):

@@ -253,6 +253,19 @@ class TestGenerators:
         centers = np.stack([s.features[0] for s in shards])
         assert centers.std() == pytest.approx(2.0, rel=0.15)
 
+    def test_built_shards_are_read_only(self):
+        # shards are row slices of one array per task, and the quadratic eval
+        # set shares memory with its shards: a write would reach other clients
+        data = generate_blobs(40, 2, 3, np.random.default_rng(2))
+        dirichlet = partition_dirichlet(data, 5, 0.5, np.random.default_rng(3))
+        quad, eval_set = generate_quadratic_shards(
+            5, 2, mu=0.0, sigma_g=1.0, rng=np.random.default_rng(4),
+            points_per_client=2, local_spread=0.5)
+        for array in (dirichlet[0].features, dirichlet[0].labels, quad[0].features,
+                      eval_set.features):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_blobs_shapes_and_labels(self):
         ds = generate_blobs(100, 4, 3, np.random.default_rng(2))
         assert ds.features.shape == (100, 4)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fstsim.config import load_config
@@ -32,7 +33,7 @@ def test_shipped_config_metrics_are_pinned(name, tmp_path):
         .hexdigest()[:16]
         for pattern in ("run_*.csv", "run_*.jsonl", "summary.json")
     )
-    assert got == SHIPPED_HASHES[name]
+    assert got == SHIPPED_HASHES[name], f"numpy {np.__version__}"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -13,6 +13,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fstsim.harness import run_single
@@ -59,7 +60,7 @@ def test_paper_workload_outputs_are_pinned(name, tmp_path):
     assert all(r.round > 0 for r in log.records[-len(cfg.tasks):])
     if name == "paper_async":
         assert policy.realloc_events
-    assert output_shas(log, tmp_path) == PINNED[name]
+    assert output_shas(log, tmp_path) == PINNED[name], f"numpy {np.__version__}"
 
 
 def test_drop_unit_outputs_are_pinned(tmp_path):
@@ -67,4 +68,4 @@ def test_drop_unit_outputs_are_pinned(tmp_path):
     assert (cfg.algorithm, cfg.drop_enforcement) == ("no_buffer", True)
     log, _ = run_single(cfg, seed=1)
     assert all(r.round > 0 and r.dropped > 0 for r in log.records[-len(cfg.tasks):])
-    assert output_shas(log, tmp_path) == DROP_UNIT_PIN
+    assert output_shas(log, tmp_path) == DROP_UNIT_PIN, f"numpy {np.__version__}"
