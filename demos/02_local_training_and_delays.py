@@ -22,7 +22,7 @@ from fstsim.delay_model import (
     speed_class_counts,
 )
 from fstsim.local_trainer import local_train
-from fstsim.objectives import ClientShard, QuadraticObjective, TaskSpec, local_stoch_grad
+from fstsim.objectives import ClientShard, QuadraticObjective, TaskSpec
 from fstsim.rng import request_generator
 
 rng = np.random.default_rng(3)
@@ -39,7 +39,8 @@ print("  tau=1 equals the stochastic gradient bit for bit:")
 task1 = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                  eta_c=0.1, eta_s=1.0, target_metric=0.9)
 d = local_train(task1, np.array([0.0]), shard, (0, 0, 0, 0), request_generator())
-g = local_stoch_grad(task1, shard, np.array([0.0]), np.random.default_rng(0))
+# the one-point shard is the minibatch, so its gradient is the stochastic one
+g = task1.objective.grad(np.array([0.0]), shard.features, shard.labels)
 print(f"    delta == grad: {np.array_equal(d, g)}")
 
 print()

@@ -44,8 +44,11 @@ class MmSyncServer:
     clients are available than the total allocation, the round's counts are
     scaled down proportionally (largest remainder, at least one each); the
     first such round logs a warning and ``rounds_scaled_down`` counts them
-    all. When a task finishes early its allocation is redistributed
-    to the remaining tasks in proportion to their original shares.
+    all. A draw of fewer available clients than live tasks is redrawn one
+    evaluation interval later, and ``rounds_waited`` counts such draws; with
+    no evaluation ticks or too small a pool, it is a SimulationError.
+    When a task finishes early its allocation is redistributed to the
+    remaining tasks in proportion to their original shares.
 
     A round ends in one ``server_step`` per live task; only the round's
     collected updates, k_eff and expected counts are kept here. A task's
@@ -64,9 +67,12 @@ class MmSyncServer:
         self.warnings: list[str] = []
         #: rounds that drew fewer available clients than the total allocation
         self.rounds_scaled_down = 0
+        #: round draws with fewer available clients than live tasks, redrawn later
+        self.rounds_waited = 0
         self._alloc0 = {t.task_id: int(allocation[t.task_id]) for t in tasks}
         self._states = {t.task_id: SyncTaskState(spec=t) for t in tasks}
-        self._barrier_scheduled = False
+        #: a round is running and its barrier is not yet scheduled
+        self._round_open = False
         self.updates_received = 0
         self.updates_discarded = 0
 
@@ -108,7 +114,6 @@ class MmSyncServer:
                 st.aggregated_total += len(st.collected)
                 st.collected = []
         engine.release_clients(engine.now)
-        self._barrier_scheduled = False
         self._begin_round(engine)
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]:
@@ -138,10 +143,14 @@ class MmSyncServer:
         budget = sum(self._alloc0.values())
         weights = [self._alloc0[tid] for tid in live]
         if len(available) < len(live):
-            raise SimulationError(
-                f"only {len(available)} clients available for {len(live)} tasks "
-                f"at t={engine.now}"
-            )
+            if engine.eval_interval is None or len(engine.profiles) < len(live):
+                raise SimulationError(
+                    f"only {len(available)} clients available for {len(live)} tasks "
+                    f"at t={engine.now}"
+                )
+            self.rounds_waited += 1
+            engine.call_at(engine.now + engine.eval_interval, self._begin_round)
+            return
         if len(available) < budget:
             if not self.rounds_scaled_down:
                 msg = (
@@ -166,11 +175,12 @@ class MmSyncServer:
             for client_id in shuffled[pos : pos + count]:
                 engine.send(tid, client_id)
             pos += count
+        self._round_open = True
 
     def _maybe_close_round(self, engine: Engine) -> None:
-        if self._barrier_scheduled:
+        if not self._round_open:
             return
         live = [st for tid, st in self._states.items() if engine.finished[tid] is None]
         if live and all(len(st.collected) >= st.k_eff for st in live):
-            self._barrier_scheduled = True
+            self._round_open = False
             engine.call_at(engine.now, self.handle_barrier)

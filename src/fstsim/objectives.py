@@ -2,12 +2,11 @@
 
 Three desk-scale objective families share one interface: a mean quadratic
 bowl, multinomial logistic regression, and a one-hidden-layer tanh network.
-All models are flat float64 parameter vectors; gradients are written by
-hand and checked against finite differences in the test suite.
-
-The global objective over a client population is the unweighted mean of
-per-client local losses, each of which is the mean over that client's
-samples.
+All models are flat float64 parameter vectors. Each family has one forward
+pass, shared by its loss, its accuracy and its hand-written gradient, for
+one model or a stack of them. The tests check the gradients against finite
+differences and the losses against a per-sample reference; that reference
+and the per-client training oracles live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -57,8 +56,13 @@ class Objective(abc.ABC):
     l2: float
 
     @abc.abstractmethod
+    def loss_accuracy(
+        self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None
+    ) -> tuple[float, float]:
+        """Mean loss and accuracy of one model (d,) over (n, f) rows: one forward pass."""
+
     def loss(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
-        ...
+        return self.loss_accuracy(x, features, labels)[0]
 
     def grad(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
         """Mean-loss gradient of one model (d,) over (n, f) rows, or of B stacked
@@ -72,10 +76,6 @@ class Objective(abc.ABC):
     @abc.abstractmethod
     def _stacked_grad(self, x, features, labels) -> np.ndarray:
         """The unregularized gradient in the stacked form of ``grad``."""
-
-    @abc.abstractmethod
-    def accuracy(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
-        ...
 
     def _l2_loss(self, x: np.ndarray) -> float:
         return 0.5 * self.l2 * float(x @ x) if self.l2 else 0.0
@@ -97,15 +97,13 @@ class QuadraticObjective(Objective):
     dim: int
     l2: float = 0.0
 
-    def loss(self, x, features, labels=None):
-        diffs = x[None, :] - features
-        return float(0.5 * np.mean(np.sum(diffs * diffs, axis=1))) + self._l2_loss(x)
+    def loss_accuracy(self, x, features, labels=None):
+        diffs = x - features
+        loss = float(0.5 * np.mean(np.sum(diffs * diffs, axis=1))) + self._l2_loss(x)
+        return loss, 1.0 / (1.0 + loss)
 
     def _stacked_grad(self, x, features, labels=None):
         return x - features.sum(axis=1) / features.shape[1]
-
-    def accuracy(self, x, features, labels=None):
-        return 1.0 / (1.0 + self.loss(x, features, labels))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,9 +112,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+def _classified(logits: np.ndarray, labels: np.ndarray, l2_loss: float) -> tuple[float, float]:
+    """Mean cross-entropy plus ``l2_loss``, and argmax accuracy (ties resolve
+    to the lowest class), of one model's (n, classes) logits."""
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    picked = _softmax(logits)[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, 1e-300)))) + l2_loss, accuracy
 
 
 @dataclass(frozen=True)
@@ -131,23 +132,19 @@ class LogisticObjective(Objective):
     def dim(self) -> int:  # type: ignore[override]
         return self.n_classes * self.n_features
 
-    def _weights(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.n_classes, self.n_features)
+    def _logits(self, x: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Logits of one model (d,) on (n, f) rows, or of a stack (B, d) on (B, n, f)."""
+        w = x.reshape(*x.shape[:-1], self.n_classes, self.n_features)
+        return features @ w.swapaxes(-1, -2)
 
-    def loss(self, x, features, labels):
-        probs = _softmax(features @ self._weights(x).T)
-        return _cross_entropy(probs, labels) + self._l2_loss(x)
+    def loss_accuracy(self, x, features, labels):
+        return _classified(self._logits(x, features), labels, self._l2_loss(x))
 
     def _stacked_grad(self, x, features, labels):
-        w = x.reshape(len(x), self.n_classes, self.n_features)
-        probs = _softmax(features @ w.transpose(0, 2, 1))
+        probs = _softmax(self._logits(x, features))
         _minus_one_at_labels(probs, labels)
-        g = probs.transpose(0, 2, 1) @ features / labels.shape[1]
+        g = probs.swapaxes(-1, -2) @ features / labels.shape[1]
         return g.reshape(len(x), -1)
-
-    def accuracy(self, x, features, labels):
-        pred = np.argmax(features @ self._weights(x).T, axis=1)
-        return float(np.mean(pred == labels))
 
 
 @dataclass(frozen=True)
@@ -171,44 +168,31 @@ class TinyMlpObjective(Objective):
     def _unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """W1, b1, W2, b2 of one model (d,) or of each of a stack (B, d)."""
         h, f, c = self.hidden_units, self.n_features, self.n_classes
-        lead = x.shape[:-1]
-        i = 0
-        w1 = x[..., i : i + h * f].reshape(*lead, h, f)
-        i += h * f
-        b1 = x[..., i : i + h]
-        i += h
-        w2 = x[..., i : i + c * h].reshape(*lead, c, h)
-        i += c * h
-        b2 = x[..., i : i + c]
-        return w1, b1, w2, b2
+        lead, i, j = x.shape[:-1], h * f, h * f + h
+        k = j + c * h
+        return (x[..., :i].reshape(*lead, h, f), x[..., i:j],
+                x[..., j:k].reshape(*lead, c, h), x[..., k:])
 
-    def _forward(self, x, features):
-        w1, b1, w2, b2 = self._unpack(x)
-        hidden = np.tanh(features @ w1.T + b1)
-        logits = hidden @ w2.T + b2
-        return hidden, logits
+    def _forward(self, params: tuple, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and logits from ``_unpack``'s params, one model or a stack."""
+        w1, b1, w2, b2 = params
+        hidden = np.tanh(features @ w1.swapaxes(-1, -2) + b1[..., None, :])
+        return hidden, hidden @ w2.swapaxes(-1, -2) + b2[..., None, :]
 
-    def loss(self, x, features, labels):
-        _, logits = self._forward(x, features)
-        return _cross_entropy(_softmax(logits), labels) + self._l2_loss(x)
+    def loss_accuracy(self, x, features, labels):
+        return _classified(self._forward(self._unpack(x), features)[1], labels, self._l2_loss(x))
 
     def _stacked_grad(self, x, features, labels):
-        w1, b1, w2, b2 = self._unpack(x)
-        b = len(x)
-        hidden = np.tanh(features @ w1.transpose(0, 2, 1) + b1[:, None])
-        dlogits = _softmax(hidden @ w2.transpose(0, 2, 1) + b2[:, None])
+        params = self._unpack(x)
+        hidden, dlogits = self._forward(params, features)
+        dlogits = _softmax(dlogits)
         _minus_one_at_labels(dlogits, labels)
         dlogits /= labels.shape[1]
-        dz1 = dlogits @ w2 * (1.0 - hidden * hidden)
-        dw1 = dz1.transpose(0, 2, 1) @ features
-        dw2 = dlogits.transpose(0, 2, 1) @ hidden
-        return np.concatenate(
-            [dw1.reshape(b, -1), dz1.sum(axis=1), dw2.reshape(b, -1), dlogits.sum(axis=1)], axis=1
-        )
-
-    def accuracy(self, x, features, labels):
-        _, logits = self._forward(x, features)
-        return float(np.mean(np.argmax(logits, axis=1) == labels))
+        dz1 = dlogits @ params[2] * (1.0 - hidden * hidden)
+        dw1 = dz1.swapaxes(-1, -2) @ features
+        dw2 = dlogits.swapaxes(-1, -2) @ hidden
+        parts = (dw1, dz1.sum(axis=1), dw2, dlogits.sum(axis=1))
+        return np.concatenate([part.reshape(len(x), -1) for part in parts], axis=1)
 
 
 @dataclass(frozen=True)
@@ -264,51 +248,6 @@ def _check_model(task: TaskSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def global_loss(task: TaskSpec, shards: list[ClientShard], x: np.ndarray) -> float:
-    """Exact arithmetic mean of per-client local losses."""
-    x = _check_model(task, x)
-    if not shards:
-        raise ValueError("global loss over an empty client list is undefined")
-    total = 0.0
-    for shard in shards:
-        if shard.size == 0:
-            raise ValueError(f"client {shard.client_id} has an empty shard")
-        total += task.objective.loss(x, shard.features, shard.labels)
-    return total / len(shards)
-
-
-def global_grad(task: TaskSpec, shards: list[ClientShard], x: np.ndarray) -> np.ndarray:
-    """Gradient of `global_loss`: mean of per-client full-batch gradients."""
-    x = _check_model(task, x)
-    if not shards:
-        raise ValueError("global gradient over an empty client list is undefined")
-    acc = np.zeros(task.dim)
-    for shard in shards:
-        acc += task.objective.grad(x, shard.features, shard.labels)
-    return acc / len(shards)
-
-
-def local_stoch_grad(
-    task: TaskSpec, shard: ClientShard, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Gradient of the client loss on a uniformly sampled minibatch.
-
-    Sampling is without replacement within the batch. When ``batch_size``
-    covers the whole shard the full shard is used and no randomness is
-    consumed, so the result is deterministic.
-    """
-    x = _check_model(task, x)
-    if shard.size == 0:
-        raise ValueError(f"client {shard.client_id} has an empty shard")
-    if task.batch_size >= shard.size:
-        feats, labs = shard.features, shard.labels
-    else:
-        idx = rng.choice(shard.size, size=task.batch_size, replace=False)
-        feats = shard.features[idx]
-        labs = shard.labels[idx] if shard.labels is not None else None
-    return task.objective.grad(x, feats, labs)
-
-
 def evaluate(task: TaskSpec, x: np.ndarray, eval_set: Dataset) -> tuple[float, float]:
     """Loss and accuracy of a model on a held-out set.
 
@@ -318,9 +257,7 @@ def evaluate(task: TaskSpec, x: np.ndarray, eval_set: Dataset) -> tuple[float, f
     x = _check_model(task, x)
     if eval_set.size == 0:
         raise ValueError("evaluation set is empty")
-    loss = task.objective.loss(x, eval_set.features, eval_set.labels)
-    acc = task.objective.accuracy(x, eval_set.features, eval_set.labels)
-    return loss, acc
+    return task.objective.loss_accuracy(x, eval_set.features, eval_set.labels)
 
 
 def partition_dirichlet(
@@ -390,12 +327,15 @@ def generate_blobs(
     center_scale: float = 3.0,
     cluster_std: float = 1.0,
 ) -> Dataset:
-    """Isotropic Gaussian class blobs with centers drawn once per class."""
+    """Isotropic Gaussian class blobs with centers drawn once per class, as
+    read-only arrays: a split's eval set is a row slice of them."""
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
     centers = rng.normal(scale=center_scale, size=(n_classes, n_features))
     labels = rng.integers(0, n_classes, size=n_samples)
     features = centers[labels] + rng.normal(scale=cluster_std, size=(n_samples, n_features))
+    for array in (features, labels):
+        array.setflags(write=False)
     return Dataset(features=features, labels=labels)
 
 

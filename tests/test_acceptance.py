@@ -32,11 +32,10 @@ from fstsim.objectives import (
     TinyMlpObjective,
     generate_blobs,
     generate_quadratic_shards,
-    global_grad,
-    local_stoch_grad,
 )
 from fstsim.realloc import apportion_largest_remainder, estimate_variances
 from fstsim.rng import TRAIN, rekey, request_generator
+from oracles import global_grad, local_stoch_grad
 
 
 def _zero_shards(n):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fstsim.baselines import MmSyncServer
+from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
 from fstsim.event_engine import Aggregated, Dispatched, Engine, SimulationError, StopConditions
+from fstsim.harness import run_single
 from fstsim.objectives import ClientShard, Dataset, QuadraticObjective, TaskSpec
 
 CONSTANT_DELAY = DelaySpec(shift_factor=1.0, scale_factor=0.0)
@@ -187,6 +189,33 @@ class TestPoolPressure:
         )
         with pytest.raises(SimulationError, match="available"):
             engine.run(policy)
+
+    def test_short_draw_waits_for_a_later_tick(self):
+        # at seed 1, the round drawn at t = 3.51 finds 1 available client for 2 tasks
+        cfg = ExperimentConfig(
+            tasks=(TaskConfig(task_id=0, r0=2), TaskConfig(task_id=1, r0=2)),
+            algorithm="mm_sync", n_clients=10, availability=0.2, k_sync=1,
+            max_sim_time=50.0, stop_on_targets=False,
+        )
+        log, policy = run_single(cfg, seed=1)
+        assert log.stop_reason == "max_sim_time" and log.sim_time == 50.0
+        assert policy.rounds_waited > 0
+
+    def test_task_finishing_before_the_first_round_schedules_no_barrier(self):
+        # task 0 reaches its target at the t = 0 tick while the first draw waits
+        tasks = [quad_task(0, target=0.0), quad_task(1)]
+        policy = MmSyncServer(tasks, allocation={0: 1, 1: 1}, k=1)
+        events = []
+        engine = Engine(
+            tasks=tasks, shards=shards_at([0, 1], 4), eval_sets=evals_at([0, 1]),
+            profiles=uniform_profiles(4, [0, 1]), seed=0, availability_p=0.1,
+            delay=CONSTANT_DELAY, stop=StopConditions(stop_on_targets=True, max_sim_time=30.0),
+            observer=events.append,
+        )
+        engine.run(policy)
+        steps = [ev for ev in events if isinstance(ev, Aggregated)]
+        assert policy.rounds_waited > 0 and engine.finished[0] == "target"
+        assert steps and all(ev.task_id == 1 and ev.n_updates == 1 for ev in steps)
 
     def test_k_clip_warns_and_aggregates_what_returned(self):
         policy = MmSyncServer([quad_task()], allocation={0: 2}, k=5)

@@ -31,6 +31,7 @@ from fstsim.harness import (
     time_gain,
 )
 from fstsim.metrics import MetricsRecord, read_csv, read_jsonl, write_csv, write_jsonl
+from test_workload_pins import load_workloads
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -240,6 +241,20 @@ class TestScenario:
         a = build_scenario(quad_config(tasks=(quad_task_config(sigma_g=1.0),)), seed=1)
         b = build_scenario(quad_config(tasks=(quad_task_config(sigma_g=1.0),)), seed=2)
         assert not np.array_equal(a.shards[0][0].features, b.shards[0][0].features)
+
+    @pytest.mark.parametrize("name", ["two_task_async", "two_task_sync", "paper_sync"])
+    def test_eval_sets_are_read_only(self, name):
+        # a classification eval set is a row slice of the task's blobs
+        if name == "paper_sync":
+            cfg = load_workloads().build(name)
+        else:
+            cfg = load_config(CONFIGS / f"{name}.json")
+        assert {t.kind for t in cfg.tasks} - {"quadratic"}
+        for eval_set in build_scenario(cfg, seed=1).eval_sets.values():
+            for array in (eval_set.features, eval_set.labels):
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0
 
     def test_policy_selection(self):
         _, pol = run_single(quad_config(max_rounds=1, stop_on_targets=False), seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fstsim.harness import build_scenario
 from fstsim.local_trainer import DivergenceError, local_train
 from fstsim.objectives import (
     ClientShard,
@@ -10,9 +11,10 @@ from fstsim.objectives import (
     QuadraticObjective,
     TaskSpec,
     TinyMlpObjective,
-    local_stoch_grad,
 )
 from fstsim.rng import TRAIN, rekey, request_generator
+from oracles import local_stoch_grad
+from test_workload_pins import load_workloads
 
 
 #: A request key for training that draws nothing: the shard is the minibatch.
@@ -200,3 +202,31 @@ def test_stacked_divergence_names_the_first_row_in_order():
         local_train(task, snapshots, shards, [NO_DRAW] * 4, request_generator())
     got = (err.value.task_id, err.value.client_id, err.value.step_index)
     assert got == (first.task_id, first.client_id, first.step_index)
+
+
+def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
+    """On paper_sync's seed-1 scenario, bit for bit: a permuted batch gives
+    the permuted rows, a subset trained first (as a replan does) gives its
+    rows, and one row at a time gives the stacked rows."""
+    scenario = build_scenario(load_workloads().build("paper_sync"), 1)
+    gen = np.random.default_rng(16)
+    streams = request_generator()
+    for task in scenario.tasks:
+        shards = scenario.shards[task.task_id]
+        for _ in range(3):
+            clients = gen.choice(len(shards), size=10, replace=False).tolist()
+            batch = [shards[c] for c in clients]
+            snapshots = gen.normal(scale=0.5, size=(len(clients), task.dim))
+            keys = [(1, task.task_id, c, int(gen.integers(4))) for c in clients]
+            stacked = local_train(task, snapshots, batch, keys, streams)
+            perm = gen.permutation(len(clients))
+            permuted = local_train(task, snapshots[perm], [batch[i] for i in perm],
+                                   [keys[i] for i in perm], streams)
+            assert permuted.tobytes() == stacked[perm].tobytes()
+            subset = np.sort(gen.choice(len(clients), size=4, replace=False))
+            first = local_train(task, snapshots[subset], [batch[i] for i in subset],
+                                [keys[i] for i in subset], streams)
+            assert first.tobytes() == stacked[subset].tobytes()
+            for i in range(len(clients)):
+                alone = local_train(task, snapshots[i], batch[i], keys[i], streams)
+                assert alone.tobytes() == stacked[i].tobytes()

@@ -17,11 +17,9 @@ from fstsim.objectives import (
     evaluate,
     generate_blobs,
     generate_quadratic_shards,
-    global_grad,
-    global_loss,
-    local_stoch_grad,
     partition_dirichlet,
 )
+from oracles import global_grad, global_loss, local_stoch_grad, reference_loss_accuracy
 
 
 def quad_task(dim=1, batch_size=1, **kw):
@@ -80,7 +78,8 @@ def finite_diff_grad(f, x, eps=1e-6):
     return g
 
 
-@pytest.mark.parametrize(
+#: One objective of each family, with and without l2.
+EACH_FAMILY = pytest.mark.parametrize(
     "objective",
     [
         QuadraticObjective(dim=4),
@@ -92,6 +91,9 @@ def finite_diff_grad(f, x, eps=1e-6):
     ],
     ids=["quad", "quad_l2", "logistic", "softmax3", "mlp", "mlp3_l2"],
 )
+
+
+@EACH_FAMILY
 def test_gradients_match_central_differences(objective, rng):
     """Analytic gradients agree with central finite differences at 20 points."""
     n = 12
@@ -181,6 +183,39 @@ class TestEvaluate:
     def test_empty_eval_set_errors(self):
         with pytest.raises(ValueError):
             evaluate(quad_task(), np.zeros(1), Dataset(np.zeros((0, 1))))
+
+
+def plain_task(objective):
+    return TaskSpec(task_id=0, objective=objective, tau=1, eta_c=0.1, eta_s=1.0, target_metric=0.9)
+
+
+@EACH_FAMILY
+def test_evaluate_matches_per_sample_reference(objective, rng):
+    """One forward pass gives the loss and accuracy of a per-sample loop."""
+    n = 30
+    if isinstance(objective, QuadraticObjective):
+        data = Dataset(rng.normal(size=(n, objective.dim)))
+    else:
+        feats = rng.normal(size=(n, objective.n_features))
+        feats[:3] = 0.0  # a logistic model's logits tie on these rows
+        data = Dataset(feats, rng.integers(0, objective.n_classes, size=n))
+    for _ in range(10):
+        x = rng.normal(size=objective.dim)
+        got = evaluate(plain_task(objective), x, data)
+        want = reference_loss_accuracy(objective, x, data.features, data.labels)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_argmax_ties_resolve_to_the_lowest_class(rng):
+    # W2 = 0 and b2 = (1, 1, 0): every row's logits tie between classes 0 and 1
+    obj = TinyMlpObjective(n_features=2, hidden_units=3, n_classes=3)
+    x = rng.normal(size=obj.dim)
+    x[-12:] = [0.0] * 9 + [1.0, 1.0, 0.0]
+    data = Dataset(rng.normal(size=(40, 2)), np.array([0, 1, 2, 1] * 10))
+    loss, acc = evaluate(plain_task(obj), x, data)
+    assert acc == 0.25
+    assert (loss, acc) == pytest.approx(
+        reference_loss_accuracy(obj, x, data.features, data.labels), rel=1e-12, abs=0)
 
 
 class TestPartitionDirichlet:
