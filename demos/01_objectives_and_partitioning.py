@@ -50,12 +50,11 @@ print("== Dirichlet partitioning: class ownership per client ==")
 data = generate_blobs(600, 2, 4, np.random.default_rng(11))
 for alpha in (100.0, 1.0, 0.1):
     shards = partition_dirichlet(data, 8, alpha, np.random.default_rng(13))
-    sizes = [s.size for s in shards]
-    print(f"  alpha = {alpha:<6} shard sizes {sizes}")
-    for s in shards[:4]:
-        hist = np.bincount(s.labels, minlength=4)
+    print(f"  alpha = {alpha:<6} shard sizes {shards.sizes.tolist()}")
+    for client in range(4):
+        hist = np.bincount(shards[client].labels, minlength=4)
         bars = " ".join(f"{c:>3}" for c in hist)
-        print(f"    client {s.client_id}: class counts [{bars}]")
+        print(f"    client {client}: class counts [{bars}]")
 print()
 print("Small alpha concentrates whole classes on a few clients, which is")
 print("what makes client updates disagree (high gradient heterogeneity).")

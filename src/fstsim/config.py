@@ -109,6 +109,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ) from None
     if cfg.n_clients < 1:
         raise ConfigError("n_clients must be at least 1")
+    if cfg.algorithm == AlgorithmKind.MM_SYNC and cfg.n_clients < len(cfg.tasks):
+        raise ConfigError(f"mm_sync needs n_clients at least the number of tasks, {len(cfg.tasks)}")
     if not 0.0 < cfg.availability <= 1.0:
         raise ConfigError("availability must lie in (0, 1]")
     if cfg.k_sync < 1:

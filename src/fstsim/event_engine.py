@@ -14,10 +14,11 @@ the duration, and schedules the arrival of an ``Update`` that names the
 request and holds the task's model by reference (the engine's models are
 read-only, so it cannot change). Servers train the updates a server step
 consumes (a full buffer or a sync barrier) with one ``train_updates``
-call, which reads each request's shard and key off the engine and trains
-them stacked, re-keying the same generator to each training stream, so
-every result is what training at dispatch would have produced; updates no
-server step or replan reads are never trained.
+call, which reads each request's client and key off the engine and trains
+them stacked on the task's ``ClientShards``, re-keying the same generator
+to each training stream, so every result is what training at dispatch
+would have produced; updates no server step or replan reads are never
+trained.
 
 A policy's decision to send new requests is itself realized as a
 same-time event, so when several updates share a timestamp all of them are
@@ -41,7 +42,7 @@ from . import rng as rng_tree
 from .delay_model import ClientProfile, DelaySpec, sample_duration
 from .local_trainer import Update, local_train
 from .metrics import MetricsRecord
-from .objectives import ClientShard, Dataset, TaskSpec, evaluate
+from .objectives import ClientShards, Dataset, TaskSpec, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +108,8 @@ def train_updates(engine: "Engine", updates: Collection[Update]) -> np.ndarray:
     pending = [u for u in updates if u.delta is None]
     if pending:
         tid = pending[0].task_id
-        deltas = local_train(engine.tasks[tid], [u.snapshot for u in pending],
-                             [engine.shards[tid][u.client_id] for u in pending],
+        deltas = local_train(engine.tasks[tid], [u.snapshot for u in pending], engine.shards[tid],
+                             [u.client_id for u in pending],
                              [(engine.seed, tid, u.client_id, u.dispatch_no) for u in pending],
                              engine.streams)
         for update, delta in zip(pending, deltas):
@@ -181,12 +182,13 @@ class Engine:
     the requests sent and neither skipped nor arrived yet. A request cancelled
     by ``release_clients`` stays counted until its arrival leaves the heap.
     ``observer``, off by default, is called with every ``Event`` of the run,
-    in order; ``policy`` is the one ``run`` drives."""
+    in order; ``policy`` is the one ``run`` drives. ``shards`` holds each
+    task's client data as one ``ClientShards``, one client per profile."""
 
     def __init__(
         self,
         tasks: Iterable[TaskSpec],
-        shards: dict[int, list[ClientShard]],
+        shards: dict[int, ClientShards],
         eval_sets: dict[int, Dataset],
         profiles: list[ClientProfile],
         seed: int,

@@ -24,7 +24,7 @@ from .event_engine import Engine, Observer, RunLog, ServerPolicy, StopConditions
 from .fedast_server import FedAstServer, lr_bound_warnings
 from .metrics import MetricsRecord, write_csv, write_jsonl
 from .objectives import (
-    ClientShard,
+    ClientShards,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -43,7 +43,7 @@ class Scenario:
     """Everything concrete a single run needs, derived from (config, seed)."""
 
     tasks: list[TaskSpec]
-    shards: dict[int, list[ClientShard]]
+    shards: dict[int, ClientShards]
     eval_sets: dict[int, Dataset]
     profiles: list[ClientProfile]
     delay: DelaySpec
@@ -57,7 +57,7 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
     """
     validate_config(cfg)
     tasks: list[TaskSpec] = []
-    shards: dict[int, list[ClientShard]] = {}
+    shards: dict[int, ClientShards] = {}
     eval_sets: dict[int, Dataset] = {}
     for tc in cfg.tasks:
         rng = rng_tree.data_rng(seed, tc.task_id)

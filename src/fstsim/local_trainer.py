@@ -7,8 +7,10 @@ gradients keeps the identity with the single gradient at tau = 1 exact in
 floating point as well.
 
 Requests of one task train stacked, one gradient call per local step for
-all with the same minibatch size; each row is bit for bit what training
-that request alone gives. An ``Update`` names its request by task, client
+all of them: rows copied from the task's shard arrays, each minibatch
+zero-padded to the largest, one-sample minibatches in a stack of their
+own. Each row is bit for bit what training that request alone gives. An
+``Update`` names its request by task, client
 and dispatch number; with the run seed that is the request's key. A request
 that draws minibatches re-keys the run's one request generator to the
 key's training stream (``rng.rekey``) and draws all tau of them before the
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import ClientShard, TaskSpec
+from .objectives import ClientShard, ClientShards, TaskSpec
 from .rng import TRAIN, RequestKey, rekey
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
@@ -71,82 +73,97 @@ class Update:
 def local_train(
     task: TaskSpec,
     snapshots: Sequence[np.ndarray],
-    shards: Sequence[ClientShard],
+    shards: ClientShards,
+    clients: Sequence[int],
     keys: Sequence[RequestKey],
-    streams: np.random.Generator,
+    streams: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Run tau local SGD steps per request; return each one's mean gradient, (B, d).
 
-    Request i trains from ``snapshots[i]`` (never mutated) on ``shards[i]``,
-    drawing each step's minibatch from its training stream: ``streams``
-    re-keyed (``rng.rekey``) to ``keys[i]``. A shard that is the minibatch
-    draws nothing. One model, shard and key is the batch of one and gives
-    (d,). If an iterate goes non-finite or beyond DIVERGENCE_LIMIT, raises
-    DivergenceError for the first such request and its step, as training
-    one request at a time in order would.
+    Request i trains from ``snapshots[i]`` (never mutated) on client
+    ``clients[i]``'s rows of ``shards``, drawing each step's minibatch from
+    its training stream: ``streams`` re-keyed (``rng.rekey``) to ``keys[i]``.
+    A shard that is the minibatch draws nothing. The one-model form
+    ``local_train(task, x, shard, key, streams)``, on a ClientShard, is the
+    batch of one and gives (d,). If an iterate goes non-finite or beyond
+    DIVERGENCE_LIMIT, raises DivergenceError for the first such request and
+    its step, as training one request at a time in order would.
     """
     if isinstance(shards, ClientShard):
-        return local_train(task, [snapshots], [shards], [keys], streams)[0]
-    groups: dict[int, list[int]] = {}
-    for i, shard in enumerate(shards):
-        if shard.size == 0:
-            raise ValueError(f"client {shard.client_id} has an empty shard")
-        groups.setdefault(min(task.batch_size, shard.size), []).append(i)
-    results = [_train_rows(task, n, rows, snapshots, shards, keys, streams)
-               for n, rows in groups.items()]
+        return local_train(task, [snapshots], ClientShards.from_list([shards]),
+                           [shards.client_id], [clients], keys)[0]
+    # One-sample minibatches stack apart: numpy computes a one-row matrix
+    # product as a vector product, which rounds unlike a padded stack.
+    spans, groups = [], ([], [])  # (first row, shard size, minibatch size) per request
+    for i, c in enumerate(clients):
+        a, b = int(shards.starts[c]), int(shards.starts[c + 1])
+        if a == b:
+            raise ValueError(f"client {c} has an empty shard")
+        spans.append((a, b - a, min(task.batch_size, b - a)))
+        groups[spans[-1][2] > 1].append(i)
+    groups = [rows for rows in groups if rows]
+    results = [_train_rows(task, rows, spans, snapshots, shards, keys, streams)
+               for rows in groups]
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         row, step = min(failures)
-        raise DivergenceError(task.task_id, shards[row].client_id, step)
+        raise DivergenceError(task.task_id, clients[row], step)
     if len(results) == 1:
         return results[0][0]
-    # Assembled last, so it never sits beside a group's temporaries.
-    out = np.empty((len(shards), task.dim))
-    for rows, (deltas, _) in zip(groups.values(), results):
+    # Assembled last, so it never sits beside a stack's temporaries.
+    out = np.empty((len(spans), task.dim))
+    for rows, (deltas, _) in zip(groups, results):
         out[rows] = deltas
     return out
 
 
-def _train_rows(
-    task, n, rows, snapshots, shards, keys, streams
-) -> tuple[np.ndarray, tuple | None]:
-    """Train ``rows``, all of minibatch size ``n``, stacked: their deltas, and
-    None or (row, step) of the first of them to diverge."""
+def _train_rows(task, rows, spans, snapshots, shards, keys,
+                streams) -> tuple[np.ndarray, tuple | None]:
+    """Train ``rows`` stacked, each minibatch zero-padded to the largest: their
+    deltas, and None or (row, step) of the first of them to diverge."""
     x = np.array([snapshots[i] for i in rows], dtype=np.float64)
     if x.shape[1:] != (task.dim,):
         raise ValueError(f"task {task.task_id} expects models of shape ({task.dim},)")
-    grad_sum = np.zeros_like(x)
-    # A whole shard is every step's minibatch; a drawn row is refilled each step
-    # from the tau minibatches its stream gives, drawn up front in step order.
-    features = np.array([shards[i].features[:n] for i in rows])
-    labels = shards[rows[0]].labels
-    labels = None if labels is None else np.array([shards[i].labels[:n] for i in rows])
+    grad_sum = np.zeros(x.shape)
+    counts = [spans[i][2] for i in rows]
+    features = np.zeros((len(rows), max(counts), shards.features.shape[1]))
+    labels = None if shards.labels is None else np.zeros(features.shape[:2], dtype=np.int64)
+    counts = np.array(counts)
+    # A whole shard is every step's minibatch; a drawn row, always as wide as
+    # the stack, is refilled each step from the tau minibatches its stream
+    # gives, drawn up front in step order.
     draws = []
     for j, i in enumerate(rows):
-        if shards[i].size > n:
+        a, size, n = spans[i]
+        if size > n:
             rng = rekey(streams, keys[i], TRAIN)
-            picks = [rng.choice(shards[i].size, size=n, replace=False) for _ in range(task.tau)]
-            draws.append((j, picks, shards[i]))
+            draws.append((j, [a + rng.choice(size, size=n, replace=False)
+                              for _ in range(task.tau)]))
+        else:
+            features[j, :n] = shards.features[a:a + n]
+            if labels is not None:
+                labels[j, :n] = shards.labels[a:a + n]
     failure = None
     for step in range(1, task.tau + 1):
-        for j, picks, shard in draws:
+        for j, picks in draws:
             pick = picks[step - 1]
-            features[j] = shard.features[pick]
+            features[j] = shards.features[pick]
             if labels is not None:
-                labels[j] = shard.labels[pick]
-        g = task.objective.grad(x, features, labels)
+                labels[j] = shards.labels[pick]
+        g = task.objective.grad(x, features, labels, counts)
         grad_sum += g
         g *= task.eta_c
         x -= g
         del g
         # NaN propagates through max, so non-finite rows count as bad too.
-        bad = ~(np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT)
-        if bad.any():
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:
             # Only the rows before the first diverged one still matter.
-            keep = int(bad.argmax())
+            keep = int((np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT).argmin())
             failure = (rows[keep], step)
-            x, grad_sum, features = x[:keep], grad_sum[:keep], features[:keep]
-            labels = None if labels is None else labels[:keep]
+            if not keep:
+                break
+            x, grad_sum, counts = x[:keep], grad_sum[:keep], counts[:keep]
+            features, labels = features[:keep], None if labels is None else labels[:keep]
             draws = [d for d in draws if d[0] < keep]
     grad_sum /= task.tau
     return grad_sum, failure

@@ -4,7 +4,9 @@ Three desk-scale objective families share one interface: a mean quadratic
 bowl, multinomial logistic regression, and a one-hidden-layer tanh network.
 All models are flat float64 parameter vectors. Each family has one forward
 pass, shared by its loss, its accuracy and its hand-written gradient, for
-one model or a stack of them. The tests check the gradients against finite
+one model or a stack of them, whose rows may pad their samples with zeros
+to a common count. A task's client data is one ``ClientShards``: a few
+arrays, however many clients. The tests check the gradients against finite
 differences and the losses against a per-sample reference; that reference
 and the per-client training oracles live in ``tests/oracles.py``.
 """
@@ -41,12 +43,48 @@ class Dataset:
 
 
 class ClientShard(Dataset):
-    """One client's local slice of a task's data. The shards that the builders
-    below deal are read-only row slices of one array per task."""
+    """One client's local slice of a task's data."""
 
     def __init__(self, client_id: int, features: np.ndarray, labels: np.ndarray | None = None):
         super().__init__(features, labels)
         self.client_id = client_id
+
+
+class ClientShards(Dataset):
+    """A task's client data as read-only arrays: client c holds rows
+    ``starts[c]:starts[c + 1]`` of ``features`` and ``labels``. ``[c]`` is that
+    client's ClientShard, a view built on demand; iteration yields them in
+    client order. ``sizes`` holds each client's number of rows."""
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray | None, starts: np.ndarray):
+        super().__init__(features, labels)
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.sizes = np.diff(self.starts)
+        if self.starts[0] != 0 or self.starts[-1] != self.size or np.any(self.sizes < 0):
+            raise ValueError("starts must rise from 0 to the number of samples")
+        for array in (self.features, self.labels, self.starts, self.sizes):
+            if array is not None:
+                array.setflags(write=False)
+
+    @classmethod
+    def from_list(cls, shards: list[ClientShard]) -> "ClientShards":
+        """Client c holds a copy of the rows of the shard with ``client_id`` c
+        (ids distinct and nonnegative); a client id no shard has holds none."""
+        shards = sorted(shards, key=lambda s: s.client_id)
+        sizes = np.zeros(shards[-1].client_id + 1, dtype=np.int64)
+        sizes[[s.client_id for s in shards]] = [s.size for s in shards]
+        labels = None if shards[0].labels is None else np.concatenate([s.labels for s in shards])
+        return cls(np.concatenate([s.features for s in shards]), labels,
+                   np.concatenate([[0], np.cumsum(sizes)]))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, client: int) -> ClientShard:
+        client = range(len(self))[client]  # IndexError past either end
+        a, b = self.starts[client], self.starts[client + 1]
+        return ClientShard(client, self.features[a:b],
+                           None if self.labels is None else self.labels[a:b])
 
 
 class Objective(abc.ABC):
@@ -64,17 +102,21 @@ class Objective(abc.ABC):
     def loss(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
         return self.loss_accuracy(x, features, labels)[0]
 
-    def grad(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> np.ndarray:
+    def grad(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None,
+             counts: np.ndarray | None = None) -> np.ndarray:
         """Mean-loss gradient of one model (d,) over (n, f) rows, or of B stacked
-        models (B, d), row i over its own rows of (B, n, f) features and (B, n)
-        labels. The one-model form is the batch of one."""
+        models (B, d), row i over the first ``counts[i]`` (all n if None) of
+        its own rows of (B, n, f) features and (B, n) labels. Rows past a
+        count are padding and must be zero. The one-model form is the batch
+        of one."""
         if x.ndim == 1:
             return self.grad(x[None], features[None], None if labels is None else labels[None])[0]
-        g = self._stacked_grad(x, features, labels)
+        counts = np.full(len(x), features.shape[1]) if counts is None else counts
+        g = self._stacked_grad(x, features, labels, counts)
         return g + self.l2 * x if self.l2 else g
 
     @abc.abstractmethod
-    def _stacked_grad(self, x, features, labels) -> np.ndarray:
+    def _stacked_grad(self, x, features, labels, counts) -> np.ndarray:
         """The unregularized gradient in the stacked form of ``grad``."""
 
     def _l2_loss(self, x: np.ndarray) -> float:
@@ -102,8 +144,8 @@ class QuadraticObjective(Objective):
         loss = float(0.5 * np.mean(np.sum(diffs * diffs, axis=1))) + self._l2_loss(x)
         return loss, 1.0 / (1.0 + loss)
 
-    def _stacked_grad(self, x, features, labels=None):
-        return x - features.sum(axis=1) / features.shape[1]
+    def _stacked_grad(self, x, features, labels, counts):
+        return x - features.sum(axis=1) / counts[:, None]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -140,10 +182,10 @@ class LogisticObjective(Objective):
     def loss_accuracy(self, x, features, labels):
         return _classified(self._logits(x, features), labels, self._l2_loss(x))
 
-    def _stacked_grad(self, x, features, labels):
+    def _stacked_grad(self, x, features, labels, counts):
         probs = _softmax(self._logits(x, features))
         _minus_one_at_labels(probs, labels)
-        g = probs.swapaxes(-1, -2) @ features / labels.shape[1]
+        g = probs.swapaxes(-1, -2) @ features / counts[:, None, None]
         return g.reshape(len(x), -1)
 
 
@@ -182,12 +224,14 @@ class TinyMlpObjective(Objective):
     def loss_accuracy(self, x, features, labels):
         return _classified(self._forward(self._unpack(x), features)[1], labels, self._l2_loss(x))
 
-    def _stacked_grad(self, x, features, labels):
+    def _stacked_grad(self, x, features, labels, counts):
         params = self._unpack(x)
         hidden, dlogits = self._forward(params, features)
         dlogits = _softmax(dlogits)
         _minus_one_at_labels(dlogits, labels)
-        dlogits /= labels.shape[1]
+        dlogits /= counts[:, None, None]
+        # padded rows have nonzero hidden units, so their terms are cut here
+        dlogits[np.arange(labels.shape[1]) >= counts[:, None]] = 0.0
         dz1 = dlogits @ params[2] * (1.0 - hidden * hidden)
         dw1 = dz1.swapaxes(-1, -2) @ features
         dw2 = dlogits.swapaxes(-1, -2) @ hidden
@@ -265,7 +309,7 @@ def partition_dirichlet(
     n_clients: int,
     alpha: float,
     rng: np.random.Generator,
-) -> list[ClientShard]:
+) -> ClientShards:
     """Split a labelled dataset across clients with Dirichlet(alpha) skew.
 
     For each class, client proportions are drawn from a symmetric
@@ -311,12 +355,8 @@ def partition_dirichlet(
         sizes[client] = 1
 
     order = np.argsort(owner, kind="stable")
-    features, labels = dataset.features[order], dataset.labels[order]
-    for array in (features, labels):
-        array.setflags(write=False)
-    ends = np.cumsum(sizes).tolist()
-    return [ClientShard(client, features[a:b], labels[a:b])
-            for client, (a, b) in enumerate(zip([0, *ends], ends))]
+    return ClientShards(dataset.features[order], dataset.labels[order],
+                        np.concatenate([[0], np.cumsum(sizes)]))
 
 
 def generate_blobs(
@@ -347,7 +387,7 @@ def generate_quadratic_shards(
     rng: np.random.Generator,
     points_per_client: int = 1,
     local_spread: float = 0.0,
-) -> tuple[list[ClientShard], Dataset]:
+) -> tuple[ClientShards, Dataset]:
     """Per-client quadratic targets a_i = mu + sigma_g * z_i, z_i standard normal.
 
     Heterogeneity enters through sigma_g directly, so no label partitioning
@@ -365,7 +405,7 @@ def generate_quadratic_shards(
     if local_spread > 0:
         # one draw in C order: the same numbers as one draw per client in turn
         pts += local_spread * rng.standard_normal(pts.shape)
-    pts.setflags(write=False)
-    shards = [ClientShard(client, pts[client]) for client in range(n_clients)]
-    return shards, Dataset(features=pts.reshape(-1, dim))
+    shards = ClientShards(pts.reshape(-1, dim), None,
+                          np.arange(0, n_clients * points_per_client + 1, points_per_client))
+    return shards, Dataset(features=shards.features)
 

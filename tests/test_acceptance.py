@@ -25,6 +25,7 @@ from fstsim.harness import build_scenario, compare, run_experiment, run_single
 from fstsim.local_trainer import local_train
 from fstsim.objectives import (
     ClientShard,
+    ClientShards,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -39,7 +40,7 @@ from oracles import global_grad, local_stoch_grad
 
 
 def _zero_shards(n):
-    return {0: [ClientShard(i, np.zeros((1, 1))) for i in range(n)]}
+    return {0: ClientShards.from_list([ClientShard(i, np.zeros((1, 1))) for i in range(n)])}
 
 
 def _uniform_profiles(n, beta=1.0):

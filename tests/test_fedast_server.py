@@ -13,7 +13,7 @@ from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds, ser
 from fstsim.harness import build_policy, build_scenario
 from fstsim.local_trainer import Update, local_train
 from fstsim.objectives import (
-    ClientShard, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
+    ClientShard, ClientShards, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
 )
 from fstsim.rng import request_generator
 
@@ -74,7 +74,7 @@ def untrained_updates(gen, b):
         snapshot = snapshots[i % 2]
         updates.append(Update(0, i, dispatch_round=0, dispatch_no=i, snapshot=snapshot))
         deltas.append(local_train(task, snapshot, shards[i], (5, 0, i, i), request_generator()))
-    return FakeEngine([task], {0: shards}, seed=5), task, updates, deltas
+    return FakeEngine([task], {0: ClientShards.from_list(shards)}, seed=5), task, updates, deltas
 
 
 class TestAggregation:
@@ -421,7 +421,7 @@ class TestPolicyContract:
         task = quad_task(tau=1, eta_c=0.05)
         n = 6
         profiles = [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: 1.0}) for i in range(n)]
-        shards = {0: [ClientShard(i, np.array([[5.0]])) for i in range(n)]}
+        shards = {0: ClientShards.from_list([ClientShard(i, np.array([[5.0]])) for i in range(n)])}
         evals = {0: Dataset(np.array([[5.0]]))}
         srv = FedAstServer([task], r0={0: 3}, b0={0: 2})
         events = []

@@ -31,6 +31,7 @@ from fstsim.harness import (
     time_gain,
 )
 from fstsim.metrics import MetricsRecord, read_csv, read_jsonl, write_csv, write_jsonl
+from fstsim.objectives import ClientShard
 from test_workload_pins import load_workloads
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -256,6 +257,20 @@ class TestScenario:
                     with pytest.raises(ValueError, match="read-only"):
                         array[0] = 0
 
+    def test_building_constructs_no_client_shard(self, monkeypatch):
+        # a task's client data is a few arrays, whatever the number of clients
+        built = []
+        init = ClientShard.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClientShard, "__init__", counted)
+        scenario = build_scenario(load_workloads().build("paper_sync"), seed=1)
+        assert built == []
+        assert scenario.shards[1][0].client_id == 0 and len(built) == 1
+
     def test_policy_selection(self):
         _, pol = run_single(quad_config(max_rounds=1, stop_on_targets=False), seed=0)
         assert isinstance(pol, FedAstServer) and pol.option == "S"
@@ -389,14 +404,22 @@ class TestCli:
         assert cli_main(["validate", "--config", missing]) == 1
 
     def test_runtime_error_exits_2(self, tmp_path, capsys):
-        # two sync tasks but a single client: the round cannot be formed
-        cfg = quad_config(algorithm="mm_sync", k_sync=1, n_clients=1,
-                          tasks=(quad_task_config(0, r0=1, b0=1),
-                                 quad_task_config(1, r0=1, b0=1)))
+        # a client step size far beyond 2/L: local training diverges
+        cfg = quad_config(tasks=(quad_task_config(eta_c=1e6),))
         cfg_path = self.write_cfg(tmp_path, cfg)
         code = cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_sync_config_with_fewer_clients_than_tasks_exits_1(self, tmp_path, capsys):
+        # a sync round could not give each task a client of its own
+        cfg = ExperimentConfig(tasks=(TaskConfig(task_id=0), TaskConfig(task_id=1)),
+                               algorithm="mm_sync", n_clients=1, max_sim_time=10.0,
+                               stop_on_targets=False)
+        cfg_path = self.write_cfg(tmp_path, cfg)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert cli_main([*argv, "--config", cfg_path]) == 1
+            assert "n_clients" in capsys.readouterr().err
 
     def test_strict_target_exits_3(self, tmp_path, capsys):
         cfg = quad_config(tasks=(quad_task_config(target_metric=1e-12),), max_rounds=3)

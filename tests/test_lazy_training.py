@@ -130,10 +130,10 @@ def instrumented_run(name, monkeypatch):
 
     trained = 0
 
-    def counted_local_train(task, snapshots, shards, keys, streams):
+    def counted_local_train(task, snapshots, shards, clients, keys, streams):
         nonlocal trained
-        trained += len(shards)
-        return local_train(task, snapshots, shards, keys, streams)
+        trained += len(clients)
+        return local_train(task, snapshots, shards, clients, keys, streams)
 
     aggregated, n_updates, planner_reads = [], [], []
 

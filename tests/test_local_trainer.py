@@ -7,6 +7,7 @@ from fstsim.harness import build_scenario
 from fstsim.local_trainer import DivergenceError, local_train
 from fstsim.objectives import (
     ClientShard,
+    ClientShards,
     LogisticObjective,
     QuadraticObjective,
     TaskSpec,
@@ -152,27 +153,42 @@ STACKED_FAMILIES = {
 #: Shard sizes against batch_size 4: drawn minibatches (7, 12, 9), whole
 #: shards smaller than the batch (2, 1, 3) and exactly the batch (4).
 SHARD_SIZES = (7, 2, 4, 1, 12, 3, 4, 9, 1)
+#: Against batch_size 8: minibatches of 2, 5 and 8 (drawn from 13 and 20)
+#: share one padded stack, beside the one-sample rows.
+MIXED_SHARD_SIZES = (13, 1, 5, 2, 8, 20, 1, 5, 13)
 
 
 @pytest.mark.parametrize("family", STACKED_FAMILIES)
 @pytest.mark.parametrize("l2", [0.0, 0.05])
 @pytest.mark.parametrize("b", [1, 2, 9])
 def test_stacked_rows_equal_one_at_a_time_training(family, l2, b):
+    check_stacked_rows_train_alone(family, l2, b, 4, SHARD_SIZES)
+
+
+@pytest.mark.parametrize("family", STACKED_FAMILIES)
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("b", [1, 2, 9])
+def test_padded_stack_of_mixed_minibatch_sizes_equals_rows_alone(family, l2, b):
+    check_stacked_rows_train_alone(family, l2, b, 8, MIXED_SHARD_SIZES)
+
+
+def check_stacked_rows_train_alone(family, l2, b, batch_size, sizes):
     gen = np.random.default_rng([b, int(l2 * 100), len(family)])
     obj = STACKED_FAMILIES[family](l2)
     task = TaskSpec(task_id=2, objective=obj, tau=3, eta_c=0.1, eta_s=1.0,
-                    target_metric=0.9, batch_size=4)
+                    target_metric=0.9, batch_size=batch_size)
     shards = [
         ClientShard(100 + i, gen.normal(size=(size, 3)),
                     None if family == "quadratic" else gen.integers(0, 3, size=size))
-        for i, size in enumerate(SHARD_SIZES[:b])
+        for i, size in enumerate(sizes[:b])
     ]
     # Rows from two snapshots, as when a buffer holds stale updates.
     snapshots = [gen.normal(size=obj.dim), gen.normal(size=obj.dim)]
     rows = [snapshots[1] if i % 3 == 1 else snapshots[0] for i in range(b)]
     keys = [(5, 2, 100 + i, i) for i in range(b)]
     before = [x.copy() for x in snapshots]
-    stacked = local_train(task, rows, shards, keys, request_generator())
+    stacked = local_train(task, rows, ClientShards.from_list(shards),
+                          [s.client_id for s in shards], keys, request_generator())
     assert stacked.shape == (b, obj.dim)
     for i in range(b):
         alone = local_train(task, rows[i], shards[i], keys[i], request_generator())
@@ -199,7 +215,8 @@ def test_stacked_divergence_names_the_first_row_in_order():
     assert err.value.step_index < first.step_index
 
     with pytest.raises(DivergenceError) as err:
-        local_train(task, snapshots, shards, [NO_DRAW] * 4, request_generator())
+        local_train(task, snapshots, ClientShards.from_list(shards),
+                    [s.client_id for s in shards], [NO_DRAW] * 4, request_generator())
     got = (err.value.task_id, err.value.client_id, err.value.step_index)
     assert got == (first.task_id, first.client_id, first.step_index)
 
@@ -207,26 +224,35 @@ def test_stacked_divergence_names_the_first_row_in_order():
 def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
     """On paper_sync's seed-1 scenario, bit for bit: a permuted batch gives
     the permuted rows, a subset trained first (as a replan does) gives its
-    rows, and one row at a time gives the stacked rows."""
+    rows, and one row at a time gives the stacked rows. After three random
+    batches per task comes one that mixes every minibatch size."""
     scenario = build_scenario(load_workloads().build("paper_sync"), 1)
     gen = np.random.default_rng(16)
     streams = request_generator()
     for task in scenario.tasks:
         shards = scenario.shards[task.task_id]
-        for _ in range(3):
-            clients = gen.choice(len(shards), size=10, replace=False).tolist()
-            batch = [shards[c] for c in clients]
+        for batch in range(4):
+            if batch < 3:
+                clients = gen.choice(len(shards), size=10, replace=False).tolist()
+            else:
+                minibatch = np.minimum(shards.sizes, task.batch_size)
+                sizes = np.unique(minibatch)
+                clients = gen.permutation(np.concatenate([
+                    gen.choice(np.flatnonzero(minibatch == n), size=-(-10 // len(sizes)),
+                               replace=False)
+                    for n in sizes
+                ])).tolist()
             snapshots = gen.normal(scale=0.5, size=(len(clients), task.dim))
             keys = [(1, task.task_id, c, int(gen.integers(4))) for c in clients]
-            stacked = local_train(task, snapshots, batch, keys, streams)
+            stacked = local_train(task, snapshots, shards, clients, keys, streams)
             perm = gen.permutation(len(clients))
-            permuted = local_train(task, snapshots[perm], [batch[i] for i in perm],
+            permuted = local_train(task, snapshots[perm], shards, [clients[i] for i in perm],
                                    [keys[i] for i in perm], streams)
             assert permuted.tobytes() == stacked[perm].tobytes()
             subset = np.sort(gen.choice(len(clients), size=4, replace=False))
-            first = local_train(task, snapshots[subset], [batch[i] for i in subset],
+            first = local_train(task, snapshots[subset], shards, [clients[i] for i in subset],
                                 [keys[i] for i in subset], streams)
             assert first.tobytes() == stacked[subset].tobytes()
-            for i in range(len(clients)):
-                alone = local_train(task, snapshots[i], batch[i], keys[i], streams)
+            for i, c in enumerate(clients):
+                alone = local_train(task, snapshots[i], shards[c], keys[i], streams)
                 assert alone.tobytes() == stacked[i].tobytes()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fstsim.objectives import (
     ClientShard,
+    ClientShards,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -108,6 +109,27 @@ def test_gradients_match_central_differences(objective, rng):
         numeric = finite_diff_grad(lambda v: objective.loss(v, feats, labels), x)
         scale = max(np.linalg.norm(analytic), 1e-8)
         assert np.linalg.norm(analytic - numeric) / scale < 1e-5
+
+
+@EACH_FAMILY
+def test_padded_stack_gradient_equals_each_row_unpadded(objective, rng):
+    """Row i of grad(x, padded, labels, counts) is, bit for bit, the gradient
+    over row i's first counts[i] samples alone. Padding is zero features
+    with any labels. One-sample rows stack on their own, as a trainer stacks
+    them: a padded one-row product would round unlike the unpadded one."""
+    quadratic = isinstance(objective, QuadraticObjective)
+    n_features = objective.dim if quadratic else objective.n_features
+    for counts in ([2, 5, 8, 3, 2], [1, 1, 1]):
+        features = np.zeros((len(counts), max(counts), n_features))
+        for i, n in enumerate(counts):
+            features[i, :n] = rng.normal(size=(n, n_features))
+        labels = None if quadratic else rng.integers(0, objective.n_classes,
+                                                     size=features.shape[:2])
+        x = rng.normal(size=(len(counts), objective.dim))
+        stacked = objective.grad(x, features, labels, np.array(counts))
+        for i, n in enumerate(counts):
+            alone = objective.grad(x[i], features[i, :n], None if quadratic else labels[i, :n])
+            assert stacked[i].tobytes() == alone.tobytes()
 
 
 class TestMinibatch:
@@ -297,9 +319,37 @@ class TestGenerators:
             5, 2, mu=0.0, sigma_g=1.0, rng=np.random.default_rng(4),
             points_per_client=2, local_spread=0.5)
         for array in (dirichlet[0].features, dirichlet[0].labels, quad[0].features,
-                      eval_set.features):
+                      eval_set.features, dirichlet.features, dirichlet.labels, dirichlet.starts,
+                      quad.features, quad.starts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_client_views_share_the_task_arrays(self):
+        data = generate_blobs(60, 2, 3, np.random.default_rng(2))
+        dirichlet = partition_dirichlet(data, 7, 0.2, np.random.default_rng(3))
+        quad, _ = generate_quadratic_shards(
+            6, 2, mu=0.0, sigma_g=1.0, rng=np.random.default_rng(4), points_per_client=3)
+        for shards, n_clients, n_samples in ((dirichlet, 7, 60), (quad, 6, 18)):
+            assert len(shards) == n_clients
+            assert shards.sizes.sum() == shards.size == n_samples
+            assert [s.client_id for s in shards] == list(range(n_clients))
+            for c in range(n_clients):
+                view = shards[c]
+                assert view.client_id == c and view.size == shards.sizes[c]
+                assert np.shares_memory(view.features, shards.features)
+                if shards.labels is not None:
+                    assert np.shares_memory(view.labels, shards.labels)
+            with pytest.raises(IndexError):
+                shards[n_clients]
+
+    def test_from_list_places_each_shard_at_its_client_id(self):
+        a = ClientShard(3, np.ones((2, 1)))
+        b = ClientShard(1, np.zeros((1, 1)))
+        shards = ClientShards.from_list([a, b])
+        assert shards.sizes.tolist() == [0, 1, 0, 2]
+        assert shards[3].features.tolist() == [[1.0], [1.0]]
+        with pytest.raises(ValueError):
+            ClientShards.from_list([a, ClientShard(3, np.ones((1, 1)))])
 
     def test_blobs_shapes_and_labels(self):
         ds = generate_blobs(100, 4, 3, np.random.default_rng(2))
