@@ -26,7 +26,9 @@ def finite_diff(obj, x, feats, labels, eps=1e-6):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = eps
-        g[i] = (obj.loss(x + e, feats, labels) - obj.loss(x - e, feats, labels)) / (2 * eps)
+        up = obj.loss_accuracy(x + e, feats, labels)[0]
+        down = obj.loss_accuracy(x - e, feats, labels)[0]
+        g[i] = (up - down) / (2 * eps)
     return g
 
 
@@ -40,7 +42,8 @@ cases = [
 ]
 for name, obj, feats, labels in cases:
     x = rng.normal(size=obj.dim) * 0.3
-    analytic = obj.grad(x, feats, labels)
+    # grad takes a stack of models; one model is the batch of one
+    analytic = obj.grad(x[None], feats[None], None if labels is None else labels[None])[0]
     numeric = finite_diff(obj, x, feats, labels)
     err = np.max(np.abs(analytic - numeric))
     print(f"  {name:<9} dim={obj.dim:>3}  max |analytic - numeric| = {err:.2e}")

@@ -9,6 +9,7 @@ Run:  python3 demos/02_local_training_and_delays.py
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -19,28 +20,30 @@ from fstsim.delay_model import (
     duration_quantile,
     make_profiles,
     sample_duration,
-    speed_class_counts,
 )
 from fstsim.local_trainer import local_train
-from fstsim.objectives import ClientShard, QuadraticObjective, TaskSpec
+from fstsim.objectives import ClientShards, QuadraticObjective, TaskSpec
 from fstsim.rng import request_generator
 
 rng = np.random.default_rng(3)
 
 print("== local training: what one request computes ==")
-shard = ClientShard(0, np.array([[5.0]]))
+# one client (client 0) holding the single point 5.0
+shards = ClientShards(np.array([[5.0]]), None, [0, 1])
 for tau in (1, 2, 4):
     task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=tau,
                     eta_c=0.1, eta_s=1.0, target_metric=0.9)
-    # a one-point shard is every step's minibatch, so the request key draws nothing
-    delta = local_train(task, np.array([0.0]), shard, (0, 0, 0, 0), request_generator())
+    # a one-point shard is every step's minibatch, so the request key draws nothing;
+    # local_train takes a batch of requests, and one request is the batch of one
+    delta = local_train(task, [np.array([0.0])], shards, [0], [(0, 0, 0, 0)],
+                        request_generator())[0]
     print(f"  tau={tau}: delta = {delta[0]:+.4f}   (mean of the {tau} local gradients)")
 print("  tau=1 equals the stochastic gradient bit for bit:")
 task1 = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                  eta_c=0.1, eta_s=1.0, target_metric=0.9)
-d = local_train(task1, np.array([0.0]), shard, (0, 0, 0, 0), request_generator())
+d = local_train(task1, [np.array([0.0])], shards, [0], [(0, 0, 0, 0)], request_generator())[0]
 # the one-point shard is the minibatch, so its gradient is the stochastic one
-g = task1.objective.grad(np.array([0.0]), shard.features, shard.labels)
+g = task1.objective.grad(np.array([[0.0]]), shards.features[None], None)[0]
 print(f"    delta == grad: {np.array_equal(d, g)}")
 
 print()
@@ -59,9 +62,9 @@ print(f"  empirical P(d <= 3tb)     : {np.mean(draws <= ref):.4f} (theory 1 - 1/
 print()
 print("== speed classes: 25% slow (1.3x), 50% normal, 25% fast (0.7x) ==")
 profiles = make_profiles(1000, {0: beta}, np.random.default_rng(42))
-counts = speed_class_counts(profiles)
+counts = Counter(p.speed_class for p in profiles)
 print(f"  class counts for 1000 clients: "
-      f"{ {k.value: v for k, v in counts.items()} }")
+      f"{ {k.value: counts[k] for k in SpeedClass} }")
 slow = next(p for p in profiles if p.speed_class is SpeedClass.SLOW)
 fast = next(p for p in profiles if p.speed_class is SpeedClass.FAST)
 print(f"  effective beta, slow client : {slow.beta(0):.2f}")

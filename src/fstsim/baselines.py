@@ -162,7 +162,7 @@ class MmSyncServer:
                 self.warnings.append(msg)
             self.rounds_scaled_down += 1
             budget = len(available)
-        counts = apportion_largest_remainder(weights, budget, min_each=1)
+        counts = apportion_largest_remainder(weights, budget)
 
         order = engine.server_stream.permutation(len(available))
         shuffled = [available[int(i)] for i in order]

@@ -160,6 +160,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{where}: learning rates must be positive")
         if t.target_kind not in ("accuracy", "loss"):
             raise ConfigError(f"{where}: target_kind must be 'accuracy' or 'loss'")
+        if t.target_metric > 1 if t.target_kind == "accuracy" else t.target_metric < 0:
+            raise ConfigError(f"{where}: no {t.target_kind} can meet target_metric "
+                              f"{t.target_metric!r} (accuracy is at most 1, loss at least 0)")
         if t.batch_size < 1:
             raise ConfigError(f"{where}: batch_size must be at least 1")
         if t.base_beta <= 0:

@@ -133,10 +133,3 @@ def make_profiles(
             profiles[client_id] = ClientProfile(client_id, cls, mult, betas)
         pos += count
     return profiles  # type: ignore[return-value]
-
-
-def speed_class_counts(profiles: list[ClientProfile]) -> dict[SpeedClass, int]:
-    counts = {cls: 0 for cls in SpeedClass}
-    for p in profiles:
-        counts[p.speed_class] += 1
-    return counts

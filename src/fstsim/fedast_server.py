@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .event_engine import Aggregated, Engine, SimulationError, train_updates
-from .local_trainer import Update
+from .local_trainer import DIVERGENCE_LIMIT, Update
 from .objectives import TaskSpec
 from .realloc import TaskAllocView, compute_plan, default_c_period
 
@@ -132,17 +132,19 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     The sum-then-divide is what ``ndarray.mean(axis=0)`` computes, bit for bit.
     The only writer of ``engine.models`` and ``engine.rounds``:
     the task gets a new read-only model (in-flight requests hold the old one
-    by reference), a finite check (SimulationError) and the next round,
-    observed as ``Aggregated``.
+    by reference), local training's divergence check (SimulationError past
+    ``DIVERGENCE_LIMIT`` or non-finite) and the next round, observed as
+    ``Aggregated``.
     """
     tid = spec.task_id
     deltas = train_updates(engine, updates)
     mean_delta = np.add.reduce(deltas, axis=0) / len(updates)
     model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
     model.setflags(write=False)
-    if not np.all(np.isfinite(model)):
+    # NaN propagates through max, so a non-finite model fails too.
+    if not np.abs(model).max() <= DIVERGENCE_LIMIT:
         raise SimulationError(
-            f"aggregate produced non-finite model on task {tid} "
+            f"aggregate produced non-finite or runaway model on task {tid} "
             f"at round {engine.rounds[tid]} ({len(updates)} updates)"
         )
     engine.models[tid] = model

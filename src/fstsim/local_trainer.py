@@ -9,9 +9,9 @@ floating point as well.
 Requests of one task train stacked, one gradient call per local step for
 all of them: rows copied from the task's shard arrays, each minibatch
 zero-padded to the largest, one-sample minibatches in a stack of their
-own. Each row is bit for bit what training that request alone gives. An
-``Update`` names its request by task, client
-and dispatch number; with the run seed that is the request's key. A request
+own. Each row is bit for bit what training that request alone, as a batch
+of one, gives. An ``Update`` names its request by task, client and
+dispatch number; with the run seed that is the request's key. A request
 that draws minibatches re-keys the run's one request generator to the
 key's training stream (``rng.rekey``) and draws all tau of them before the
 first step.
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import ClientShard, ClientShards, TaskSpec
+from .objectives import ClientShards, TaskSpec
 from .rng import TRAIN, RequestKey, rekey
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
@@ -76,22 +76,18 @@ def local_train(
     shards: ClientShards,
     clients: Sequence[int],
     keys: Sequence[RequestKey],
-    streams: np.random.Generator | None = None,
+    streams: np.random.Generator,
 ) -> np.ndarray:
     """Run tau local SGD steps per request; return each one's mean gradient, (B, d).
 
     Request i trains from ``snapshots[i]`` (never mutated) on client
     ``clients[i]``'s rows of ``shards``, drawing each step's minibatch from
     its training stream: ``streams`` re-keyed (``rng.rekey``) to ``keys[i]``.
-    A shard that is the minibatch draws nothing. The one-model form
-    ``local_train(task, x, shard, key, streams)``, on a ClientShard, is the
-    batch of one and gives (d,). If an iterate goes non-finite or beyond
-    DIVERGENCE_LIMIT, raises DivergenceError for the first such request and
-    its step, as training one request at a time in order would.
+    A shard that is the minibatch draws nothing. One request is the batch of
+    one. If an iterate goes non-finite or beyond DIVERGENCE_LIMIT, raises
+    DivergenceError for the first such request and its step, as training one
+    request at a time in order would.
     """
-    if isinstance(shards, ClientShard):
-        return local_train(task, [snapshots], ClientShards.from_list([shards]),
-                           [shards.client_id], [clients], keys)[0]
     # One-sample minibatches stack apart: numpy computes a one-row matrix
     # product as a vector product, which rounds unlike a padded stack.
     spans, groups = [], ([], [])  # (first row, shard size, minibatch size) per request

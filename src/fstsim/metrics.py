@@ -2,9 +2,10 @@
 
 One record is emitted per task per evaluation tick. Files come in two
 equivalent flavours with identical field order: CSV (one header row) and
-JSON lines. Floats are serialized with ``repr`` so identical runs produce
-byte-identical files; in JSON lines a non-finite float is written as
-``Infinity``, ``-Infinity`` or ``NaN``, which ``json`` reads back.
+JSON lines. The package only writes them; ``csv`` and ``json`` read them.
+Floats are serialized with ``repr`` so identical runs produce byte-identical
+files; in JSON lines a non-finite float is written as ``Infinity``,
+``-Infinity`` or ``NaN``, which ``json`` reads back.
 """
 
 from __future__ import annotations
@@ -55,32 +56,9 @@ def write_csv(path: str | Path, records: Iterable[MetricsRecord]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: str | Path) -> list[MetricsRecord]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split(",") != list(FIELD_ORDER):
-        raise ValueError(f"{path}: missing or unexpected header row")
-    records = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = zip(FIELD_ORDER, line.split(","))
-        records.append(MetricsRecord(**{name: _typed(name, cell) for name, cell in cells}))
-    return records
-
-
 def write_jsonl(path: str | Path, records: Iterable[MetricsRecord]) -> None:
     lines = [
         json.dumps({name: _typed(name, getattr(rec, name)) for name in FIELD_ORDER})
         for rec in records
     ]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_jsonl(path: str | Path) -> list[MetricsRecord]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line:
-            continue
-        d = json.loads(line)
-        records.append(MetricsRecord(**{name: d[name] for name in FIELD_ORDER}))
-    return records

@@ -3,12 +3,14 @@
 Three desk-scale objective families share one interface: a mean quadratic
 bowl, multinomial logistic regression, and a one-hidden-layer tanh network.
 All models are flat float64 parameter vectors. Each family has one forward
-pass, shared by its loss, its accuracy and its hand-written gradient, for
-one model or a stack of them, whose rows may pad their samples with zeros
-to a common count. A task's client data is one ``ClientShards``: a few
-arrays, however many clients. The tests check the gradients against finite
-differences and the losses against a per-sample reference; that reference
-and the per-client training oracles live in ``tests/oracles.py``.
+pass, shared by the loss and accuracy of one model and by the hand-written
+gradient of a stack of models, whose rows may pad their samples with zeros
+to a common count; one model's gradient is the batch of one. A task's
+client data is one ``ClientShards``: a few arrays, however many clients,
+with client c's rows as a read-only ``Dataset`` view. The tests check the
+gradients against finite differences and the losses against a per-sample
+reference; that reference and the per-client training oracles live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,19 +44,11 @@ class Dataset:
         return self.features.shape[0]
 
 
-class ClientShard(Dataset):
-    """One client's local slice of a task's data."""
-
-    def __init__(self, client_id: int, features: np.ndarray, labels: np.ndarray | None = None):
-        super().__init__(features, labels)
-        self.client_id = client_id
-
-
 class ClientShards(Dataset):
     """A task's client data as read-only arrays: client c holds rows
     ``starts[c]:starts[c + 1]`` of ``features`` and ``labels``. ``[c]`` is that
-    client's ClientShard, a view built on demand; iteration yields them in
-    client order. ``sizes`` holds each client's number of rows."""
+    client's read-only Dataset view, built on demand; iteration yields them
+    in client order. ``sizes`` holds each client's number of rows."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray | None, starts: np.ndarray):
         super().__init__(features, labels)
@@ -66,25 +60,13 @@ class ClientShards(Dataset):
             if array is not None:
                 array.setflags(write=False)
 
-    @classmethod
-    def from_list(cls, shards: list[ClientShard]) -> "ClientShards":
-        """Client c holds a copy of the rows of the shard with ``client_id`` c
-        (ids distinct and nonnegative); a client id no shard has holds none."""
-        shards = sorted(shards, key=lambda s: s.client_id)
-        sizes = np.zeros(shards[-1].client_id + 1, dtype=np.int64)
-        sizes[[s.client_id for s in shards]] = [s.size for s in shards]
-        labels = None if shards[0].labels is None else np.concatenate([s.labels for s in shards])
-        return cls(np.concatenate([s.features for s in shards]), labels,
-                   np.concatenate([[0], np.cumsum(sizes)]))
-
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def __getitem__(self, client: int) -> ClientShard:
+    def __getitem__(self, client: int) -> Dataset:
         client = range(len(self))[client]  # IndexError past either end
         a, b = self.starts[client], self.starts[client + 1]
-        return ClientShard(client, self.features[a:b],
-                           None if self.labels is None else self.labels[a:b])
+        return Dataset(self.features[a:b], None if self.labels is None else self.labels[a:b])
 
 
 class Objective(abc.ABC):
@@ -99,18 +81,12 @@ class Objective(abc.ABC):
     ) -> tuple[float, float]:
         """Mean loss and accuracy of one model (d,) over (n, f) rows: one forward pass."""
 
-    def loss(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None) -> float:
-        return self.loss_accuracy(x, features, labels)[0]
-
     def grad(self, x: np.ndarray, features: np.ndarray, labels: np.ndarray | None,
              counts: np.ndarray | None = None) -> np.ndarray:
-        """Mean-loss gradient of one model (d,) over (n, f) rows, or of B stacked
-        models (B, d), row i over the first ``counts[i]`` (all n if None) of
-        its own rows of (B, n, f) features and (B, n) labels. Rows past a
-        count are padding and must be zero. The one-model form is the batch
-        of one."""
-        if x.ndim == 1:
-            return self.grad(x[None], features[None], None if labels is None else labels[None])[0]
+        """Mean-loss gradient of B stacked models (B, d), row i over the first
+        ``counts[i]`` (all n if None) of its own rows of (B, n, f) features and
+        (B, n) labels. Rows past a count are padding and must be zero. One
+        model is the batch of one."""
         counts = np.full(len(x), features.shape[1]) if counts is None else counts
         g = self._stacked_grad(x, features, labels, counts)
         return g + self.l2 * x if self.l2 else g

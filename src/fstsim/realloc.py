@@ -87,20 +87,18 @@ def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def apportion_largest_remainder(
-    weights: Sequence[float], total: int, min_each: int = 1
-) -> list[int]:
+def apportion_largest_remainder(weights: Sequence[float], total: int) -> list[int]:
     """Integer allocation proportional to nonnegative weights.
 
     Hamilton/largest-remainder rounding; remainder ties break toward the
     lower index. All-zero weights fall back to a uniform split. Each entry
-    gets at least ``min_each``, funded by the largest allocations.
+    gets at least one, funded by the largest allocations.
     """
     n = len(weights)
     if n == 0:
         raise ValueError("nothing to apportion")
-    if total < n * min_each:
-        raise ValueError(f"total {total} cannot give {n} entries at least {min_each} each")
+    if total < n:
+        raise ValueError(f"total {total} cannot give {n} entries at least 1 each")
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
@@ -108,7 +106,7 @@ def apportion_largest_remainder(
         w = np.ones(n)
     alloc = largest_remainder(w / w.sum() * total, total)
     while True:
-        short = np.flatnonzero(alloc < min_each)
+        short = np.flatnonzero(alloc < 1)
         if len(short) == 0:
             break
         donor = int(np.argmax(alloc))
@@ -139,7 +137,7 @@ def compute_plan(
     )
     weights = [math.sqrt(sigma_sq[v.task_id]) for v in live]
     budget = sum(v.r_target for v in live) + released_budget
-    new_r = apportion_largest_remainder(weights, budget, min_each=1)
+    new_r = apportion_largest_remainder(weights, budget)
 
     r_new = {v.task_id: v.r_target for v in views}
     b_new = {v.task_id: v.buffer_target for v in views}

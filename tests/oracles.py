@@ -3,7 +3,9 @@
 ``global_loss``, ``global_grad`` and ``local_stoch_grad`` are the
 one-request-at-a-time path: the population objective as a mean over
 clients, and one client's gradient on one uniformly drawn minibatch. The
-stacked trainer in ``fstsim.local_trainer`` must reproduce them.
+stacked trainer in ``fstsim.local_trainer`` must reproduce them. Each
+client is a ``Dataset``, as ``ClientShards[c]`` gives; ``grad_one`` is one
+model's gradient, the batch of one of ``Objective.grad``.
 
 ``reference_loss_accuracy`` is a per-sample loop over plain Python floats
 that unpacks each family's flat parameter vector on its own. In
@@ -14,11 +16,12 @@ so a finite-difference check cannot catch a wrong forward pass; this can.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from fstsim.objectives import (
-    ClientShard,
+    Dataset,
     LogisticObjective,
     Objective,
     QuadraticObjective,
@@ -28,32 +31,38 @@ from fstsim.objectives import (
 )
 
 
-def global_loss(task: TaskSpec, shards: list[ClientShard], x: np.ndarray) -> float:
+def grad_one(objective: Objective, x: np.ndarray, features: np.ndarray,
+             labels: np.ndarray | None) -> np.ndarray:
+    """Gradient of one model (d,) over (n, f) rows: the batch of one."""
+    return objective.grad(x[None], features[None], None if labels is None else labels[None])[0]
+
+
+def global_loss(task: TaskSpec, shards: Sequence[Dataset], x: np.ndarray) -> float:
     """Exact arithmetic mean of per-client local losses."""
     x = _check_model(task, x)
     if not shards:
         raise ValueError("global loss over an empty client list is undefined")
     total = 0.0
-    for shard in shards:
+    for client, shard in enumerate(shards):
         if shard.size == 0:
-            raise ValueError(f"client {shard.client_id} has an empty shard")
-        total += task.objective.loss(x, shard.features, shard.labels)
+            raise ValueError(f"client {client} has an empty shard")
+        total += task.objective.loss_accuracy(x, shard.features, shard.labels)[0]
     return total / len(shards)
 
 
-def global_grad(task: TaskSpec, shards: list[ClientShard], x: np.ndarray) -> np.ndarray:
+def global_grad(task: TaskSpec, shards: Sequence[Dataset], x: np.ndarray) -> np.ndarray:
     """Gradient of `global_loss`: mean of per-client full-batch gradients."""
     x = _check_model(task, x)
     if not shards:
         raise ValueError("global gradient over an empty client list is undefined")
     acc = np.zeros(task.dim)
     for shard in shards:
-        acc += task.objective.grad(x, shard.features, shard.labels)
+        acc += grad_one(task.objective, x, shard.features, shard.labels)
     return acc / len(shards)
 
 
 def local_stoch_grad(
-    task: TaskSpec, shard: ClientShard, x: np.ndarray, rng: np.random.Generator
+    task: TaskSpec, shard: Dataset, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Gradient of the client loss on a uniformly sampled minibatch.
 
@@ -63,14 +72,14 @@ def local_stoch_grad(
     """
     x = _check_model(task, x)
     if shard.size == 0:
-        raise ValueError(f"client {shard.client_id} has an empty shard")
+        raise ValueError("the client has an empty shard")
     if task.batch_size >= shard.size:
         feats, labs = shard.features, shard.labels
     else:
         idx = rng.choice(shard.size, size=task.batch_size, replace=False)
         feats = shard.features[idx]
         labs = shard.labels[idx] if shard.labels is not None else None
-    return task.objective.grad(x, feats, labs)
+    return grad_one(task.objective, x, feats, labs)
 
 
 def _dot(row: list[float], vec: list[float]) -> float:

@@ -24,7 +24,6 @@ from fstsim.fedast_server import FedAstServer, lr_bounds
 from fstsim.harness import build_scenario, compare, run_experiment, run_single
 from fstsim.local_trainer import local_train
 from fstsim.objectives import (
-    ClientShard,
     ClientShards,
     Dataset,
     LogisticObjective,
@@ -36,11 +35,11 @@ from fstsim.objectives import (
 )
 from fstsim.realloc import apportion_largest_remainder, estimate_variances
 from fstsim.rng import TRAIN, rekey, request_generator
-from oracles import global_grad, local_stoch_grad
+from oracles import global_grad, grad_one, local_stoch_grad
 
 
 def _zero_shards(n):
-    return {0: ClientShards.from_list([ClientShard(i, np.zeros((1, 1))) for i in range(n)])}
+    return {0: ClientShards(np.zeros((n, 1)), None, np.arange(n + 1))}
 
 
 def _uniform_profiles(n, beta=1.0):
@@ -122,13 +121,13 @@ def test_single_local_step_delta_is_the_stochastic_gradient(criterion_report):
             obj = TinyMlpObjective(n_features=2, hidden_units=3, n_classes=2)
             feats = rng.normal(size=(5, 2))
             labels = rng.integers(0, 2, size=5)
-        shard = ClientShard(0, feats, labels)
+        shards = ClientShards(feats, labels, [0, len(feats)])
         task = TaskSpec(task_id=0, objective=obj, tau=1,
                         eta_c=float(rng.uniform(0.01, 1.0)), eta_s=1.0,
                         target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        delta = local_train(task, x0, shard, (7, 0, 0, case), streams)
-        grad = local_stoch_grad(task, shard, x0, rekey(replay, (7, 0, 0, case), TRAIN))
+        delta = local_train(task, [x0], shards, [0], [(7, 0, 0, case)], streams)[0]
+        grad = local_stoch_grad(task, shards[0], x0, rekey(replay, (7, 0, 0, case), TRAIN))
         if not np.array_equal(delta, grad):
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -174,15 +173,14 @@ def test_minibatch_gradients_are_unbiased_on_logistic_task(criterion_report):
     rng = np.random.default_rng(2024)
     obj = LogisticObjective(n_features=3, n_classes=2)
     data = generate_blobs(60, 3, 2, rng)
-    shard = ClientShard(0, data.features, data.labels)
     task = TaskSpec(task_id=0, objective=obj, tau=1, eta_c=0.1, eta_s=1.0,
                     target_metric=0.9, batch_size=5)
     x = rng.normal(size=obj.dim) * 0.5
-    full = obj.grad(x, shard.features, shard.labels)
+    full = grad_one(obj, x, data.features, data.labels)
     n = 100_000
     draws = np.empty((n, obj.dim))
     for i in range(n):
-        draws[i] = local_stoch_grad(task, shard, x, rng)
+        draws[i] = local_stoch_grad(task, data, x, rng)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     max_z = float(np.max(np.abs(draws.mean(axis=0) - full) / se))
     elapsed = time.perf_counter() - t0

@@ -8,7 +8,7 @@ from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
 from fstsim.event_engine import Aggregated, Dispatched, Engine, SimulationError, StopConditions
 from fstsim.harness import run_single
-from fstsim.objectives import ClientShard, ClientShards, Dataset, QuadraticObjective, TaskSpec
+from fstsim.objectives import ClientShards, Dataset, QuadraticObjective, TaskSpec
 
 CONSTANT_DELAY = DelaySpec(shift_factor=1.0, scale_factor=0.0)
 EXPONENTIAL_DELAY = DelaySpec(shift_factor=0.0, scale_factor=1.0)
@@ -26,8 +26,7 @@ def uniform_profiles(n, task_ids, beta=1.0):
 
 
 def shards_at(task_ids, n_clients, value=5.0):
-    return {tid: ClientShards.from_list([ClientShard(i, np.array([[value]]))
-                                         for i in range(n_clients)])
+    return {tid: ClientShards(np.full((n_clients, 1), value), None, np.arange(n_clients + 1))
             for tid in task_ids}
 
 
@@ -127,8 +126,7 @@ class TestWaitingTimes:
         task = quad_task(eta_c=0.1)
         n = 4
         policy = MmSyncServer([task], allocation={0: n}, k=n)
-        shards = {0: ClientShards.from_list([ClientShard(i, np.array([[a]]))
-                                             for i, a in enumerate([1.0, 3.0, 7.0, 13.0])])}
+        shards = {0: ClientShards(np.array([[1.0], [3.0], [7.0], [13.0]]), None, np.arange(n + 1))}
         events = []
         engine = Engine(
             tasks=[task], shards=shards, eval_sets=evals_at([0], value=6.0),
@@ -238,8 +236,8 @@ class TestFinishing:
         tasks = [quad_task(0, target_kind="loss", target=0.5),
                  quad_task(1, target_kind="loss", target=1e-9)]
         policy = MmSyncServer(tasks, allocation={0: 2, 1: 3}, k=2)
-        shards = {0: ClientShards.from_list([ClientShard(i, np.zeros((1, 1))) for i in range(10)]),
-                  1: ClientShards.from_list([ClientShard(i, np.array([[5.0]])) for i in range(10)])}
+        shards = {0: ClientShards(np.zeros((10, 1)), None, np.arange(11)),
+                  1: ClientShards(np.full((10, 1), 5.0), None, np.arange(11))}
         evals = {0: Dataset(np.zeros((1, 1))), 1: Dataset(np.array([[5.0]]))}
         engine = Engine(
             tasks=tasks, shards=shards, eval_sets=evals,

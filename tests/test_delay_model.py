@@ -1,6 +1,7 @@
 """Shifted-exponential delay model and speed-class profiles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fstsim.delay_model import (
     duration_quantile,
     make_profiles,
     sample_duration,
-    speed_class_counts,
 )
 from fstsim.objectives import QuadraticObjective, TaskSpec
 
@@ -107,19 +107,19 @@ class TestSampling:
 class TestProfiles:
     def test_counts_four_clients(self, rng):
         profiles = make_profiles(4, {0: 1.0}, rng)
-        counts = speed_class_counts(profiles)
+        counts = Counter(p.speed_class for p in profiles)
         assert counts == {SpeedClass.SLOW: 1, SpeedClass.NORMAL: 2, SpeedClass.FAST: 1}
 
     def test_counts_thousand_clients(self, rng):
         profiles = make_profiles(1000, {0: 1.0}, rng)
-        counts = speed_class_counts(profiles)
+        counts = Counter(p.speed_class for p in profiles)
         assert counts == {SpeedClass.SLOW: 250, SpeedClass.NORMAL: 500, SpeedClass.FAST: 250}
 
     def test_largest_remainder_on_awkward_sizes(self, rng):
         # 25/50/25 of 7 clients: quotas 1.75 / 3.5 / 1.75, floors 1/3/1, and
         # the two leftovers go to the .75 remainders (slow, fast) before .5
         profiles = make_profiles(7, {0: 1.0}, rng)
-        counts = speed_class_counts(profiles)
+        counts = Counter(p.speed_class for p in profiles)
         assert sum(counts.values()) == 7
         assert counts[SpeedClass.SLOW] == 2
         assert counts[SpeedClass.NORMAL] == 3
@@ -162,5 +162,5 @@ class TestProfiles:
     @settings(max_examples=40, deadline=None)
     def test_counts_always_total_n(self, n):
         profiles = make_profiles(n, {0: 1.0}, np.random.default_rng(0))
-        assert sum(speed_class_counts(profiles).values()) == n
+        assert sum(Counter(p.speed_class for p in profiles).values()) == n
         assert len(profiles) == n

@@ -21,7 +21,7 @@ from fstsim.event_engine import (
 )
 from fstsim.fedast_server import FedAstServer
 from fstsim.harness import run_single
-from fstsim.objectives import ClientShard, ClientShards, Dataset, QuadraticObjective, TaskSpec
+from fstsim.objectives import ClientShards, Dataset, QuadraticObjective, TaskSpec
 
 
 def quad_task(tid=0, target_kind="accuracy", target=0.99, tau=1, eta_c=0.1):
@@ -35,8 +35,7 @@ def profile(cid, betas):
 
 
 def zero_shards(task_ids, n_clients):
-    return {tid: ClientShards.from_list([ClientShard(i, np.zeros((1, 1)))
-                                         for i in range(n_clients)])
+    return {tid: ClientShards(np.zeros((n_clients, 1)), None, np.arange(n_clients + 1))
             for tid in task_ids}
 
 
@@ -455,7 +454,7 @@ class TestEngineIntegration:
         2, 3, ... and x_t = a (1 - (1 - eta_s eta_c)^t)."""
         task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=1,
                         eta_c=0.1, eta_s=1.0, target_metric=0.9, batch_size=1)
-        shards = {0: ClientShards.from_list([ClientShard(0, np.array([[5.0]]))])}
+        shards = {0: ClientShards(np.array([[5.0]]), None, [0, 1])}
         evals = {0: Dataset(np.array([[5.0]]))}
         policy = FedAstServer([task], r0={0: 1}, b0={0: 1})
         events = []

@@ -13,7 +13,7 @@ from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds, ser
 from fstsim.harness import build_policy, build_scenario
 from fstsim.local_trainer import Update, local_train
 from fstsim.objectives import (
-    ClientShard, ClientShards, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
+    ClientShards, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
 )
 from fstsim.rng import request_generator
 
@@ -67,14 +67,18 @@ def untrained_updates(gen, b):
     task = TaskSpec(task_id=0, objective=LogisticObjective(n_features=10, n_classes=4),
                     tau=2, eta_c=0.1, eta_s=1.5, target_metric=0.9, batch_size=4)
     snapshots = [gen.normal(size=task.dim), gen.normal(size=task.dim)]
-    shards, updates, deltas = [], [], []
+    sizes = (7, 2, 4, 1, 12, 3, 4, 9, 1)[:b]
+    data = [(gen.normal(size=(size, 10)), gen.integers(0, 4, size=size)) for size in sizes]
+    shards = ClientShards(np.concatenate([f for f, _ in data]),
+                          np.concatenate([lab for _, lab in data]),
+                          np.concatenate([[0], np.cumsum(sizes)]))
+    updates, deltas = [], []
     for i in range(b):
-        size = (7, 2, 4, 1, 12, 3, 4, 9, 1)[i]
-        shards.append(ClientShard(i, gen.normal(size=(size, 10)), gen.integers(0, 4, size=size)))
         snapshot = snapshots[i % 2]
         updates.append(Update(0, i, dispatch_round=0, dispatch_no=i, snapshot=snapshot))
-        deltas.append(local_train(task, snapshot, shards[i], (5, 0, i, i), request_generator()))
-    return FakeEngine([task], {0: ClientShards.from_list(shards)}, seed=5), task, updates, deltas
+        deltas.append(local_train(task, [snapshot], shards, [i], [(5, 0, i, i)],
+                                  request_generator())[0])
+    return FakeEngine([task], {0: shards}, seed=5), task, updates, deltas
 
 
 class TestAggregation:
@@ -421,7 +425,7 @@ class TestPolicyContract:
         task = quad_task(tau=1, eta_c=0.05)
         n = 6
         profiles = [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: 1.0}) for i in range(n)]
-        shards = {0: ClientShards.from_list([ClientShard(i, np.array([[5.0]])) for i in range(n)])}
+        shards = {0: ClientShards(np.full((n, 1), 5.0), None, np.arange(n + 1))}
         evals = {0: Dataset(np.array([[5.0]]))}
         srv = FedAstServer([task], r0={0: 3}, b0={0: 2})
         events = []

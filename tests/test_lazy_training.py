@@ -123,9 +123,9 @@ def instrumented_run(name, monkeypatch):
             assert arg.dispatch_no == dispatch_no
             updates.append(arg)
             eager[id(arg)] = local_train(
-                engine.tasks[tid], np.array(engine.models[tid]), engine.shards[tid][cid],
-                (SEED, tid, cid, dispatch_no), rng.request_generator(),
-            )
+                engine.tasks[tid], [np.array(engine.models[tid])], engine.shards[tid], [cid],
+                [(SEED, tid, cid, dispatch_no)], rng.request_generator(),
+            )[0]
         push(time, handler, arg)
 
     trained = 0

@@ -6,7 +6,6 @@ import pytest
 from fstsim.harness import build_scenario
 from fstsim.local_trainer import DivergenceError, local_train
 from fstsim.objectives import (
-    ClientShard,
     ClientShards,
     LogisticObjective,
     QuadraticObjective,
@@ -14,12 +13,17 @@ from fstsim.objectives import (
     TinyMlpObjective,
 )
 from fstsim.rng import TRAIN, rekey, request_generator
-from oracles import local_stoch_grad
+from oracles import grad_one, local_stoch_grad
 from test_workload_pins import load_workloads
 
 
 #: A request key for training that draws nothing: the shard is the minibatch.
 NO_DRAW = (0, 0, 0, 0)
+
+
+def one_client(features, labels=None):
+    """Client 0 holds every row."""
+    return ClientShards(features, labels, [0, len(features)])
 
 
 def scalar_task(tau, eta_c=0.1, batch_size=1):
@@ -29,15 +33,17 @@ def scalar_task(tau, eta_c=0.1, batch_size=1):
 
 def test_one_step_scalar_example():
     # f(x) = (x-5)^2/2 from x0=0, eta_c=0.1: x1=0.5, delta=-5
-    shard = ClientShard(0, np.array([[5.0]]))
-    delta = local_train(scalar_task(tau=1), np.array([0.0]), shard, NO_DRAW, request_generator())
+    shards = one_client(np.array([[5.0]]))
+    delta = local_train(scalar_task(tau=1), [np.array([0.0])], shards, [0], [NO_DRAW],
+                        request_generator())[0]
     assert delta[0] == -5.0
 
 
 def test_two_step_scalar_example():
     # second step: x2 = 0.5 - 0.1*(0.5-5) = 0.95; delta = mean(-5, -4.5) = -4.75
-    shard = ClientShard(0, np.array([[5.0]]))
-    delta = local_train(scalar_task(tau=2), np.array([0.0]), shard, NO_DRAW, request_generator())
+    shards = one_client(np.array([[5.0]]))
+    delta = local_train(scalar_task(tau=2), [np.array([0.0])], shards, [0], [NO_DRAW],
+                        request_generator())[0]
     assert delta[0] == pytest.approx(-4.75, abs=1e-15)
 
 
@@ -59,12 +65,12 @@ def test_tau_one_returns_the_stochastic_gradient_bit_identical():
             obj = TinyMlpObjective(n_features=2, hidden_units=3, n_classes=2)
             feats = rng.normal(size=(5, 2))
             labels = rng.integers(0, 2, size=5)
-        shard = ClientShard(0, feats, labels)
+        shards = one_client(feats, labels)
         task = TaskSpec(task_id=0, objective=obj, tau=1, eta_c=float(rng.uniform(0.01, 1.0)),
                         eta_s=1.0, target_metric=0.9, batch_size=int(rng.integers(1, 4)))
         x0 = rng.normal(size=obj.dim)
-        delta = local_train(task, x0, shard, (7, 0, 0, case), streams)
-        grad = local_stoch_grad(task, shard, x0, rekey(replay, (7, 0, 0, case), TRAIN))
+        delta = local_train(task, [x0], shards, [0], [(7, 0, 0, case)], streams)[0]
+        grad = local_stoch_grad(task, shards[0], x0, rekey(replay, (7, 0, 0, case), TRAIN))
         assert np.array_equal(delta, grad)
 
 
@@ -74,26 +80,26 @@ def test_delta_equals_mean_of_path_gradients_bit_identical():
     obj = LogisticObjective(n_features=3, n_classes=2)
     feats = rng.normal(size=(12, 3))
     labels = rng.integers(0, 2, size=12)
-    shard = ClientShard(0, feats, labels)
+    shards = one_client(feats, labels)
     for tau in (2, 3, 7):
         task = TaskSpec(task_id=0, objective=obj, tau=tau, eta_c=0.2, eta_s=1.0,
                         target_metric=0.9, batch_size=4)
         x0 = rng.normal(size=obj.dim)
-        delta = local_train(task, x0, shard, (11, 0, 0, tau), request_generator())
+        delta = local_train(task, [x0], shards, [0], [(11, 0, 0, tau)], request_generator())[0]
         replay_rng = rekey(request_generator(), (11, 0, 0, tau), TRAIN)
         x = x0.copy()
         acc = np.zeros_like(x)
         for _ in range(tau):
-            g = local_stoch_grad(task, shard, x, replay_rng)
+            g = local_stoch_grad(task, shards[0], x, replay_rng)
             acc += g
             x -= task.eta_c * g
         assert np.array_equal(delta, acc / tau)
 
 
 def test_snapshot_is_never_mutated():
-    shard = ClientShard(0, np.array([[5.0]]))
+    shards = one_client(np.array([[5.0]]))
     x0 = np.array([0.0])
-    local_train(scalar_task(tau=3), x0, shard, NO_DRAW, request_generator())
+    local_train(scalar_task(tau=3), [x0], shards, [0], [NO_DRAW], request_generator())
     assert x0[0] == 0.0
 
 
@@ -102,14 +108,14 @@ def test_telescoping_identity_holds_numerically():
     rng = np.random.default_rng(8)
     obj = QuadraticObjective(dim=3)
     feats = rng.normal(size=(5, 3))
-    shard = ClientShard(0, feats)
+    shards = one_client(feats)
     task = TaskSpec(task_id=0, objective=obj, tau=5, eta_c=0.07, eta_s=1.0,
                     target_metric=0.9, batch_size=5)
     x0 = rng.normal(size=3)
-    delta = local_train(task, x0, shard, NO_DRAW, request_generator())
+    delta = local_train(task, [x0], shards, [0], [NO_DRAW], request_generator())[0]
     x = x0.copy()
     for _ in range(task.tau):
-        x = x - task.eta_c * obj.grad(x, feats, None)
+        x = x - task.eta_c * grad_one(obj, x, feats, None)
     assert np.allclose(delta, (x0 - x) / (task.tau * task.eta_c), rtol=1e-12)
 
 
@@ -118,14 +124,14 @@ def test_small_eta_c_delta_approaches_local_gradient():
     rng = np.random.default_rng(21)
     obj = QuadraticObjective(dim=2)
     feats = rng.normal(size=(4, 2))
-    shard = ClientShard(0, feats)
+    shards = one_client(feats)
     x0 = np.array([1.0, -2.0])
-    g0 = obj.grad(x0, feats, None)
+    g0 = grad_one(obj, x0, feats, None)
     errs = []
     for eta_c in (0.1, 0.05, 0.025):
         task = TaskSpec(task_id=0, objective=obj, tau=4, eta_c=eta_c, eta_s=1.0,
                         target_metric=0.9, batch_size=4)
-        delta = local_train(task, x0, shard, NO_DRAW, request_generator())
+        delta = local_train(task, [x0], shards, [0], [NO_DRAW], request_generator())[0]
         errs.append(np.linalg.norm(delta - g0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[0] == pytest.approx(0.5, rel=0.15)  # first-order in eta_c
@@ -133,11 +139,11 @@ def test_small_eta_c_delta_approaches_local_gradient():
 
 def test_divergence_aborts_with_step_index():
     # eta_c far above 2/L on a quadratic doubles the error every step
-    shard = ClientShard(3, np.array([[0.0]]))
+    shards = ClientShards(np.zeros((4, 1)), None, np.arange(5))
     task = TaskSpec(task_id=1, objective=QuadraticObjective(dim=1), tau=200, eta_c=1e6,
                     eta_s=1.0, target_metric=0.9, batch_size=1)
     with pytest.raises(DivergenceError) as err:
-        local_train(task, np.array([1.0]), shard, NO_DRAW, request_generator())
+        local_train(task, [np.array([1.0])], shards, [3], [NO_DRAW], request_generator())
     assert err.value.task_id == 1
     assert err.value.client_id == 3
     assert 1 <= err.value.step_index <= 200
@@ -177,21 +183,21 @@ def check_stacked_rows_train_alone(family, l2, b, batch_size, sizes):
     obj = STACKED_FAMILIES[family](l2)
     task = TaskSpec(task_id=2, objective=obj, tau=3, eta_c=0.1, eta_s=1.0,
                     target_metric=0.9, batch_size=batch_size)
-    shards = [
-        ClientShard(100 + i, gen.normal(size=(size, 3)),
-                    None if family == "quadratic" else gen.integers(0, 3, size=size))
-        for i, size in enumerate(sizes[:b])
-    ]
+    data = [(gen.normal(size=(size, 3)),
+             None if family == "quadratic" else gen.integers(0, 3, size=size))
+            for size in sizes[:b]]
+    shards = ClientShards(np.concatenate([f for f, _ in data]),
+                          None if family == "quadratic" else np.concatenate([lab for _, lab in data]),
+                          np.concatenate([[0], np.cumsum(sizes[:b])]))
     # Rows from two snapshots, as when a buffer holds stale updates.
     snapshots = [gen.normal(size=obj.dim), gen.normal(size=obj.dim)]
     rows = [snapshots[1] if i % 3 == 1 else snapshots[0] for i in range(b)]
     keys = [(5, 2, 100 + i, i) for i in range(b)]
     before = [x.copy() for x in snapshots]
-    stacked = local_train(task, rows, ClientShards.from_list(shards),
-                          [s.client_id for s in shards], keys, request_generator())
+    stacked = local_train(task, rows, shards, list(range(b)), keys, request_generator())
     assert stacked.shape == (b, obj.dim)
     for i in range(b):
-        alone = local_train(task, rows[i], shards[i], keys[i], request_generator())
+        alone = local_train(task, [rows[i]], shards, [i], [keys[i]], request_generator())[0]
         assert stacked[i].tobytes() == alone.tobytes()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(snapshots, before))
 
@@ -201,22 +207,21 @@ def test_stacked_divergence_names_the_first_row_in_order():
     group; training one at a time in order stops at row 1."""
     task = TaskSpec(task_id=4, objective=QuadraticObjective(dim=1), tau=40, eta_c=1e3,
                     eta_s=1.0, target_metric=0.9, batch_size=2)
-    shards = [ClientShard(10 + i, np.zeros((size, 1))) for i, size in enumerate((1, 2, 1, 1))]
+    shards = ClientShards(np.zeros((5, 1)), None, [0, 1, 3, 4, 5])  # sizes 1, 2, 1, 1
     snapshots = [np.array([x]) for x in (0.0, 1e-3, 0.0, 1e6)]
     first = None
-    for x, shard in zip(snapshots, shards):
+    for c, x in enumerate(snapshots):
         try:
-            local_train(task, x, shard, NO_DRAW, request_generator())
+            local_train(task, [x], shards, [c], [NO_DRAW], request_generator())
         except DivergenceError as err:
             first = first or err
-    assert first.client_id == 11
+    assert first.client_id == 1
     with pytest.raises(DivergenceError) as err:
-        local_train(task, snapshots[3], shards[3], NO_DRAW, request_generator())
+        local_train(task, [snapshots[3]], shards, [3], [NO_DRAW], request_generator())
     assert err.value.step_index < first.step_index
 
     with pytest.raises(DivergenceError) as err:
-        local_train(task, snapshots, ClientShards.from_list(shards),
-                    [s.client_id for s in shards], [NO_DRAW] * 4, request_generator())
+        local_train(task, snapshots, shards, [0, 1, 2, 3], [NO_DRAW] * 4, request_generator())
     got = (err.value.task_id, err.value.client_id, err.value.step_index)
     assert got == (first.task_id, first.client_id, first.step_index)
 
@@ -254,5 +259,5 @@ def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
                                 [keys[i] for i in subset], streams)
             assert first.tobytes() == stacked[subset].tobytes()
             for i, c in enumerate(clients):
-                alone = local_train(task, snapshots[i], shards[c], keys[i], streams)
+                alone = local_train(task, [snapshots[i]], shards, [c], [keys[i]], streams)[0]
                 assert alone.tobytes() == stacked[i].tobytes()

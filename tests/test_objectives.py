@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstsim.objectives import (
-    ClientShard,
     ClientShards,
     Dataset,
     LogisticObjective,
@@ -20,7 +19,7 @@ from fstsim.objectives import (
     generate_quadratic_shards,
     partition_dirichlet,
 )
-from oracles import global_grad, global_loss, local_stoch_grad, reference_loss_accuracy
+from oracles import global_grad, global_loss, grad_one, local_stoch_grad, reference_loss_accuracy
 
 
 def quad_task(dim=1, batch_size=1, **kw):
@@ -30,7 +29,7 @@ def quad_task(dim=1, batch_size=1, **kw):
 
 
 def scalar_shards(points):
-    return [ClientShard(client_id=i, features=np.array([[float(a)]])) for i, a in enumerate(points)]
+    return ClientShards(np.array(points, dtype=float)[:, None], None, np.arange(len(points) + 1))
 
 
 class TestGlobalLoss:
@@ -51,7 +50,7 @@ class TestGlobalLoss:
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(40, 3))
         labels = np.array([0, 1] * 20)
-        shards = [ClientShard(0, feats[:20], labels[:20]), ClientShard(1, feats[20:], labels[20:])]
+        shards = ClientShards(feats, labels, [0, 20, 40])
         assert global_loss(task, shards, np.zeros(obj.dim)) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_empty_client_list_errors(self):
@@ -59,9 +58,9 @@ class TestGlobalLoss:
             global_loss(quad_task(), [], np.array([0.0]))
 
     def test_empty_shard_errors(self):
-        shard = ClientShard(0, np.zeros((0, 1)))
+        shards = ClientShards(np.zeros((0, 1)), None, [0, 0])
         with pytest.raises(ValueError):
-            global_loss(quad_task(), [shard], np.array([0.0]))
+            global_loss(quad_task(), shards, np.array([0.0]))
 
     def test_dimension_mismatch_errors(self):
         with pytest.raises(ValueError):
@@ -105,8 +104,8 @@ def test_gradients_match_central_differences(objective, rng):
         labels = rng.integers(0, objective.n_classes, size=n)
     for _ in range(20):
         x = rng.normal(scale=0.8, size=objective.dim)
-        analytic = objective.grad(x, feats, labels)
-        numeric = finite_diff_grad(lambda v: objective.loss(v, feats, labels), x)
+        analytic = grad_one(objective, x, feats, labels)
+        numeric = finite_diff_grad(lambda v: objective.loss_accuracy(v, feats, labels)[0], x)
         scale = max(np.linalg.norm(analytic), 1e-8)
         assert np.linalg.norm(analytic - numeric) / scale < 1e-5
 
@@ -128,14 +127,14 @@ def test_padded_stack_gradient_equals_each_row_unpadded(objective, rng):
         x = rng.normal(size=(len(counts), objective.dim))
         stacked = objective.grad(x, features, labels, np.array(counts))
         for i, n in enumerate(counts):
-            alone = objective.grad(x[i], features[i, :n], None if quadratic else labels[i, :n])
+            alone = grad_one(objective, x[i], features[i, :n], None if quadratic else labels[i, :n])
             assert stacked[i].tobytes() == alone.tobytes()
 
 
 class TestMinibatch:
     def test_full_batch_quadratic_is_exact_mean(self, rng):
         pts = rng.normal(size=(6, 2))
-        shard = ClientShard(0, pts)
+        shard = Dataset(pts)
         task = quad_task(dim=2, batch_size=6)
         x = np.array([0.3, -0.7])
         g = local_stoch_grad(task, shard, x, rng)
@@ -143,7 +142,7 @@ class TestMinibatch:
 
     def test_full_batch_consumes_no_randomness(self, rng):
         pts = np.arange(8.0).reshape(4, 2)
-        shard = ClientShard(0, pts)
+        shard = Dataset(pts)
         task = quad_task(dim=2, batch_size=10)  # clamps to shard size
         state_before = repr(rng.bit_generator.state)
         local_stoch_grad(task, shard, np.zeros(2), rng)
@@ -156,18 +155,18 @@ class TestMinibatch:
         obj = LogisticObjective(n_features=3, n_classes=2)
         feats = rng.normal(size=(30, 3))
         labels = rng.integers(0, 2, size=30)
-        shard = ClientShard(0, feats, labels)
+        shard = Dataset(feats, labels)
         task = TaskSpec(task_id=0, objective=obj, tau=1, eta_c=0.1, eta_s=1.0,
                         target_metric=0.9, batch_size=5)
         x = rng.normal(scale=0.5, size=obj.dim)
-        full = obj.grad(x, feats, labels)
+        full = grad_one(obj, x, feats, labels)
         draws = np.stack([local_stoch_grad(task, shard, x, rng) for _ in range(4000)])
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - full) <= 4 * se + 1e-12)
 
     def test_empty_shard_hard_error(self, rng):
         with pytest.raises(ValueError):
-            local_stoch_grad(quad_task(), ClientShard(0, np.zeros((0, 1))), np.zeros(1), rng)
+            local_stoch_grad(quad_task(), Dataset(np.zeros((0, 1))), np.zeros(1), rng)
 
 
 class TestEvaluate:
@@ -332,24 +331,16 @@ class TestGenerators:
         for shards, n_clients, n_samples in ((dirichlet, 7, 60), (quad, 6, 18)):
             assert len(shards) == n_clients
             assert shards.sizes.sum() == shards.size == n_samples
-            assert [s.client_id for s in shards] == list(range(n_clients))
+            assert ([s.features.tolist() for s in shards]
+                    == [shards[c].features.tolist() for c in range(n_clients)])
             for c in range(n_clients):
                 view = shards[c]
-                assert view.client_id == c and view.size == shards.sizes[c]
+                assert view.size == shards.sizes[c]
                 assert np.shares_memory(view.features, shards.features)
                 if shards.labels is not None:
                     assert np.shares_memory(view.labels, shards.labels)
             with pytest.raises(IndexError):
                 shards[n_clients]
-
-    def test_from_list_places_each_shard_at_its_client_id(self):
-        a = ClientShard(3, np.ones((2, 1)))
-        b = ClientShard(1, np.zeros((1, 1)))
-        shards = ClientShards.from_list([a, b])
-        assert shards.sizes.tolist() == [0, 1, 0, 2]
-        assert shards[3].features.tolist() == [[1.0], [1.0]]
-        with pytest.raises(ValueError):
-            ClientShards.from_list([a, ClientShard(3, np.ones((1, 1)))])
 
     def test_blobs_shapes_and_labels(self):
         ds = generate_blobs(100, 4, 3, np.random.default_rng(2))

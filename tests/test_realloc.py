@@ -89,13 +89,13 @@ class TestApportionment:
 
     def test_minimum_one_funded_by_largest(self):
         assert apportion_largest_remainder([0.0, 100.0], 5) == [1, 4]
-        assert apportion_largest_remainder([0.0, 0.0, 9.0], 6, min_each=1) == [1, 1, 4]
+        assert apportion_largest_remainder([0.0, 0.0, 9.0], 6) == [1, 1, 4]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             apportion_largest_remainder([], 5)
         with pytest.raises(ValueError):
-            apportion_largest_remainder([1.0, 1.0], 1, min_each=1)
+            apportion_largest_remainder([1.0, 1.0], 1)
         with pytest.raises(ValueError):
             apportion_largest_remainder([-0.1, 1.0], 5)
 

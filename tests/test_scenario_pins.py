@@ -49,9 +49,11 @@ def dataset_bytes(ds: Dataset):
         yield ds.labels.tobytes()
 
 
-def shards_sha(shards) -> str:
+def shards_sha(*tasks_shards) -> str:
+    """Each client's id (its index in its task's shards) and rows, task by task."""
     return sha16(
-        part for s in shards for part in (repr(s.client_id).encode(), *dataset_bytes(s))
+        part for shards in tasks_shards for c, s in enumerate(shards)
+        for part in (repr(c).encode(), *dataset_bytes(s))
     )
 
 
@@ -66,7 +68,7 @@ def profiles_sha(profiles) -> str:
 def scenario_shas(scenario) -> tuple[str, str, str]:
     tids = sorted(scenario.shards)
     return (
-        shards_sha(s for tid in tids for s in scenario.shards[tid]),
+        shards_sha(*(scenario.shards[tid] for tid in tids)),
         sha16(part for tid in tids for part in dataset_bytes(scenario.eval_sets[tid])),
         profiles_sha(scenario.profiles),
     )
