@@ -14,8 +14,7 @@ from collections import Counter
 import numpy as np
 
 from fstsim.delay_model import (
-    ClientProfile,
-    DelaySpec,
+    SPEED_CLASSES,
     SpeedClass,
     duration_quantile,
     make_profiles,
@@ -49,10 +48,7 @@ print(f"    delta == grad: {np.array_equal(d, g)}")
 print()
 print("== delay model: duration = tau * (shift*beta + Exp(mean scale*beta)) ==")
 beta, tau = 2.0, 3
-task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=tau,
-                eta_c=0.1, eta_s=1.0, target_metric=0.9)
-prof = ClientProfile(0, SpeedClass.NORMAL, 1.0, {0: beta})
-draws = np.array([sample_duration(prof, task, rng) for _ in range(50_000)])
+draws = np.array([sample_duration(beta, tau, rng) for _ in range(50_000)])
 print(f"  floor (u=0 quantile)      : {duration_quantile(0.0, beta, tau):.2f}"
       f"   (= tau * shift * beta = {tau * 1.0 * beta:.2f})")
 print(f"  empirical mean            : {draws.mean():.3f}  (theory 3*tau*beta = {3 * tau * beta:.2f})")
@@ -61,11 +57,13 @@ print(f"  empirical P(d <= 3tb)     : {np.mean(draws <= ref):.4f} (theory 1 - 1/
 
 print()
 print("== speed classes: 25% slow (1.3x), 50% normal, 25% fast (0.7x) ==")
+# one int8 class code and one multiplier per client, and a base beta per task
 profiles = make_profiles(1000, {0: beta}, np.random.default_rng(42))
-counts = Counter(p.speed_class for p in profiles)
+classes = [SPEED_CLASSES[code] for code in profiles.speed_classes.tolist()]
+counts = Counter(classes)
 print(f"  class counts for 1000 clients: "
       f"{ {k.value: counts[k] for k in SpeedClass} }")
-slow = next(p for p in profiles if p.speed_class is SpeedClass.SLOW)
-fast = next(p for p in profiles if p.speed_class is SpeedClass.FAST)
-print(f"  effective beta, slow client : {slow.beta(0):.2f}")
-print(f"  effective beta, fast client : {fast.beta(0):.2f}")
+slow = classes.index(SpeedClass.SLOW)
+fast = classes.index(SpeedClass.FAST)
+print(f"  effective beta, slow client : {profiles.beta(slow, 0):.2f}")
+print(f"  effective beta, fast client : {profiles.beta(fast, 0):.2f}")

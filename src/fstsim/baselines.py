@@ -143,7 +143,7 @@ class MmSyncServer:
         budget = sum(self._alloc0.values())
         weights = [self._alloc0[tid] for tid in live]
         if len(available) < len(live):
-            if engine.eval_interval is None or len(engine.profiles) < len(live):
+            if engine.eval_interval is None or engine.n_clients < len(live):
                 raise SimulationError(
                     f"only {len(available)} clients available for {len(live)} tasks "
                     f"at t={engine.now}"

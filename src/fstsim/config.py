@@ -29,6 +29,8 @@ class AlgorithmKind(str, enum.Enum):
 
 
 _OBJECTIVE_KINDS = ("quadratic", "logistic", "tiny_mlp")
+#: Most evaluation ticks a run may ask for, max_sim_time / eval_interval.
+MAX_EVAL_TICKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,12 @@ class ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError on any hard inconsistency."""
+    """Raise ConfigError on any hard inconsistency. A valid config has a
+    horizon (max_sim_time or max_rounds), and at most MAX_EVAL_TICKS
+    evaluation ticks fit into max_sim_time."""
     if not cfg.tasks:
         raise ConfigError("config defines no tasks")
+    _check_fields("", ExperimentConfig, vars(cfg))
     ids = [t.task_id for t in cfg.tasks]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate task ids: {ids}")
@@ -133,21 +138,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("tau_max must be nonnegative")
     if cfg.eval_interval <= 0:
         raise ConfigError("eval_interval must be positive")
-    if not cfg.stop_on_targets and cfg.max_sim_time is None and cfg.max_rounds is None:
-        raise ConfigError("no stop condition enabled")
+    if cfg.max_sim_time is None and cfg.max_rounds is None:
+        # a target alone may never be met, and then the run never ends
+        raise ConfigError("no stop condition bounds the run: set max_sim_time or max_rounds")
     if cfg.max_sim_time is not None and cfg.max_sim_time <= 0:
         raise ConfigError("max_sim_time must be positive")
+    if cfg.max_sim_time is not None and cfg.max_sim_time / cfg.eval_interval > MAX_EVAL_TICKS:
+        raise ConfigError(f"eval_interval {cfg.eval_interval!r} asks for more than "
+                          f"{MAX_EVAL_TICKS} evaluation ticks up to max_sim_time "
+                          f"{cfg.max_sim_time!r}")
     if cfg.max_rounds is not None and cfg.max_rounds < 1:
         raise ConfigError("max_rounds must be at least 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
-    _check_finite("", cfg)
 
     for t in cfg.tasks:
         where = f"task {t.task_id}"
-        _check_finite(f"{where}: ", t)
+        _check_fields(f"{where}: ", TaskConfig, vars(t))
         if t.task_id < 0:
             raise ConfigError(f"{where}: task_id must be nonnegative")
         if t.task_id >= 2**64:
@@ -201,15 +210,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{where}: need at least one sample per class per split")
 
 
-def _check_finite(where: str, obj) -> None:
-    """Raise ConfigError naming a float field of ``obj`` that is NaN or infinite."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{where}{f.name} must be finite, not {value!r}")
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = dataclasses.asdict(cfg)
     d["tasks"] = [dict(t) for t in d["tasks"]]
@@ -222,8 +222,8 @@ def _number(v) -> bool:
     return type(v) is int or type(v) is float and math.isfinite(v)
 
 
-#: What JSON value each field annotation takes: a bool is not a number here,
-#: and neither is NaN or Infinity.
+#: What value each field annotation takes: a bool is not a number here, and
+#: neither is NaN or Infinity.
 _ACCEPTS = {
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a number", _number),
@@ -233,8 +233,11 @@ _ACCEPTS = {
 }
 
 
-def _check_types(where: str, cls: type, d: dict) -> None:
-    """Raise ConfigError naming a field whose value has the wrong type."""
+def _check_fields(where: str, cls: type, d: dict) -> None:
+    """Raise ConfigError naming a field of ``cls`` whose value in ``d`` has the
+    wrong type or is not finite. It checks a parsed JSON object before it
+    becomes a config, and ``validate_config`` checks a config's own values,
+    so configs built in Python meet the same rule."""
     for f in dataclasses.fields(cls):
         kind, value = f.type.removesuffix(" | None"), d.get(f.name)
         if f.name in d and kind in _ACCEPTS and not (value is None and kind != f.type):
@@ -253,7 +256,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    _check_types("", ExperimentConfig, d)
+    _check_fields("", ExperimentConfig, d)
     task_known = {f.name for f in dataclasses.fields(TaskConfig)}
     tasks = []
     for i, td in enumerate(task_dicts):
@@ -264,7 +267,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             raise ConfigError(f"tasks[{i}]: unknown keys {sorted(bad)}")
         if "task_id" not in td:
             raise ConfigError(f"tasks[{i}]: task_id is required")
-        _check_types(f"tasks[{i}].", TaskConfig, td)
+        _check_fields(f"tasks[{i}].", TaskConfig, td)
         tasks.append(TaskConfig(**td))
     if "speed_mix" in d:
         d["speed_mix"] = tuple(d["speed_mix"])

@@ -8,7 +8,10 @@ defaults. Setting shift_factor = 0 yields a pure exponential, handy for
 closed-form queueing checks.
 
 beta combines a per-task base cost with a per-client speed multiplier;
-clients split into slow / normal / fast classes.
+clients split into slow / normal / fast classes. The pool's profiles are
+flat per-client arrays (``ClientProfiles``), with no object per client, and
+a client's beta for a task is one product computed where a request needs
+it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .objectives import TaskSpec
 from .realloc import largest_remainder
 
 
@@ -29,6 +30,11 @@ class SpeedClass(str, enum.Enum):
     SLOW = "slow"
     NORMAL = "normal"
     FAST = "fast"
+
+
+#: The classes in code order: ``ClientProfiles.speed_classes`` holds indices
+#: into this tuple.
+SPEED_CLASSES = tuple(SpeedClass)
 
 
 #: Fraction of clients in (slow, normal, fast) classes.
@@ -54,19 +60,49 @@ class DelaySpec:
             raise ValueError("delay distribution is degenerate at zero")
 
 
-@dataclass(frozen=True)
-class ClientProfile:
-    client_id: int
-    speed_class: SpeedClass
-    speed_multiplier: float
-    #: per-task step-time scale: base beta of the task times the multiplier
-    beta_per_task: Mapping[int, float]
+@dataclass(frozen=True, eq=False)
+class ClientProfiles:
+    """Every client's speed profile, as flat per-client sequences.
 
-    def beta(self, task_id: int) -> float:
-        try:
-            return self.beta_per_task[task_id]
-        except KeyError:
-            raise KeyError(f"client {self.client_id} has no beta for task {task_id}") from None
+    ``speed_classes[c]`` is client c's class code, an index into
+    ``SPEED_CLASSES`` (a read-only int8 array); ``multipliers[c]`` is its
+    beta multiplier; ``base_betas[m]`` is task m's base step-time scale.
+    Client c's beta for task m is ``base_betas[m] * multipliers[c]``.
+    Multipliers stay Python floats, so every time derived from a beta is
+    one too.
+    """
+
+    speed_classes: np.ndarray
+    multipliers: tuple[float, ...]
+    base_betas: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        classes = np.array(self.speed_classes, dtype=np.int8)
+        classes.setflags(write=False)
+        object.__setattr__(self, "speed_classes", classes)
+        object.__setattr__(self, "multipliers", tuple(self.multipliers))
+        object.__setattr__(self, "base_betas", dict(self.base_betas))
+        if classes.shape != (len(self.multipliers),):
+            raise ValueError("one speed class and one multiplier per client required")
+        if np.any((classes < 0) | (classes >= len(SPEED_CLASSES))):
+            raise ValueError(f"speed class codes index {len(SPEED_CLASSES)} classes")
+        if not all(m > 0 for m in self.multipliers):  # NaN too
+            raise ValueError("speed multipliers must be positive")
+        for task_id, beta in self.base_betas.items():
+            if not beta > 0:
+                raise ValueError(f"base beta for task {task_id} must be positive")
+
+    def __len__(self) -> int:
+        return len(self.multipliers)
+
+    def beta(self, client_id: int, task_id: int) -> float:
+        """Step-time scale of ``client_id`` on ``task_id``."""
+        return self.base_betas[task_id] * self.multipliers[client_id]
+
+
+def _quantile(u: float, beta: float, tau: int, delay: DelaySpec) -> float:
+    step = delay.shift_factor * beta - delay.scale_factor * beta * math.log1p(-u)
+    return tau * step
 
 
 def duration_quantile(u: float, beta: float, tau: int, delay: DelaySpec = DelaySpec()) -> float:
@@ -79,19 +115,17 @@ def duration_quantile(u: float, beta: float, tau: int, delay: DelaySpec = DelayS
         raise ValueError("u must lie in [0, 1)")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    step = delay.shift_factor * beta - delay.scale_factor * beta * math.log1p(-u)
-    return tau * step
+    return _quantile(u, beta, tau, delay)
 
 
 def sample_duration(
-    profile: ClientProfile,
-    task: TaskSpec,
-    rng: np.random.Generator,
-    delay: DelaySpec = DelaySpec(),
+    beta: float, tau: int, rng: np.random.Generator, delay: DelaySpec = DelaySpec()
 ) -> float:
-    """Draw one request duration for (client, task); strictly positive,
-    never below tau * shift."""
-    return duration_quantile(rng.random(), profile.beta(task.task_id), task.tau, delay)
+    """Draw one request duration of tau steps at step-time scale ``beta``;
+    strictly positive, never below tau * shift. ``beta`` comes from a
+    ``ClientProfiles``, which holds only positive factors, and ``random()``
+    lies in [0, 1), so ``duration_quantile``'s checks are skipped."""
+    return _quantile(rng.random(), beta, tau, delay)
 
 
 def make_profiles(
@@ -100,7 +134,7 @@ def make_profiles(
     rng: np.random.Generator,
     mix: tuple[float, float, float] = DEFAULT_SPEED_MIX,
     multipliers: tuple[float, float, float] = DEFAULT_SPEED_MULTIPLIERS,
-) -> list[ClientProfile]:
+) -> ClientProfiles:
     """Assign speed classes by a seeded stratified shuffle.
 
     Class counts are the largest-remainder rounding of mix * n_clients;
@@ -116,20 +150,11 @@ def make_profiles(
         raise ValueError("speed mix must sum to 1")
     if any(m < 0 for m in mix) or any(m <= 0 for m in multipliers):
         raise ValueError("mix fractions must be nonnegative, multipliers positive")
-    for task_id, beta in base_betas.items():
-        if beta <= 0:
-            raise ValueError(f"base beta for task {task_id} must be positive")
 
     counts = largest_remainder(np.asarray(mix, dtype=np.float64) * n_clients, n_clients)
-
-    classes = [SpeedClass.SLOW, SpeedClass.NORMAL, SpeedClass.FAST]
-    shuffled = rng.permutation(n_clients)
-    profiles: list[ClientProfile | None] = [None] * n_clients
-    pos = 0
-    for cls, count, mult in zip(classes, counts, multipliers):
-        # one read-only beta mapping, shared by every client of the class
-        betas = MappingProxyType({tid: base * mult for tid, base in base_betas.items()})
-        for client_id in shuffled[pos : pos + count].tolist():
-            profiles[client_id] = ClientProfile(client_id, cls, mult, betas)
-        pos += count
-    return profiles  # type: ignore[return-value]
+    in_order = np.repeat(np.arange(len(SPEED_CLASSES), dtype=np.int8), counts)
+    # the permutation's first counts[0] entries are the slow clients, and so on
+    codes = np.empty(n_clients, dtype=np.int8)
+    codes[rng.permutation(n_clients)] = in_order
+    # each client's entry is its class's multiplier object: nothing per client
+    return ClientProfiles(codes, tuple(map(multipliers.__getitem__, codes.tolist())), base_betas)

@@ -7,12 +7,16 @@ monotone sequence number breaks simultaneous-event ties by scheduling
 order, so reruns are bit-reproducible. Clients are single-threaded queues:
 a request dispatched to a busy client starts when the client frees up.
 
+The client pool is flat per-client state: ``busy_until``, one list of
+dispatch counts per task and the ``ClientProfiles``; no object is built per
+client or per (task, client) pair.
+
 Requests are trained lazily. At dispatch the engine numbers the request
 per (task, client), re-keys the run's one request generator,
 ``Engine.streams``, to its delay stream (``rng.request_rngs``) to sample
-the duration, and schedules the arrival of an ``Update`` that names the
-request and holds the task's model by reference (the engine's models are
-read-only, so it cannot change). Servers train the updates a server step
+the duration at the client's beta for the task, and schedules the arrival
+of an ``Update`` that names the request and holds the task's model by
+reference (the engine's models are read-only, so it cannot change). Servers train the updates a server step
 consumes (a full buffer or a sync barrier) with one ``train_updates``
 call, which reads each request's client and key off the engine and trains
 them stacked on the task's ``ClientShards``, re-keying the same generator
@@ -27,6 +31,10 @@ requests snapshot the model. For continuous delay distributions this is
 indistinguishable from dispatching inline. A policy that must act once a
 set of same-time events has settled (the sync barrier) schedules its own
 callback with ``call_at``.
+
+An evaluation tick evaluates a task only when its model object changed
+since the task's last evaluation; otherwise it reuses that loss and
+accuracy, which are the same numbers.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Any, Callable, Collection, Iterable, NamedTuple, Protocol
 import numpy as np
 
 from . import rng as rng_tree
-from .delay_model import ClientProfile, DelaySpec, sample_duration
+from .delay_model import ClientProfiles, DelaySpec, sample_duration
 from .local_trainer import Update, local_train
 from .metrics import MetricsRecord
 from .objectives import ClientShards, Dataset, TaskSpec, evaluate
@@ -175,22 +183,24 @@ class RunLog:
 
 
 class Engine:
-    """Owns the clock, the event heap, the client pool (``profiles`` and
-    ``busy_until``, when each client's queue empties) and each task's
-    progress: ``models`` (read-only arrays, each replaced by ``server_step``),
-    ``rounds``, ``finished`` (None, or the finish reason) and ``in_flight``,
-    the requests sent and neither skipped nor arrived yet. A request cancelled
-    by ``release_clients`` stays counted until its arrival leaves the heap.
-    ``observer``, off by default, is called with every ``Event`` of the run,
-    in order; ``policy`` is the one ``run`` drives. ``shards`` holds each
-    task's client data as one ``ClientShards``, one client per profile."""
+    """Owns the clock, the event heap, the client pool (``profiles``,
+    ``n_clients`` and ``busy_until``, when each client's queue empties) and
+    each task's progress: ``models`` (read-only arrays, each replaced by
+    ``server_step``), ``rounds``, ``finished`` (None, or the finish reason)
+    and ``in_flight``, the requests sent and neither skipped nor arrived yet.
+    A request cancelled by ``release_clients`` stays counted until its
+    arrival leaves the heap. ``observer``, off by default, is called with
+    every ``Event`` of the run, in order; ``policy`` is the one ``run``
+    drives. ``shards`` holds each task's client data as one
+    ``ClientShards``, one client per profile, and ``profiles.base_betas`` a
+    base beta per task."""
 
     def __init__(
         self,
         tasks: Iterable[TaskSpec],
         shards: dict[int, ClientShards],
         eval_sets: dict[int, Dataset],
-        profiles: list[ClientProfile],
+        profiles: ClientProfiles,
         seed: int,
         availability_p: float = 1.0,
         delay: DelaySpec = DelaySpec(),
@@ -203,20 +213,24 @@ class Engine:
             raise ValueError("availability_p must lie in (0, 1]")
         if eval_interval is not None and not eval_interval > 0:
             raise ValueError("eval_interval must be positive")
+        n_clients = len(profiles)
         self.models: dict[int, np.ndarray] = {}
         for tid, task in self.tasks.items():
             self.models[tid] = task.new_model()
             self.models[tid].setflags(write=False)
             if tid not in shards:
                 raise ValueError(f"task {tid} has no client shards")
-            if len(shards[tid]) != len(profiles):
+            if len(shards[tid]) != n_clients:
                 raise ValueError(f"task {tid}: one shard per client required")
+            if tid not in profiles.base_betas:
+                raise ValueError(f"task {tid} has no base beta")
             if tid not in eval_sets:
                 raise ValueError(f"task {tid} has no evaluation set")
         self.shards = shards
         self.eval_sets = eval_sets
         self.profiles = profiles
-        self.busy_until = [0.0] * len(profiles)
+        self.n_clients = n_clients
+        self.busy_until = [0.0] * n_clients
         self.seed = seed
         self.availability_p = availability_p
         self.delay = delay
@@ -232,7 +246,10 @@ class Engine:
         #: re-keyed to a request's delay stream at its dispatch and to its
         #: training stream when a server step or replan trains it
         self.streams = rng_tree.request_generator()
-        self._dispatch_counts: dict[tuple[int, int], int] = {}
+        #: per task, each client's number of requests dispatched so far
+        self._dispatch_counts = {tid: [0] * n_clients for tid in self.tasks}
+        #: per task, the model object last evaluated and its loss and accuracy
+        self._evaluated = {tid: (None, 0.0, 0.0) for tid in self.tasks}
         self.rounds: dict[int, int] = {tid: 0 for tid in self.tasks}
         self.finished: dict[int, str | None] = {tid: None for tid in self.tasks}
         self.in_flight: dict[int, int] = {tid: 0 for tid in self.tasks}
@@ -278,14 +295,14 @@ class Engine:
                     f"availability sampler exceeded {SAMPLER_ITERATION_CAP} iterations "
                     f"(availability_p={self.availability_p})"
                 )
-            candidate = int(self.server_stream.integers(len(self.profiles)))
+            candidate = int(self.server_stream.integers(self.n_clients))
             if self.server_stream.random() < self.availability_p:
                 out.append(candidate)
         return out
 
     def draw_available(self) -> list[int]:
         """Round-style availability: one Bernoulli coin per client."""
-        mask = self.server_stream.random(len(self.profiles)) < self.availability_p
+        mask = self.server_stream.random(self.n_clients) < self.availability_p
         return [int(i) for i in np.flatnonzero(mask)]
 
     def release_clients(self, at: float) -> None:
@@ -302,13 +319,13 @@ class Engine:
             self.in_flight[task_id] -= 1
             return
         client_id = forced_client if forced_client is not None else self.sample_clients(1)[0]
-        pair = (task_id, client_id)
-        dispatch_no = self._dispatch_counts.get(pair, 0)
-        self._dispatch_counts[pair] = dispatch_no + 1
+        counts = self._dispatch_counts[task_id]
+        dispatch_no = counts[client_id]
+        counts[client_id] = dispatch_no + 1
         delay_stream = rng_tree.request_rngs(self.streams, self.seed, task_id, client_id,
                                              dispatch_no)
-        duration = sample_duration(self.profiles[client_id], self.tasks[task_id], delay_stream,
-                                   self.delay)
+        duration = sample_duration(self.profiles.beta(client_id, task_id),
+                                   self.tasks[task_id].tau, delay_stream, self.delay)
         start = max(self.now, self.busy_until[client_id])
         completion = self.busy_until[client_id] = start + duration
         update = Update(task_id, client_id, self.rounds[task_id], dispatch_no,
@@ -327,8 +344,11 @@ class Engine:
 
     def _do_eval(self) -> None:
         for task_id in sorted(self.tasks):
-            task = self.tasks[task_id]
-            loss, accuracy = evaluate(task, self.models[task_id], self.eval_sets[task_id])
+            task, model = self.tasks[task_id], self.models[task_id]
+            evaluated, loss, accuracy = self._evaluated[task_id]
+            if model is not evaluated:
+                loss, accuracy = evaluate(task, model, self.eval_sets[task_id])
+                self._evaluated[task_id] = (model, loss, accuracy)
             self.records.append(MetricsRecord(self.now, task_id, self.rounds[task_id], loss,
                                               accuracy, **self.policy.task_metrics(task_id)))
             if self.target_times[task_id] is None and task.target_reached(loss, accuracy):

@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rng_tree
 from .baselines import MmSyncServer
 from .config import AlgorithmKind, ConfigError, ExperimentConfig, save_config, validate_config
-from .delay_model import ClientProfile, DelaySpec, make_profiles
+from .delay_model import ClientProfiles, DelaySpec, make_profiles
 from .event_engine import Engine, Observer, RunLog, ServerPolicy, StopConditions
 from .fedast_server import FedAstServer, lr_bound_warnings
 from .metrics import MetricsRecord, write_csv, write_jsonl
@@ -45,7 +45,7 @@ class Scenario:
     tasks: list[TaskSpec]
     shards: dict[int, ClientShards]
     eval_sets: dict[int, Dataset]
-    profiles: list[ClientProfile]
+    profiles: ClientProfiles
     delay: DelaySpec
 
 
@@ -93,7 +93,12 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
                 cluster_std=tc.cluster_std,
             )
             train = Dataset(data.features[: tc.n_train], data.labels[: tc.n_train])
-            eval_set = Dataset(data.features[tc.n_train :], data.labels[tc.n_train :])
+            # copies: the drawn arrays die with this iteration, and only the
+            # shards' sorted copy of the training rows outlives them
+            eval_set = Dataset(data.features[tc.n_train :].copy(),
+                               data.labels[tc.n_train :].copy())
+            for array in (eval_set.features, eval_set.labels):
+                array.setflags(write=False)
             task_shards = partition_dirichlet(train, cfg.n_clients, tc.alpha, rng)
         tasks.append(
             TaskSpec(

@@ -335,6 +335,10 @@ def partition_dirichlet(
                         np.concatenate([[0], np.cumsum(sizes)]))
 
 
+#: Rows per block when ``generate_blobs`` adds the class centers.
+_BLOB_BLOCK_ROWS = 1024
+
+
 def generate_blobs(
     n_samples: int,
     n_features: int,
@@ -344,12 +348,17 @@ def generate_blobs(
     cluster_std: float = 1.0,
 ) -> Dataset:
     """Isotropic Gaussian class blobs with centers drawn once per class, as
-    read-only arrays: a split's eval set is a row slice of them."""
+    read-only arrays."""
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
     centers = rng.normal(scale=center_scale, size=(n_classes, n_features))
     labels = rng.integers(0, n_classes, size=n_samples)
-    features = centers[labels] + rng.normal(scale=cluster_std, size=(n_samples, n_features))
+    features = rng.normal(scale=cluster_std, size=(n_samples, n_features))
+    # noise + center in place, a block at a time: the same sums as
+    # center + noise, with no second full-size array
+    for start in range(0, n_samples, _BLOB_BLOCK_ROWS):
+        rows = slice(start, start + _BLOB_BLOCK_ROWS)
+        features[rows] += centers[labels[rows]]
     for array in (features, labels):
         array.setflags(write=False)
     return Dataset(features=features, labels=labels)

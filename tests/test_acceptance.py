@@ -18,7 +18,7 @@ import numpy as np
 from fstsim import rng as rng_tree
 from fstsim.baselines import MmSyncServer
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass, sample_duration
+from fstsim.delay_model import DelaySpec, make_profiles, sample_duration
 from fstsim.event_engine import Aggregated, Dispatched, Engine, StopConditions
 from fstsim.fedast_server import FedAstServer, lr_bounds
 from fstsim.harness import build_scenario, compare, run_experiment, run_single
@@ -43,7 +43,8 @@ def _zero_shards(n):
 
 
 def _uniform_profiles(n, beta=1.0):
-    return [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: beta}) for i in range(n)]
+    """n clients of the normal class, each with beta ``beta`` on task 0."""
+    return make_profiles(n, {0: beta}, np.random.default_rng(0), mix=(0.0, 1.0, 0.0))
 
 
 def test_matches_synchronous_fedavg_oracle_when_buffer_equals_concurrency(
@@ -195,11 +196,8 @@ def test_shifted_exponential_delay_calibration(criterion_report):
     """CDF value and mean at the 3*tau*beta reference point match theory."""
     t0 = time.perf_counter()
     beta, tau = 1.5, 3
-    task = TaskSpec(task_id=0, objective=QuadraticObjective(dim=1), tau=tau,
-                    eta_c=0.1, eta_s=1.0, target_metric=0.9)
-    prof = ClientProfile(0, SpeedClass.NORMAL, 1.0, {0: beta})
     rng = np.random.default_rng(42)
-    draws = np.array([sample_duration(prof, task, rng) for _ in range(100_000)])
+    draws = np.array([sample_duration(beta, tau, rng) for _ in range(100_000)])
     ref = 3 * tau * beta
     cdf_err = abs(float(np.mean(draws <= ref)) - (1 - math.exp(-1)))
     mean_rel_err = abs(float(draws.mean()) - ref) / ref

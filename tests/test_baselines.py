@@ -5,7 +5,7 @@ import pytest
 
 from fstsim.baselines import MmSyncServer
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
+from fstsim.delay_model import ClientProfiles, DelaySpec, make_profiles
 from fstsim.event_engine import Aggregated, Dispatched, Engine, SimulationError, StopConditions
 from fstsim.harness import run_single
 from fstsim.objectives import ClientShards, Dataset, QuadraticObjective, TaskSpec
@@ -21,8 +21,9 @@ def quad_task(tid=0, target_kind="accuracy", target=0.999, eta_c=0.1):
 
 
 def uniform_profiles(n, task_ids, beta=1.0):
-    betas = {tid: beta for tid in task_ids}
-    return [ClientProfile(i, SpeedClass.NORMAL, 1.0, dict(betas)) for i in range(n)]
+    """n clients of the normal class, each with beta ``beta`` on every task."""
+    return make_profiles(n, {tid: beta for tid in task_ids}, np.random.default_rng(0),
+                         mix=(0.0, 1.0, 0.0))
 
 
 def shards_at(task_ids, n_clients, value=5.0):
@@ -69,8 +70,7 @@ class TestRoundStructure:
         slowest request is cancelled, and its late arrival is discarded."""
         task = quad_task()
         policy = MmSyncServer([task], allocation={0: 3}, k=2)
-        profiles = [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: float(i + 1)})
-                    for i in range(3)]
+        profiles = ClientProfiles([1] * 3, [float(i + 1) for i in range(3)], {0: 1.0})
         events = []
         engine = Engine(
             tasks=[task], shards=shards_at([0], 3), eval_sets=evals_at([0]),

@@ -8,7 +8,7 @@ import pytest
 import fstsim.event_engine as engine_mod
 import fstsim.rng
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
+from fstsim.delay_model import ClientProfiles, DelaySpec
 from fstsim.event_engine import (
     Aggregated,
     Arrived,
@@ -30,8 +30,10 @@ def quad_task(tid=0, target_kind="accuracy", target=0.99, tau=1, eta_c=0.1):
                     target_kind=target_kind, batch_size=1)
 
 
-def profile(cid, betas):
-    return ClientProfile(cid, SpeedClass.NORMAL, 1.0, betas)
+def pool(multipliers, base_betas):
+    """Clients of the normal class (code 1): client c's beta for task m is
+    base_betas[m] * multipliers[c]."""
+    return ClientProfiles([1] * len(multipliers), multipliers, base_betas)
 
 
 def zero_shards(task_ids, n_clients):
@@ -79,7 +81,7 @@ class TestReferenceTrace:
         2-0-1 round robin driven by arrivals. Every timestamp, client pick,
         dispatch round, and the tie-broken event order were worked out by
         hand before this test was written."""
-        profiles = [profile(0, {0: 1.0}), profile(1, {0: 2.0}), profile(2, {0: 3.0})]
+        profiles = pool([1.0, 2.0, 3.0], {0: 1.0})
         rotation = itertools.cycle([2, 0, 1])
 
         def on_start(policy, engine):
@@ -122,7 +124,7 @@ class TestFifoClients:
     def test_two_tasks_one_client_queue_in_dispatch_order(self):
         # steps cost 1 for task 0 and 4 for task 1: both dispatched at t=0,
         # so task 1 starts only at t=1 and arrives at 5
-        profiles = [profile(0, {0: 1.0, 1: 4.0})]
+        profiles = pool([1.0], {0: 1.0, 1: 4.0})
 
         def on_start(policy, engine):
             engine.send(0, 0)
@@ -154,8 +156,7 @@ class TestFifoClients:
     def test_dispatch_to_busy_client_starts_when_it_frees_up(self):
         # client 0 is busy with task 0 until t=5; task 1 lands on it at t=3
         # (triggered by a helper arrival) and completes at 5 + 2 = 7
-        profiles = [profile(0, {0: 5.0, 1: 2.0, 2: 9.0}),
-                    profile(1, {0: 9.0, 1: 9.0, 2: 3.0})]
+        profiles = pool([1.0, 1.0], {0: 5.0, 1: 2.0, 2: 3.0})
 
         def on_start(policy, engine):
             engine.send(0, 0)
@@ -191,8 +192,7 @@ class TestFifoClients:
     def test_dispatch_to_idle_client_starts_immediately(self):
         # client 0 went idle at t=1; a request at t=2 with 3 time units of
         # work completes at 2 + 3 = 5, not 1 + 3
-        profiles = [profile(0, {0: 1.0, 1: 3.0, 2: 9.0}),
-                    profile(1, {0: 9.0, 1: 9.0, 2: 2.0})]
+        profiles = pool([1.0, 1.0], {0: 1.0, 1: 3.0, 2: 2.0})
 
         def on_start(policy, engine):
             engine.send(0, 0)
@@ -221,7 +221,7 @@ class TestFifoClients:
         # client 0 is busy until 5 and client 1 until 1; after a release at
         # t=2, a request to client 0 starts at 2 instead of 5, and client 1
         # keeps the time it went idle
-        profiles = [profile(0, {0: 5.0}), profile(1, {0: 1.0})]
+        profiles = pool([5.0, 1.0], {0: 1.0})
         released = []
 
         def release(engine):
@@ -256,7 +256,7 @@ class TestFifoClients:
 
 class TestSampling:
     def make_engine(self, n_clients, availability=1.0, seed=0):
-        profiles = [profile(i, {0: 1.0}) for i in range(n_clients)]
+        profiles = pool([1.0] * n_clients, {0: 1.0})
         return Engine(
             tasks=[quad_task()], shards=zero_shards([0], n_clients),
             eval_sets=zero_evals([0]), profiles=profiles, seed=seed,
@@ -320,7 +320,7 @@ class TestPolicyCallback:
 
         engine = Engine(tasks=[quad_task()], shards=zero_shards([0], 2),
                         eval_sets=zero_evals([0]),
-                        profiles=[profile(0, {0: 1.0}), profile(1, {0: 1.0})],
+                        profiles=pool([1.0, 1.0], {0: 1.0}),
                         seed=0, delay=CONSTANT_DELAY, eval_interval=None,
                         stop=StopConditions(stop_on_targets=False, max_sim_time=1.5),
                         observer=events.append)
@@ -343,7 +343,7 @@ class TestStops:
                 engine._push(time, lambda arg: None, None)
 
     def test_no_tasks_starves(self):
-        engine = Engine(tasks=[], shards={}, eval_sets={}, profiles=[profile(0, {})],
+        engine = Engine(tasks=[], shards={}, eval_sets={}, profiles=pool([1.0], {}),
                         seed=0, eval_interval=None,
                         stop=StopConditions(stop_on_targets=False, max_rounds=1))
         with pytest.raises(StarvedError):
@@ -352,7 +352,7 @@ class TestStops:
     def test_idle_policy_starves(self):
         # a live task but nothing on the heap: the loop cannot make progress
         engine = Engine(tasks=[quad_task()], shards=zero_shards([0], 1),
-                        eval_sets=zero_evals([0]), profiles=[profile(0, {0: 1.0})],
+                        eval_sets=zero_evals([0]), profiles=pool([1.0], {0: 1.0}),
                         seed=0, eval_interval=None, stop=StopConditions())
         with pytest.raises(StarvedError):
             engine.run(StubPolicy([0]))
@@ -374,7 +374,7 @@ class TestStops:
             tasks=[quad_task(0, target_kind="loss", target=0.0),
                    quad_task(1, target_kind="loss", target=0.0)],
             shards=zero_shards([0, 1], 1), eval_sets=zero_evals([0, 1]),
-            profiles=[profile(0, {0: 1.0, 1: 1.0})], seed=0,
+            profiles=pool([1.0], {0: 1.0, 1: 1.0}), seed=0,
             eval_interval=0.5,
             stop=StopConditions(stop_on_targets=False, max_sim_time=2.0),
         )
@@ -393,7 +393,7 @@ class TestStops:
         engine = Engine(
             tasks=[quad_task(target_kind="loss", target=0.5)],
             shards=zero_shards([0], 1), eval_sets=zero_evals([0]),
-            profiles=[profile(0, {0: 1.0})], seed=0, eval_interval=1.0,
+            profiles=pool([1.0], {0: 1.0}), seed=0, eval_interval=1.0,
             stop=StopConditions(stop_on_targets=True),
         )
         log = engine.run(policy)
@@ -416,7 +416,7 @@ class TestStops:
             tasks=[quad_task(0, target_kind="loss", target=0.5),
                    quad_task(1, target_kind="loss", target=-1.0)],
             shards=zero_shards([0, 1], 1), eval_sets=zero_evals([0, 1]),
-            profiles=[profile(0, {0: 1.0, 1: 1.0})], seed=0, eval_interval=1.0,
+            profiles=pool([1.0], {0: 1.0, 1: 1.0}), seed=0, eval_interval=1.0,
             stop=StopConditions(stop_on_targets=True, max_sim_time=3.0),
             observer=events.append,
         )
@@ -437,7 +437,7 @@ class TestStops:
         policy = StubPolicy([0], on_start, on_update)
         engine = Engine(
             tasks=[quad_task()], shards=zero_shards([0], 1), eval_sets=zero_evals([0]),
-            profiles=[profile(0, {0: 1.0})], seed=0, delay=CONSTANT_DELAY,
+            profiles=pool([1.0], {0: 1.0}), seed=0, delay=CONSTANT_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=7),
         )
         log = engine.run(policy)
@@ -445,6 +445,80 @@ class TestStops:
         assert engine.rounds[0] == 7
         assert log.sim_time == 7.0  # unit steps, one request in flight
         assert engine.in_flight == {0: 1}  # the last one, sent but never dispatched
+
+
+class TestClientPool:
+    def test_task_without_a_base_beta_is_rejected(self):
+        with pytest.raises(ValueError, match="task 1 has no base beta"):
+            Engine(tasks=[quad_task(0), quad_task(1)], shards=zero_shards([0, 1], 1),
+                   eval_sets=zero_evals([0, 1]), profiles=pool([1.0], {0: 1.0}), seed=0)
+
+    def test_dispatches_are_numbered_per_task_and_client(self):
+        # two clients, two tasks: each (task, client) pair counts on its own
+        def on_start(policy, engine):
+            for task_id, client_id in ((0, 0), (0, 1), (1, 0), (0, 0), (1, 0), (0, 0)):
+                engine.send(task_id, client_id)
+            engine.call_at(20.0, lambda eng: None)  # past the horizon: a clean stop
+
+        policy = StubPolicy([0, 1], on_start)
+        engine = Engine(
+            tasks=[quad_task(0), quad_task(1)], shards=zero_shards([0, 1], 2),
+            eval_sets=zero_evals([0, 1]), profiles=pool([1.0, 1.0], {0: 1.0, 1: 1.0}),
+            seed=0, delay=CONSTANT_DELAY, eval_interval=None,
+            stop=StopConditions(stop_on_targets=False, max_sim_time=10.0),
+        )
+        engine.run(policy)
+        assert sorted((u.task_id, u.client_id, u.dispatch_no) for u in policy.updates) == [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+
+    def test_event_times_stay_python_floats(self):
+        """Betas are products of Python floats, so no numpy scalar reaches the
+        clock, the client queues or the events."""
+        cfg = ExperimentConfig(
+            tasks=(TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=2, r0=4,
+                              b0=2, base_beta=0.5, target_kind="loss", target_metric=1e-12),),
+            n_clients=10, availability=0.9, stop_on_targets=False, max_sim_time=20.0,
+        )
+        events = []
+        run_single(cfg, seed=4, observer=events.append)
+        times = [ev.time for ev in events]
+        times += [t for ev in events if isinstance(ev, Dispatched) for t in (ev.start, ev.arrival)]
+        assert len(times) > 100 and {type(t) for t in times} == {float}
+
+
+class TestEvaluation:
+    def test_a_task_is_evaluated_only_when_its_model_changed(self, monkeypatch):
+        """Task 0's model is replaced at t=1.5: the ticks at 1 and 3 reuse the
+        loss and accuracy of the model they see, and task 1's model never
+        changes. Every record still holds that tick's model's numbers."""
+        calls = []
+        evaluate = engine_mod.evaluate
+
+        def counted(task, x, eval_set):
+            calls.append((task.task_id, float(x[0])))
+            return evaluate(task, x, eval_set)
+
+        def on_start(policy, engine):
+            engine.send(0, 0)
+
+        def on_update(policy, engine, update):
+            engine.models[0] = np.array([2.0])
+            engine.models[0].setflags(write=False)
+
+        monkeypatch.setattr(engine_mod, "evaluate", counted)
+        tasks = [quad_task(0, target_kind="loss", target=0.0),
+                 quad_task(1, target_kind="loss", target=0.0)]
+        engine = Engine(
+            tasks=tasks, shards=zero_shards([0, 1], 1), eval_sets=zero_evals([0, 1]),
+            profiles=pool([1.0], {0: 1.5, 1: 1.0}), seed=0, delay=CONSTANT_DELAY,
+            eval_interval=1.0, stop=StopConditions(stop_on_targets=False, max_sim_time=3.0),
+        )
+        log = engine.run(StubPolicy([0, 1], on_start, on_update))
+        assert calls == [(0, 0.0), (1, 0.0), (0, 2.0)]
+        for rec in log.records:
+            x = np.array([2.0 if rec.task_id == 0 and rec.sim_time > 1.5 else 0.0])
+            assert (rec.loss, rec.accuracy) == evaluate(tasks[rec.task_id], x, zero_evals([0])[0])
+        assert len(log.records) == 8
 
 
 class TestEngineIntegration:
@@ -460,7 +534,7 @@ class TestEngineIntegration:
         events = []
         engine = Engine(
             tasks=[task], shards=shards, eval_sets=evals,
-            profiles=[profile(0, {0: 1.0})], seed=0, delay=CONSTANT_DELAY,
+            profiles=pool([1.0], {0: 1.0}), seed=0, delay=CONSTANT_DELAY,
             eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=10),
             observer=events.append,
         )

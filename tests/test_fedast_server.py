@@ -5,7 +5,7 @@ import pytest
 
 import fstsim.fedast_server as fedast_server
 from fstsim.config import ExperimentConfig, TaskConfig
-from fstsim.delay_model import ClientProfile, DelaySpec, SpeedClass
+from fstsim.delay_model import DelaySpec, make_profiles
 from fstsim.event_engine import (
     Arrived, Dispatched, Engine, SimulationError, StopConditions, train_updates,
 )
@@ -424,7 +424,7 @@ class TestPolicyContract:
         R0 for the whole run: every arrival is answered by one dispatch."""
         task = quad_task(tau=1, eta_c=0.05)
         n = 6
-        profiles = [ClientProfile(i, SpeedClass.NORMAL, 1.0, {0: 1.0}) for i in range(n)]
+        profiles = make_profiles(n, {0: 1.0}, np.random.default_rng(0), mix=(0.0, 1.0, 0.0))
         shards = {0: ClientShards(np.full((n, 1), 5.0), None, np.arange(n + 1))}
         evals = {0: Dataset(np.array([[5.0]]))}
         srv = FedAstServer([task], r0={0: 3}, b0={0: 2})

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -54,6 +55,16 @@ def quad_config(**overrides):
                 seed=7, runs=1, max_rounds=200)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def quickstart_with(task_field, field, value):
+    """``configs/quickstart.json`` built in Python, with one field replaced
+    (in its only task if ``task_field``)."""
+    cfg = load_config(CONFIGS / "quickstart.json")
+    if task_field:
+        return dataclasses.replace(
+            cfg, tasks=(dataclasses.replace(cfg.tasks[0], **{field: value}),))
+    return dataclasses.replace(cfg, **{field: value})
 
 
 class TestConfigRoundTrip:
@@ -143,21 +154,49 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("task_field, field, message", [
         # each was accepted in a config built in Python, where no JSON
         # parsing rejects it: every comparison with NaN is false
-        (True, "eta_c", "task 0: eta_c must be finite, not nan"),
-        (False, "max_sim_time", "max_sim_time must be finite, not nan"),
-        (True, "base_beta", "task 0: base_beta must be finite, not nan"),
+        (True, "eta_c", "task 0: eta_c must be a number, not nan"),
+        (False, "max_sim_time", "max_sim_time must be a number, not nan"),
+        (True, "base_beta", "task 0: base_beta must be a number, not nan"),
     ])
     def test_non_finite_numbers_rejected_in_python_configs(self, task_field, field, message):
-        cfg = load_config(CONFIGS / "quickstart.json")
-        if task_field:
-            cfg = dataclasses.replace(
-                cfg, tasks=(dataclasses.replace(cfg.tasks[0], **{field: math.nan}),)
-            )
-        else:
-            cfg = dataclasses.replace(cfg, **{field: math.nan})
         with pytest.raises(ConfigError) as excinfo:
-            validate_config(cfg)
+            validate_config(quickstart_with(task_field, field, math.nan))
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("task_field, field, value, message", [
+        # each passed validation in a config built in Python, and the run
+        # then raised TypeError
+        (False, "n_clients", 8.5, "n_clients must be an integer, not 8.5"),
+        (True, "tau", 1.5, "task 0: tau must be an integer, not 1.5"),
+        (True, "batch_size", True, "task 0: batch_size must be an integer, not True"),
+        (False, "drop_enforcement", 1, "drop_enforcement must be true or false, not 1"),
+        (False, "speed_mix", (0.5, 0.5), "speed_mix must be three numbers, not (0.5, 0.5)"),
+    ])
+    def test_wrong_types_rejected_in_python_configs(self, task_field, field, value, message):
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(quickstart_with(task_field, field, value))
+        assert message in str(excinfo.value)
+
+    def test_a_valid_config_has_a_horizon(self):
+        # a loss target the run never meets, and no horizon: it once
+        # validated and then ran until killed
+        cfg = quickstart_with(True, "target_metric", 1e-9)
+        validate_config(cfg)
+        for stop_on_targets in (True, False):
+            with pytest.raises(ConfigError, match="set max_sim_time or max_rounds"):
+                validate_config(dataclasses.replace(cfg, max_sim_time=None,
+                                                    stop_on_targets=stop_on_targets))
+        validate_config(dataclasses.replace(cfg, max_sim_time=None, max_rounds=50))
+
+    def test_evaluation_ticks_are_bounded(self):
+        # eval_interval=1e-12 with max_sim_time=5 once asked for 5e12 ticks
+        cfg = quickstart_with(False, "max_sim_time", 5.0)
+        for interval in (1e-12, 4.99e-5):
+            with pytest.raises(ConfigError, match=r"eval_interval .* more than 100000"):
+                validate_config(dataclasses.replace(cfg, eval_interval=interval))
+        validate_config(dataclasses.replace(cfg, eval_interval=5e-5))  # exactly 100000
+        validate_config(dataclasses.replace(cfg, eval_interval=1e-12, max_sim_time=None,
+                                            max_rounds=3))
 
     def test_task_id_must_fit_a_counter_word(self):
         d = config_to_dict(quad_config())
@@ -241,7 +280,7 @@ class TestScenario:
         for sa, sb in zip(a.shards[0], b.shards[0]):
             assert np.array_equal(sa.features, sb.features)
         assert np.array_equal(a.eval_sets[0].features, b.eval_sets[0].features)
-        assert [p.speed_class for p in a.profiles] == [p.speed_class for p in b.profiles]
+        assert np.array_equal(a.profiles.speed_classes, b.profiles.speed_classes)
 
     def test_different_seeds_differ(self):
         a = build_scenario(quad_config(tasks=(quad_task_config(sigma_g=1.0),)), seed=1)
@@ -296,6 +335,32 @@ class TestScenario:
                           stop_on_targets=False)
         _, pol = run_single(cfg, seed=0)
         assert pol.state(0).b == 1
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """The tracemalloc peak of one call of ``fn``, after one untraced call,
+    so first-call caches and lazy imports stay out of it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Exact tracemalloc peaks of the benchmark workloads at seed 1."""
+
+    def test_drop_unit_run_keeps_no_object_per_client(self):
+        # the client pool is flat per-task state: 0.57 MB with a dispatch
+        # count dict keyed by (task, client) and one profile object per client
+        assert traced_peak_mb(run_single, load_workloads().build("drop_unit"), 1) <= 0.30
+
+    def test_paper_scenario_holds_each_task_data_once(self):
+        # 6.1 MB while each eval set was a view of the whole drawn array,
+        # which kept it alive beside the shards' sorted copy
+        assert traced_peak_mb(build_scenario, load_workloads().build("paper_async"), 1) <= 5.0
 
 
 class TestRunExperiment:
@@ -491,12 +556,9 @@ class TestCli:
 
     @pytest.mark.parametrize("kind, target", [("accuracy", 1.5), ("loss", -0.1)])
     def test_target_that_no_metric_meets_exits_1(self, kind, target, tmp_path, capsys):
-        # an accuracy target of 1.5 once printed "config ok", and `run` without
-        # a horizon never ended; validate runs first, so a regression fails
-        # here instead of hanging in `run`
+        # an accuracy target of 1.5 once printed "config ok"
         d = json.loads((CONFIGS / "quickstart.json").read_text())
         d["tasks"][0].update(target_kind=kind, target_metric=target)
-        d["max_sim_time"] = None
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
         for command in (["validate"], ["run", "--out", str(tmp_path / "o")]):

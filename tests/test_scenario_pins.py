@@ -17,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fstsim.delay_model import SPEED_CLASSES
 from fstsim.harness import build_scenario
 from fstsim.objectives import Dataset, generate_blobs, generate_quadratic_shards, partition_dirichlet
 from test_workload_pins import load_workloads
@@ -58,10 +59,12 @@ def shards_sha(*tasks_shards) -> str:
 
 
 def profiles_sha(profiles) -> str:
+    """Per client: its id, class name, multiplier and (task, beta) pairs."""
     return sha16(
-        repr((p.client_id, p.speed_class.value, p.speed_multiplier,
-              sorted(p.beta_per_task.items()))).encode()
-        for p in profiles
+        repr((c, SPEED_CLASSES[code].value, mult,
+              sorted((tid, profiles.beta(c, tid)) for tid in profiles.base_betas))).encode()
+        for c, (code, mult) in enumerate(zip(profiles.speed_classes.tolist(),
+                                             profiles.multipliers))
     )
 
 
