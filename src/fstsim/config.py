@@ -16,6 +16,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .delay_model import DelaySpec
+from .event_engine import MAX_EVAL_TICKS, StopConditions
+from .objectives import LogisticObjective, QuadraticObjective, TaskSpec, TinyMlpObjective
+
 
 class ConfigError(ValueError):
     """A configuration is malformed or internally inconsistent."""
@@ -29,8 +33,6 @@ class AlgorithmKind(str, enum.Enum):
 
 
 _OBJECTIVE_KINDS = ("quadratic", "logistic", "tiny_mlp")
-#: Most evaluation ticks a run may ask for, max_sim_time / eval_interval.
-MAX_EVAL_TICKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("availability must lie in (0, 1]")
     if cfg.k_sync < 1:
         raise ConfigError("k_sync must be at least 1")
-    if cfg.shift_factor < 0 or cfg.scale_factor < 0:
-        raise ConfigError("delay factors must be nonnegative")
-    if cfg.shift_factor == 0 and cfg.scale_factor == 0:
-        raise ConfigError("delay distribution is degenerate at zero")
+    _built("", DelaySpec, cfg.shift_factor, cfg.scale_factor)
     if len(cfg.speed_mix) != 3 or abs(sum(cfg.speed_mix) - 1.0) > 1e-9:
         raise ConfigError("speed_mix must be three fractions summing to 1")
     if any(f < 0 for f in cfg.speed_mix):
@@ -141,14 +140,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.max_sim_time is None and cfg.max_rounds is None:
         # a target alone may never be met, and then the run never ends
         raise ConfigError("no stop condition bounds the run: set max_sim_time or max_rounds")
-    if cfg.max_sim_time is not None and cfg.max_sim_time <= 0:
-        raise ConfigError("max_sim_time must be positive")
+    _built("", StopConditions, cfg.stop_on_targets, cfg.max_sim_time, cfg.max_rounds)
     if cfg.max_sim_time is not None and cfg.max_sim_time / cfg.eval_interval > MAX_EVAL_TICKS:
         raise ConfigError(f"eval_interval {cfg.eval_interval!r} asks for more than "
                           f"{MAX_EVAL_TICKS} evaluation ticks up to max_sim_time "
                           f"{cfg.max_sim_time!r}")
-    if cfg.max_rounds is not None and cfg.max_rounds < 1:
-        raise ConfigError("max_rounds must be at least 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
     if cfg.runs < 1:
@@ -157,35 +153,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for t in cfg.tasks:
         where = f"task {t.task_id}"
         _check_fields(f"{where}: ", TaskConfig, vars(t))
-        if t.task_id < 0:
-            raise ConfigError(f"{where}: task_id must be nonnegative")
         if t.task_id >= 2**64:
             raise ConfigError(f"{where}: task_id must be below 2**64")
         if t.kind not in _OBJECTIVE_KINDS:
             raise ConfigError(f"{where}: unknown objective kind {t.kind!r}")
-        if t.tau < 1:
-            raise ConfigError(f"{where}: tau must be at least 1")
-        if t.eta_c <= 0 or t.eta_s <= 0:
-            raise ConfigError(f"{where}: learning rates must be positive")
-        if t.target_kind not in ("accuracy", "loss"):
-            raise ConfigError(f"{where}: target_kind must be 'accuracy' or 'loss'")
-        if t.target_metric > 1 if t.target_kind == "accuracy" else t.target_metric < 0:
-            raise ConfigError(f"{where}: no {t.target_kind} can meet target_metric "
-                              f"{t.target_metric!r} (accuracy is at most 1, loss at least 0)")
-        if t.batch_size < 1:
-            raise ConfigError(f"{where}: batch_size must be at least 1")
-        if t.base_beta <= 0:
-            raise ConfigError(f"{where}: base_beta must be positive")
-        if t.r0 < 1 or t.b0 < 1:
-            raise ConfigError(f"{where}: r0 and b0 must be at least 1")
-        if t.smoothness <= 0:
-            raise ConfigError(f"{where}: smoothness must be positive")
-        if t.l2 < 0:
-            raise ConfigError(f"{where}: l2 must be nonnegative")
-        if cfg.algorithm == AlgorithmKind.NO_BUFFER.value and t.b0 != 1:
-            raise ConfigError(
-                f"{where}: the no-buffer baseline aggregates every update alone; set b0=1"
-            )
         if t.kind == "quadratic":
             if t.dim < 1:
                 raise ConfigError(f"{where}: dim must be at least 1")
@@ -208,6 +179,45 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{where}: alpha must be positive")
             if t.n_train < t.n_classes or t.n_eval < t.n_classes:
                 raise ConfigError(f"{where}: need at least one sample per class per split")
+        _built(f"{where}: ", task_spec, t)
+        if t.target_metric > 1 if t.target_kind == "accuracy" else t.target_metric < 0:
+            raise ConfigError(f"{where}: no {t.target_kind} can meet target_metric "
+                              f"{t.target_metric!r} (accuracy is at most 1, loss at least 0)")
+        if t.base_beta <= 0:
+            raise ConfigError(f"{where}: base_beta must be positive")
+        if t.r0 < 1 or t.b0 < 1:
+            raise ConfigError(f"{where}: r0 and b0 must be at least 1")
+        if t.smoothness <= 0:
+            raise ConfigError(f"{where}: smoothness must be positive")
+        if t.l2 < 0:
+            raise ConfigError(f"{where}: l2 must be nonnegative")
+        if cfg.algorithm == AlgorithmKind.NO_BUFFER.value and t.b0 != 1:
+            raise ConfigError(
+                f"{where}: the no-buffer baseline aggregates every update alone; set b0=1"
+            )
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, its ValueError raised again as a ConfigError after ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
+
+def task_spec(t: TaskConfig) -> TaskSpec:
+    """The task's objective and TaskSpec, whose constructors raise ValueError
+    on a bad id, step count, rate, batch size or target kind."""
+    if t.kind == "quadratic":
+        objective = QuadraticObjective(dim=t.dim, l2=t.l2)
+    elif t.kind == "logistic":
+        objective = LogisticObjective(n_features=t.n_features, n_classes=t.n_classes, l2=t.l2)
+    else:
+        objective = TinyMlpObjective(n_features=t.n_features, hidden_units=t.hidden_units,
+                                     n_classes=t.n_classes, l2=t.l2)
+    return TaskSpec(task_id=t.task_id, objective=objective, tau=t.tau, eta_c=t.eta_c,
+                    eta_s=t.eta_s, target_metric=t.target_metric, target_kind=t.target_kind,
+                    batch_size=t.batch_size)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -56,6 +56,9 @@ logger = logging.getLogger(__name__)
 
 #: Iteration cap for the availability-rejection sampler.
 SAMPLER_ITERATION_CAP = 1_000_000
+#: Most evaluation ticks after the one at time 0, whether a config asks for
+#: them up to max_sim_time or a run without one takes them.
+MAX_EVAL_TICKS = 100_000
 
 
 class SimulationError(RuntimeError):
@@ -343,6 +346,9 @@ class Engine:
         self.policy.handle_update(self, update)
 
     def _do_eval(self) -> None:
+        if self.stop.max_sim_time is None and self.now / self.eval_interval > MAX_EVAL_TICKS:
+            raise SimulationError(f"run passed MAX_EVAL_TICKS={MAX_EVAL_TICKS} evaluation ticks "
+                                  f"at t={self.now} with no max_sim_time; rounds may have stalled")
         for task_id in sorted(self.tasks):
             task, model = self.tasks[task_id], self.models[task_id]
             evaluated, loss, accuracy = self._evaluated[task_id]

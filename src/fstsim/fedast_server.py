@@ -139,7 +139,7 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     tid = spec.task_id
     deltas = train_updates(engine, updates)
     mean_delta = np.add.reduce(deltas, axis=0) / len(updates)
-    model = engine.models[tid] - spec.eta_c * spec.eta_s * spec.tau * mean_delta
+    model = engine.models[tid] - spec.step_scale * mean_delta
     model.setflags(write=False)
     # NaN propagates through max, so a non-finite model fails too.
     if not np.abs(model).max() <= DIVERGENCE_LIMIT:
@@ -204,7 +204,6 @@ class FedAstServer:
         self.tau_max = tau_max
         self.warnings: list[str] = []
         self.c = 0
-        self.released_budget = 0
         #: (sim_time, c, new request targets, sigma_sq estimates) per trigger
         self.realloc_events: list[tuple[float, int, dict[int, int], dict[int, float]]] = []
 
@@ -224,11 +223,11 @@ class FedAstServer:
                 logger.warning(msg)
                 self.warnings.append(msg)
             self._states[tid] = ServerTaskState(spec=task, r_target=r0[tid], b=b0[tid])
-        self.c_period = (
-            c_period
-            if c_period is not None
-            else default_c_period(len(tasks), sum(r0[t.task_id] for t in tasks))
-        )
+        #: the concurrent requests every plan apportions: a finished task's
+        #: target drops to 0, so the live targets always sum to this
+        self.r_total = sum(r0[t.task_id] for t in tasks)
+        self.c_period = c_period if c_period is not None else default_c_period(len(tasks),
+                                                                              self.r_total)
         if self.c_period < 1:
             raise ValueError("c_period must be at least 1")
 
@@ -281,9 +280,7 @@ class FedAstServer:
         }
 
     def mark_finished(self, engine: Engine, task_id: int) -> None:
-        st = self._states[task_id]
-        self.released_budget += st.r_target
-        st.r_target = 0
+        self._states[task_id].r_target = 0
 
     # -- internals -----------------------------------------------------------
 
@@ -292,34 +289,27 @@ class FedAstServer:
         return self._states[task_id]
 
     def _replan(self, engine: Engine) -> None:
-        # compute_plan reads the histories of live tasks, and only when each
-        # holds at least 2 updates: train and hand over just those.
-        live = {tid for tid in self._states if engine.finished[tid] is None}
-        read = live if all(len(self._states[tid].history) >= 2 for tid in live) else set()
-        for tid in read:
-            train_updates(engine, self._states[tid].history)
-        views = [
-            TaskAllocView(
-                task_id=tid,
-                r_target=st.r_target,
-                buffer_target=st.b,
-                finished=tid not in live,
-                step_scale=st.spec.eta_c * st.spec.eta_s * st.spec.tau,
-                history=tuple(u.delta for u in st.history) if tid in read else (),
-            )
-            for tid, st in self._states.items()
-        ]
-        plan = compute_plan(views, self.released_budget)
-        if plan is None:
+        # The planner reads every live task's history: train and hand over
+        # those once each holds at least 2 updates.
+        live = [st for tid, st in self._states.items() if engine.finished[tid] is None]
+        if any(len(st.history) < 2 for st in live):
             return
-        self.released_budget = 0
-        for tid, st in self._states.items():
-            st.r_target = plan.r_new[tid]
-            st.b = plan.b_new[tid]
-        self.realloc_events.append((engine.now, self.c, dict(plan.r_new), dict(plan.sigma_sq)))
+        views = []
+        for st in live:
+            train_updates(engine, st.history)
+            views.append(TaskAllocView(task_id=st.spec.task_id, r_target=st.r_target,
+                                       buffer_target=st.b, step_scale=st.spec.step_scale,
+                                       history=tuple(u.delta for u in st.history)))
+        plan = compute_plan(views, self.r_total)
+        for st in live:
+            st.r_target = plan.r_new[st.spec.task_id]
+            st.b = plan.b_new[st.spec.task_id]
+        self.realloc_events.append((engine.now, self.c,
+                                    {tid: st.r_target for tid, st in self._states.items()},
+                                    dict(plan.sigma_sq)))
         # A shrunk buffer target may already be satisfied.
-        for tid, st in self._states.items():
-            if engine.finished[tid] is None and len(st.buffer) >= st.b:
+        for st in live:
+            if len(st.buffer) >= st.b:
                 self._aggregate(engine, st)
 
     def _aggregate(self, engine: Engine, st: ServerTaskState) -> None:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rng as rng_tree
 from .baselines import MmSyncServer
-from .config import AlgorithmKind, ConfigError, ExperimentConfig, save_config, validate_config
+from .config import (AlgorithmKind, ConfigError, ExperimentConfig, save_config, task_spec,
+                     validate_config)
 from .delay_model import ClientProfiles, DelaySpec, make_profiles
 from .event_engine import Engine, Observer, RunLog, ServerPolicy, StopConditions
 from .fedast_server import FedAstServer, lr_bound_warnings
@@ -26,10 +27,7 @@ from .metrics import MetricsRecord, write_csv, write_jsonl
 from .objectives import (
     ClientShards,
     Dataset,
-    LogisticObjective,
-    QuadraticObjective,
     TaskSpec,
-    TinyMlpObjective,
     generate_blobs,
     generate_quadratic_shards,
     partition_dirichlet,
@@ -62,7 +60,6 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
     for tc in cfg.tasks:
         rng = rng_tree.data_rng(seed, tc.task_id)
         if tc.kind == "quadratic":
-            objective = QuadraticObjective(dim=tc.dim, l2=tc.l2)
             task_shards, eval_set = generate_quadratic_shards(
                 cfg.n_clients,
                 tc.dim,
@@ -73,17 +70,6 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
                 local_spread=tc.local_spread,
             )
         else:
-            if tc.kind == "logistic":
-                objective = LogisticObjective(
-                    n_features=tc.n_features, n_classes=tc.n_classes, l2=tc.l2
-                )
-            else:
-                objective = TinyMlpObjective(
-                    n_features=tc.n_features,
-                    hidden_units=tc.hidden_units,
-                    n_classes=tc.n_classes,
-                    l2=tc.l2,
-                )
             data = generate_blobs(
                 tc.n_train + tc.n_eval,
                 tc.n_features,
@@ -100,18 +86,7 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
             for array in (eval_set.features, eval_set.labels):
                 array.setflags(write=False)
             task_shards = partition_dirichlet(train, cfg.n_clients, tc.alpha, rng)
-        tasks.append(
-            TaskSpec(
-                task_id=tc.task_id,
-                objective=objective,
-                tau=tc.tau,
-                eta_c=tc.eta_c,
-                eta_s=tc.eta_s,
-                target_metric=tc.target_metric,
-                target_kind=tc.target_kind,
-                batch_size=tc.batch_size,
-            )
-        )
+        tasks.append(task_spec(tc))
         shards[tc.task_id] = task_shards
         eval_sets[tc.task_id] = eval_set
 
@@ -170,23 +145,17 @@ def run_single(
 
 
 def learning_rate_warnings(cfg: ExperimentConfig) -> list[str]:
-    """Theoretical step-size checks (uniform-buffer form, chi = 1); ``mm_sync``
-    averages the first min(k_sync, r0) updates, all fresh: that buffer, no cap."""
+    """Theoretical step-size checks, with chi the max/min skew of the tasks'
+    buffers; ``mm_sync`` averages the first min(k_sync, r0) updates, all
+    fresh: that buffer, no cap."""
     sync = AlgorithmKind(cfg.algorithm) is AlgorithmKind.MM_SYNC
-    return [
-        warning
-        for tc in cfg.tasks
-        for warning in lr_bound_warnings(
-            tc.task_id,
-            tc.tau,
-            tc.eta_c,
-            tc.eta_s,
-            concurrency=tc.r0,
-            buffer_size=min(cfg.k_sync, tc.r0) if sync else tc.b0,
-            staleness_cap=None if sync else cfg.tau_max,
-            smoothness=tc.smoothness,
-        )
-    ]
+    buffers = [min(cfg.k_sync, tc.r0) if sync else tc.b0 for tc in cfg.tasks]
+    chi = max(buffers) / min(buffers)
+    return [warning for tc, buffer_size in zip(cfg.tasks, buffers)
+            for warning in lr_bound_warnings(
+                tc.task_id, tc.tau, tc.eta_c, tc.eta_s, concurrency=tc.r0,
+                buffer_size=buffer_size, staleness_cap=None if sync else cfg.tau_max,
+                smoothness=tc.smoothness, chi=chi)]
 
 
 def _time_to_target(cfg: ExperimentConfig, log: RunLog, task_id: int) -> float:

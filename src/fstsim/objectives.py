@@ -252,6 +252,11 @@ class TaskSpec:
     def dim(self) -> int:
         return self.objective.dim
 
+    @property
+    def step_scale(self) -> float:
+        """eta_c * eta_s * tau, a server step's move per unit of mean update."""
+        return self.eta_c * self.eta_s * self.tau
+
     def new_model(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=np.float64)
 
@@ -295,7 +300,8 @@ def partition_dirichlet(
     clients; large alpha approaches a uniform split. Then each client left
     with zero samples, in increasing id order, takes one from the first
     largest shard: the sample that shard was dealt last. So every shard is
-    trainable. A shard holds its samples in dataset order.
+    trainable. A shard holds its samples in dataset order. Labels must be
+    nonnegative: the classes are the labels ``np.bincount`` counts.
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -310,7 +316,7 @@ def partition_dirichlet(
     owner = np.empty(dataset.size, dtype=np.int64)
     dealt = np.empty(dataset.size, dtype=np.int64)
     offset = 0
-    for cls in np.unique(dataset.labels):
+    for cls in np.flatnonzero(np.bincount(dataset.labels)):
         cls_idx = np.flatnonzero(dataset.labels == cls)
         rng.shuffle(cls_idx)
         props = rng.dirichlet(np.full(n_clients, alpha))

@@ -1,12 +1,14 @@
 """Periodic resource reallocation across concurrently trained tasks.
 
-Every ``c_period`` received updates (dynamic mode only) the server asks
-``compute_plan`` to re-split the total concurrent-request budget
-proportionally to each task's estimated heterogeneity: the square root of a
-normalized update variance computed from the last few buffered updates.
-Buffer sizes follow their task's request count so the
+Every ``c_period`` received updates (dynamic mode only), once each live task
+holds at least 2 updates, the server asks ``compute_plan`` to re-split its
+constant request budget, sum(r0), across the live tasks (a finished task's
+target is 0) proportionally to each task's estimated heterogeneity: the
+square root of a normalized update variance computed from the last few
+buffered updates. Buffer sizes follow their task's request count so the
 requests-per-aggregation ratio is preserved. Everything here is a pure
-function over snapshots; the caller applies the returned plan.
+function over snapshots, live tasks in and their new targets out; the
+caller applies the returned plan.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ C_PERIOD_FACTOR = 0.75
 
 @dataclass(frozen=True)
 class TaskAllocView:
-    """Read-only slice of one task's server state, as seen by the planner."""
+    """Read-only slice of one live task's server state, as seen by the planner."""
 
     task_id: int
     r_target: int
     buffer_target: int
-    finished: bool
     #: eta_c * eta_s * tau, the update-to-model scaling of this task
     step_scale: float
     history: Sequence[np.ndarray]
@@ -37,7 +38,7 @@ class TaskAllocView:
 
 @dataclass(frozen=True)
 class ReallocPlan:
-    """New request and buffer targets of every task."""
+    """New request and buffer targets of every planned task."""
 
     r_new: Mapping[int, int]
     b_new: Mapping[int, int]
@@ -115,33 +116,21 @@ def apportion_largest_remainder(weights: Sequence[float], total: int) -> list[in
     return [int(a) for a in alloc]
 
 
-def compute_plan(
-    views: Sequence[TaskAllocView], released_budget: int = 0
-) -> ReallocPlan | None:
-    """Decide new (R, b) targets; the caller decides when to plan.
+def compute_plan(views: Sequence[TaskAllocView], budget: int) -> ReallocPlan:
+    """New (R, b) targets of the live tasks in ``views``; the caller decides
+    when to plan, and each view holds at least 2 retained updates.
 
-    The pass re-apportions the live budget (live targets plus any budget
-    released by finished tasks) proportionally to sqrt(sigma_sq), then
-    rescales each buffer by its task's request ratio (round to nearest,
-    floor 1); finished tasks keep their targets. Returns None, changing
-    nothing, if no task is live or a live task has fewer than 2 retained
-    updates.
+    The pass apportions ``budget`` concurrent requests proportionally to
+    sqrt(sigma_sq), then rescales each buffer by its task's request ratio
+    (round to nearest, floor 1).
     """
-    live = [v for v in views if not v.finished]
-    if not live or any(len(v.history) < 2 for v in live):
-        return None
-
     sigma_sq = estimate_variances(
-        {v.task_id: v.history for v in live},
-        {v.task_id: v.step_scale for v in live},
+        {v.task_id: v.history for v in views},
+        {v.task_id: v.step_scale for v in views},
     )
-    weights = [math.sqrt(sigma_sq[v.task_id]) for v in live]
-    budget = sum(v.r_target for v in live) + released_budget
-    new_r = apportion_largest_remainder(weights, budget)
-
-    r_new = {v.task_id: v.r_target for v in views}
-    b_new = {v.task_id: v.buffer_target for v in views}
-    for view, r in zip(live, new_r):
+    new_r = apportion_largest_remainder([math.sqrt(sigma_sq[v.task_id]) for v in views], budget)
+    r_new, b_new = {}, {}
+    for view, r in zip(views, new_r):
         r_new[view.task_id] = r
         scaled = view.buffer_target * r / view.r_target
         b_new[view.task_id] = max(1, int(math.floor(scaled + 0.5)))

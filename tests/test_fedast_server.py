@@ -1,21 +1,25 @@
 """Buffered async server: aggregation, dispatch walk, drops, reallocation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fstsim.fedast_server as fedast_server
-from fstsim.config import ExperimentConfig, TaskConfig
+from fstsim.config import ExperimentConfig, TaskConfig, load_config
 from fstsim.delay_model import DelaySpec, make_profiles
 from fstsim.event_engine import (
-    Arrived, Dispatched, Engine, SimulationError, StopConditions, train_updates,
+    Arrived, Dispatched, Engine, Finished, SimulationError, StopConditions, train_updates,
 )
 from fstsim.fedast_server import FedAstServer, lr_bound_warnings, lr_bounds, server_step
-from fstsim.harness import build_policy, build_scenario
+from fstsim.harness import build_policy, build_scenario, run_single
 from fstsim.local_trainer import Update, local_train
 from fstsim.objectives import (
     ClientShards, Dataset, LogisticObjective, QuadraticObjective, TaskSpec,
 )
 from fstsim.rng import request_generator
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class FakeEngine:
@@ -233,16 +237,16 @@ class TestDispatchWalk:
 
 
 class TestFinishing:
-    def test_mark_finished_releases_budget_once(self):
+    def test_mark_finished_zeroes_the_target_only(self):
         tasks = [quad_task(0), quad_task(1)]
         srv = FedAstServer(tasks, r0={0: 7, 1: 3}, b0={0: 1, 1: 1})
         eng = FakeEngine(tasks)
         srv.start(eng)
         eng.finish(srv, 0)
-        assert srv.released_budget == 7
         assert srv.state(0).r_target == 0
         srv.mark_finished(eng, 0)
-        assert srv.released_budget == 7
+        assert srv.state(0).r_target == 0
+        assert (srv.r_total, srv.state(1).r_target) == (10, 3)
 
     def test_late_update_is_discarded_silently(self):
         srv = FedAstServer([quad_task()], r0={0: 4}, b0={0: 2})
@@ -353,7 +357,7 @@ class TestDynamicReallocation:
         assert srv.realloc_events == []
         assert srv.state(0).r_target == 2
 
-    def test_released_budget_zeroed_after_trigger(self):
+    def test_every_plan_after_a_finish_apportions_r_total(self):
         t0 = quad_task(0)
         t1 = quad_task(1)
         srv = FedAstServer([t0, t1], r0={0: 3, 1: 3}, b0={0: 9, 1: 9},
@@ -361,13 +365,35 @@ class TestDynamicReallocation:
         eng = FakeEngine([t0, t1])
         srv.start(eng)
         eng.finish(srv, 1)
-        assert srv.released_budget == 3
-        eng.deliver(srv, upd(0, [1.0]))
-        eng.deliver(srv, upd(0, [3.0]))
-        eng.deliver(srv, upd(0, [1.0]))
-        eng.deliver(srv, upd(0, [3.0]))  # c = 4: trigger, budget 3 + 3
-        assert srv.realloc_events[0][2][0] == 6
-        assert srv.released_budget == 0
+        for delta in [1.0, 3.0, 1.0, 3.0] * 2:  # c = 4 and c = 8: two plans
+            eng.deliver(srv, upd(0, [delta]))
+        assert [event[2] for event in srv.realloc_events] == [{0: 6, 1: 0}, {0: 6, 1: 0}]
+        assert [list(event[3]) for event in srv.realloc_events] == [[0], [0]]
+
+    def test_no_plan_until_every_live_task_holds_two_updates(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fedast_server, "compute_plan", lambda *args: calls.append(args))
+        t0, t1 = quad_task(0), quad_task(1)
+        srv = FedAstServer([t0, t1], r0={0: 3, 1: 3}, b0={0: 9, 1: 9},
+                           option="D", c_period=2)
+        eng = FakeEngine([t0, t1])
+        srv.start(eng)
+        for delta in [1.0, 3.0, 1.0, 3.0]:  # c = 2 and c = 4, task 1 holds none
+            eng.deliver(srv, upd(0, [delta]))
+        assert calls == [] and srv.realloc_events == []
+        assert (srv.state(0).r_target, srv.state(1).r_target) == (3, 3)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dynamic_realloc_targets_always_sum_to_r0(self, seed):
+        cfg = load_config(CONFIGS / "dynamic_realloc.json")
+        finished = []
+        log, policy = run_single(cfg, seed, observer=lambda e: isinstance(e, Finished)
+                                 and finished.append(e.time))
+        assert policy.realloc_events
+        assert any(time > finished[0] for time, *_ in policy.realloc_events)
+        for _, _, r, sigma_sq in policy.realloc_events:
+            assert sum(r.values()) == sum(tc.r0 for tc in cfg.tasks) == policy.r_total
+            assert list(r) == [tc.task_id for tc in cfg.tasks]
 
 
 class TestPlannerCadence:

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -30,6 +33,7 @@ from fstsim.fedast_server import FedAstServer
 from fstsim.harness import (
     build_scenario,
     compare,
+    learning_rate_warnings,
     run_experiment,
     run_single,
     time_gain,
@@ -38,7 +42,8 @@ from fstsim.metrics import FIELD_ORDER, MetricsRecord, write_csv, write_jsonl
 from fstsim.objectives import Dataset
 from test_workload_pins import load_workloads
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def quad_task_config(tid=0, **overrides):
@@ -349,6 +354,46 @@ def traced_peak_mb(fn, *args) -> float:
         tracemalloc.stop()
 
 
+def run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports fstsim from this tree."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestFreshProcess:
+    def test_building_a_scenario_leaves_numpy_ma_unloaded(self):
+        # np.unique once imported numpy.ma on a process's first Dirichlet split
+        result = run_python(
+            "import sys\n"
+            "from fstsim.config import load_config\n"
+            "from fstsim.harness import build_scenario\n"
+            "cfg = load_config('configs/two_task_async.json')\n"
+            "build_scenario(cfg, cfg.seed)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n",
+            timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout == "[]\n"
+
+    def test_stalled_rounds_without_max_sim_time_end_with_exit_2(self, tmp_path):
+        # mm_sync redraws a round that finds no client every eval_interval;
+        # with only max_rounds to stop it, this run once never ended
+        d = json.loads((CONFIGS / "two_task_sync.json").read_text())
+        d.update(availability=1e-9, max_sim_time=None, max_rounds=5)
+        cfg = tmp_path / "stalled.json"
+        cfg.write_text(json.dumps(d))
+        result = run_python(
+            "import sys\n"
+            "import fstsim.event_engine\n"
+            "from fstsim.cli import main\n"
+            "fstsim.event_engine.MAX_EVAL_TICKS = 1000\n"
+            f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]))\n",
+            timeout=30)
+        assert result.returncode == 2, result.stderr[-2000:]
+        assert "runtime error: run passed MAX_EVAL_TICKS=1000 evaluation ticks" in result.stderr
+
+
 class TestMemory:
     """Exact tracemalloc peaks of the benchmark workloads at seed 1."""
 
@@ -406,6 +451,14 @@ class TestRunExperiment:
         assert entry["reached"] == [False]
         assert not entry["all_reached"]
         assert entry["per_run"][0] > 0  # capped at the run's final time
+
+    def test_lr_warnings_damp_the_bounds_by_buffer_skew(self):
+        # b0 = 1 and 16: chi = 16 cuts task 1's server-rate bound from 4 to
+        # 4 * 16**-1.5 = 0.0625, below its eta_s = 1; uniform buffers pass
+        tasks = (quad_task_config(0, eta_c=1e-3, b0=1), quad_task_config(1, eta_c=1e-3, b0=16))
+        assert learning_rate_warnings(quad_config(tasks=(tasks[1],))) == []
+        warned = learning_rate_warnings(quad_config(tasks=tasks))
+        assert "task 1: eta_s=1 exceeds the server-rate bound 0.0625 (sqrt(tau*b) term)" in warned
 
     def test_lr_warnings_surface_in_summary(self):
         cfg = quad_config(tasks=(quad_task_config(eta_s=100.0),), max_rounds=2,
@@ -599,17 +652,31 @@ class TestCli:
             assert cli_main(["validate", "--config", str(path)]) == 1
             assert "config error: cannot read config file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task_field, field, value, message", [
+    @pytest.mark.parametrize("task_field, changes, message", [
         # both once printed "config ok" and then crashed `run` with exit 2
-        (True, "task_id", -1, "task -1: task_id must be nonnegative"),
-        (False, "speed_mix", [1.5, -0.5, 0.0], "speed_mix fractions must be nonnegative"),
+        (True, {"task_id": -1}, "task -1: task_id must be nonnegative"),
+        (False, {"speed_mix": [1.5, -0.5, 0.0]}, "speed_mix fractions must be nonnegative"),
+        # the task's, the delay shape's and the stop conditions' own
+        # constructors decide these
+        (True, {"tau": 0}, "task 0: tau must be at least 1"),
+        (True, {"eta_s": -1.0}, "task 0: learning rates must be positive"),
+        (True, {"batch_size": 0}, "task 0: batch_size must be at least 1"),
+        (True, {"target_kind": "error"}, "task 0: target_kind must be 'accuracy' or 'loss'"),
+        (False, {"scale_factor": -2.0}, "config error: delay factors must be nonnegative"),
+        (False, {"shift_factor": 0.0, "scale_factor": 0.0},
+         "config error: delay distribution is degenerate at zero"),
+        (False, {"max_sim_time": -1.0}, "config error: max_sim_time must be positive"),
+        (False, {"max_rounds": 0}, "config error: max_rounds must be at least 1"),
     ])
-    def test_validate_and_run_reject_a_negative_value(self, task_field, field, value,
-                                                      message, tmp_path, capsys):
-        bad = self.quickstart_with(tmp_path, task_field, field, value)
-        assert cli_main(["validate", "--config", bad]) == 1
+    def test_validate_and_run_reject_a_bad_value(self, task_field, changes, message,
+                                                 tmp_path, capsys):
+        d = json.loads((CONFIGS / "quickstart.json").read_text())
+        (d["tasks"][0] if task_field else d).update(changes)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert cli_main(["validate", "--config", str(bad)]) == 1
         assert message in capsys.readouterr().err
-        assert cli_main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
     def test_zero_staleness_cap_validates_and_runs(self, tmp_path, capsys):

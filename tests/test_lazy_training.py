@@ -141,9 +141,9 @@ def instrumented_run(name, monkeypatch):
         aggregated.extend(id(u) for u in step_updates)
         server_step(engine, spec, step_updates)
 
-    def recorded_compute_plan(views, released_budget=0):
+    def recorded_compute_plan(views, budget):
         planner_reads.extend(id(delta) for view in views for delta in view.history)
-        return compute_plan(views, released_budget)
+        return compute_plan(views, budget)
 
     def observe(event):
         if isinstance(event, Aggregated):

@@ -17,9 +17,8 @@ from fstsim.realloc import (
 )
 
 
-def view(tid, r=5, b=2, finished=False, scale=1.0, history=()):
-    return TaskAllocView(task_id=tid, r_target=r, buffer_target=b,
-                         finished=finished, step_scale=scale,
+def view(tid, r=5, b=2, scale=1.0, history=()):
+    return TaskAllocView(task_id=tid, r_target=r, buffer_target=b, step_scale=scale,
                          history=tuple(np.asarray(h, dtype=float) for h in history))
 
 
@@ -141,13 +140,11 @@ class TestComputePlan:
     def hist_flat(self):
         return ([2.0, 0.0], [2.0, 0.0])  # rel var 0
 
-    def test_short_history_passthrough(self):
+    def test_short_history_is_refused(self):
+        # the server plans only once every live task holds 2 updates
         views = [view(0, history=self.hist_a()), view(1, history=([1.0, 0.0],))]
-        assert compute_plan(views) is None
-
-    def test_all_finished_passthrough(self):
-        views = [view(0, finished=True, history=self.hist_a())]
-        assert compute_plan(views) is None
+        with pytest.raises(ValueError, match="task 1: need at least 2 updates"):
+            compute_plan(views, 10)
 
     def test_frozen_trigger_example(self):
         """Task 0 (scale 2, rel var .25) against a constant-history task 1:
@@ -157,8 +154,7 @@ class TestComputePlan:
             view(0, r=6, b=2, scale=2.0, history=self.hist_a()),
             view(1, r=3, b=3, scale=1.0, history=self.hist_flat()),
         ]
-        plan = compute_plan(views)
-        assert plan is not None
+        plan = compute_plan(views, 9)
         assert plan.sigma_sq == {0: pytest.approx(0.5), 1: 0.0}
         assert plan.r_new == {0: 8, 1: 1}
         assert plan.b_new == {0: 3, 1: 1}
@@ -168,22 +164,22 @@ class TestComputePlan:
             view(0, r=7, b=2, history=([1.0], [3.0])),
             view(1, r=3, b=2, history=([2.0], [6.0])),  # same relative spread
         ]
-        plan = compute_plan(views)
-        assert plan is not None
+        plan = compute_plan(views, 10)
         assert plan.r_new == {0: 5, 1: 5}
         # buffer follows its own task's request ratio, rounded half up
         assert plan.b_new == {0: max(1, int(math.floor(2 * 5 / 7 + 0.5))), 1: 3}
 
-    def test_released_budget_joins_the_pool(self):
+    def test_budget_covers_a_finished_tasks_share(self):
+        # task 2 finished with 4 requests: only the live tasks are handed
+        # over, with the whole budget, and only they get targets
         views = [
             view(0, r=3, b=1, history=([1.0], [3.0])),
             view(1, r=3, b=1, history=([2.0], [6.0])),
-            view(2, r=4, b=1, finished=True, history=()),
         ]
-        plan = compute_plan(views, released_budget=4)
-        assert plan is not None
-        assert plan.r_new[0] + plan.r_new[1] == 10
-        assert plan.r_new[2] == 4  # finished task merely passes through
+        plan = compute_plan(views, 10)
+        assert plan.r_new == {0: 5, 1: 5}
+        assert plan.b_new == {0: 2, 1: 2}  # 1 * 5 / 3 rounds to 2
+        assert set(plan.sigma_sq) == {0, 1}
 
     def test_two_pass_oracle(self, rng):
         """Replay the full pipeline with an independent in-test oracle."""
@@ -196,8 +192,8 @@ class TestComputePlan:
                 views.append(view(tid, r=int(rng.integers(1, 9)),
                                   b=int(rng.integers(1, 4)),
                                   scale=float(rng.uniform(0.5, 2.0)), history=hist))
-            plan = compute_plan(views)
-            assert plan is not None
+            budget = int(rng.integers(n, 30))
+            plan = compute_plan(views, budget)
 
             # oracle: variances, sqrt weights, quota + largest remainder
             weights = []
@@ -208,7 +204,6 @@ class TestComputePlan:
                     len(v_.history) * float(mean @ mean))
                 assert plan.sigma_sq[v_.task_id] == pytest.approx(sig, rel=1e-12)
                 weights.append(math.sqrt(sig))
-            budget = sum(v_.r_target for v_ in views)
             quotas = np.array(weights) / sum(weights) * budget
             alloc = np.floor(quotas).astype(int)
             order = np.argsort(-(quotas - alloc), kind="stable")
@@ -228,5 +223,7 @@ class TestComputePlan:
             views = [view(t, r=int(rng.integers(1, 12)),
                           history=tuple(rng.normal(size=2) for _ in range(3)))
                      for t in range(n)]
-            plan = compute_plan(views)
-            assert sum(plan.r_new.values()) == sum(v.r_target for v in views)
+            budget = int(rng.integers(n, 40))
+            plan = compute_plan(views, budget)
+            assert sum(plan.r_new.values()) == budget
+            assert set(plan.r_new) == set(plan.b_new) == set(range(n))
