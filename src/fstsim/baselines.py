@@ -103,7 +103,9 @@ class MmSyncServer:
             self.updates_discarded += 1
             return
         st.collected.append(update)
-        self._maybe_close_round(engine)
+        # A round can close only as a task reaches k_eff, or at mark_finished.
+        if len(st.collected) == st.k_eff:
+            self._maybe_close_round(engine)
 
     def handle_barrier(self, engine: Engine) -> None:
         # Scheduled once every live task held k_eff >= 1 updates; the engine

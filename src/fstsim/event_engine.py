@@ -311,7 +311,7 @@ class Engine:
     def release_clients(self, at: float) -> None:
         """Free every client at ``at``: no client stays busy past it. The
         requests it was running still arrive, at their original times."""
-        self.busy_until = [min(busy, at) for busy in self.busy_until]
+        self.busy_until = [at if busy > at else busy for busy in self.busy_until]
 
     # -- event handlers -----------------------------------------------------
 
@@ -396,6 +396,8 @@ class Engine:
                 reasons = set(self.finished.values())
                 stop_reason = "targets" if reasons == {"target"} else "max_rounds"
                 break
+        # The events left hold this engine's bound handlers: a reference cycle.
+        self._heap.clear()
 
         if stop_reason is None:
             raise StarvedError(

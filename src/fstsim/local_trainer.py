@@ -11,10 +11,11 @@ all of them: rows copied from the task's shard arrays, each minibatch
 zero-padded to the largest, one-sample minibatches in a stack of their
 own. Each row is bit for bit what training that request alone, as a batch
 of one, gives. An ``Update`` names its request by task, client and
-dispatch number; with the run seed that is the request's key. A request
-that draws minibatches re-keys the run's one request generator to the
-key's training stream (``rng.rekey``) and draws all tau of them before the
-first step.
+dispatch number; with the run seed that is the request's key. Before the
+first step, one ``rng.minibatch_picks`` call draws every minibatch of the
+stack's drawing requests, each exactly what tau ``Generator.choice`` calls
+on the request's training stream (the run's one request generator re-keyed
+by ``rng.rekey``) give.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .objectives import ClientShards, TaskSpec
-from .rng import TRAIN, RequestKey, rekey
+from .rng import RequestKey, minibatch_picks
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
 DIVERGENCE_LIMIT = 1e12
@@ -127,25 +128,27 @@ def _train_rows(task, rows, spans, snapshots, shards, keys,
     counts = np.array(counts)
     # A whole shard is every step's minibatch; a drawn row, always as wide as
     # the stack, is refilled each step from the tau minibatches its stream
-    # gives, drawn up front in step order.
-    draws = []
+    # gives, drawn for all drawn rows in one pass.
+    drawn = []  # (stack row, request key, shard size, first shard row) per drawn row
     for j, i in enumerate(rows):
         a, size, n = spans[i]
         if size > n:
-            rng = rekey(streams, keys[i], TRAIN)
-            draws.append((j, [a + rng.choice(size, size=n, replace=False)
-                              for _ in range(task.tau)]))
+            drawn.append((j, keys[i], size, a))
         else:
             features[j, :n] = shards.features[a:a + n]
             if labels is not None:
                 labels[j, :n] = shards.labels[a:a + n]
+    if drawn:
+        drawn, drawn_keys, sizes, starts = zip(*drawn)
+        picks = minibatch_picks(streams, drawn_keys, sizes, task.batch_size, task.tau)
+        picks += np.array(starts)[:, None, None]
+        drawn = np.array(drawn)
     failure = None
     for step in range(1, task.tau + 1):
-        for j, picks in draws:
-            pick = picks[step - 1]
-            features[j] = shards.features[pick]
+        if len(drawn):
+            features[drawn] = shards.features[picks[:, step - 1]]
             if labels is not None:
-                labels[j] = shards.labels[pick]
+                labels[drawn] = shards.labels[picks[:, step - 1]]
         g = task.objective.grad(x, features, labels, counts)
         grad_sum += g
         g *= task.eta_c
@@ -160,6 +163,7 @@ def _train_rows(task, rows, spans, snapshots, shards, keys,
                 break
             x, grad_sum, counts = x[:keep], grad_sum[:keep], counts[:keep]
             features, labels = features[:keep], None if labels is None else labels[:keep]
-            draws = [d for d in draws if d[0] < keep]
+            if len(drawn):
+                picks, drawn = picks[drawn < keep], drawn[drawn < keep]
     grad_sum /= task.tau
     return grad_sum, failure

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fstsim.harness import build_scenario
-from fstsim.local_trainer import DivergenceError, local_train
+from fstsim.local_trainer import DIVERGENCE_LIMIT, DivergenceError, local_train
 from fstsim.objectives import (
     ClientShards,
     LogisticObjective,
@@ -261,3 +263,59 @@ def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
             for i, c in enumerate(clients):
                 alone = local_train(task, [snapshots[i]], shards, [c], [keys[i]], streams)[0]
                 assert alone.tobytes() == stacked[i].tobytes()
+
+
+def train_alone_by_choice(task, shard, x0, key):
+    """One request as the oracle trains it: tau ``local_stoch_grad`` steps
+    on its training stream, each drawing with ``Generator.choice``. Returns
+    the delta, or the step at which the iterate diverged."""
+    stream = rekey(request_generator(), key, TRAIN)
+    x, grad_sum = x0.copy(), np.zeros_like(x0)
+    for step in range(1, task.tau + 1):
+        g = local_stoch_grad(task, shard, x, stream)
+        grad_sum += g
+        x -= task.eta_c * g
+        if not np.abs(x).max() <= DIVERGENCE_LIMIT:
+            return step
+    return grad_sum / task.tau
+
+
+@given(
+    family=st.sampled_from(sorted(STACKED_FAMILIES)),
+    batch_size=st.integers(min_value=1, max_value=6),
+    tau=st.integers(min_value=1, max_value=3),
+    rows=st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                            st.sampled_from([1.0, 1.0, 1.0, 3e11, 1e13])),
+                  min_size=1, max_size=14),
+    eta_c=st.sampled_from([0.1, 3.0]),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=120, deadline=None)
+def test_a_random_stack_trains_as_each_row_alone_by_choice(family, batch_size, tau, rows,
+                                                           eta_c, seed):
+    """Shards around the batch size (drawn, whole, one-sample), snapshots
+    that diverge at step 1 or later: the stack's deltas, or the divergence it
+    names, are those of training each row alone with ``Generator.choice``."""
+    gen = np.random.default_rng(seed)
+    obj = STACKED_FAMILIES[family](0.0)
+    task = TaskSpec(task_id=1, objective=obj, tau=tau, eta_c=eta_c, eta_s=1.0,
+                    target_metric=0.9, batch_size=batch_size)
+    sizes = [max(1, batch_size - 2 + extra) for extra, _ in rows]
+    shards = ClientShards(gen.normal(size=(sum(sizes), 3)),
+                          None if family == "quadratic" else gen.integers(0, 3, sum(sizes)),
+                          np.concatenate([[0], np.cumsum(sizes)]))
+    snapshots = [scale * gen.normal(size=obj.dim) for _, scale in rows]
+    keys = [(seed, 1, c, int(gen.integers(2**40))) for c in range(len(rows))]
+    alone = [train_alone_by_choice(task, shards[c], x, key)
+             for c, (x, key) in enumerate(zip(snapshots, keys))]
+    diverged = [(c, step) for c, step in enumerate(alone) if isinstance(step, int)]
+    if diverged:
+        with pytest.raises(DivergenceError) as err:
+            local_train(task, snapshots, shards, list(range(len(rows))), keys,
+                        request_generator())
+        assert (err.value.client_id, err.value.step_index) == diverged[0]
+    else:
+        stacked = local_train(task, snapshots, shards, list(range(len(rows))), keys,
+                              request_generator())
+        for row, delta in zip(stacked, alone):
+            assert row.tobytes() == delta.tobytes()

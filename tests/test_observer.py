@@ -1,6 +1,8 @@
 """The observer stream: invariants every run's events keep, for all four
 algorithms, and proof that observing a run does not change it."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,19 +41,23 @@ def small_config(algorithm: str, **extra) -> ExperimentConfig:
 @pytest.fixture
 def runs(monkeypatch):
     """Every (engine, policy) pair that ``run_single`` runs, each recorded
-    before its first event; each engine counts its ``send`` calls per task
-    in ``sent``."""
+    before its first event; each engine counts its ``send`` calls per task in
+    ``sent`` and the queued sends it then handled in ``handled``."""
     recorded = []
 
     class RecordedEngine(Engine):
         def run(self, policy):
-            self.sent = Counter()
+            self.sent, self.handled = Counter(), Counter()
             recorded.append((self, policy))
             return super().run(policy)
 
         def send(self, task_id, client_id=None):
             self.sent[task_id] += 1
             super().send(task_id, client_id)
+
+        def _do_dispatch(self, payload):
+            self.handled[payload[0]] += 1
+            super()._do_dispatch(payload)
 
     monkeypatch.setattr(harness, "Engine", RecordedEngine)
     return recorded
@@ -145,8 +151,7 @@ def test_in_flight_counts_balance_at_run_end(name, seed, runs):
 
     run_single(small_config(**ALGORITHMS[name]), seed, observer=observe)
     engine, _ = runs[0]
-    queued = Counter(arg[0] for _, _, handler, arg in engine._heap
-                     if handler == engine._do_dispatch)
+    queued = engine.sent - engine.handled
     skipped = {tid: engine.sent[tid] - dispatched[tid] - queued[tid] for tid in (0, 1)}
     assert min(skipped.values()) >= 0
     assert sum(skipped.values()) == engine.skipped_dispatches
@@ -155,3 +160,25 @@ def test_in_flight_counts_balance_at_run_end(name, seed, runs):
         balance = engine.sent[tid] - skipped[tid] - arrived[tid]
         assert engine.in_flight[tid] == balance == dispatched[tid] - arrived[tid] + queued[tid]
         assert engine.in_flight[tid] >= 0
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_a_finished_engine_is_freed_without_the_cycle_collector(name, monkeypatch):
+    """Once ``run_single`` returns, reference counting alone frees its
+    engine, with its in-flight updates and their model snapshots, while the
+    caller still holds the returned log and policy."""
+    engines = []
+
+    class WatchedEngine(Engine):
+        def run(self, policy):
+            engines.append(weakref.ref(self))
+            return super().run(policy)
+
+    monkeypatch.setattr(harness, "Engine", WatchedEngine)
+    gc.collect()
+    gc.disable()
+    try:
+        log, policy = run_single(small_config(**ALGORITHMS[name]), 1)
+        assert engines[0]() is None
+    finally:
+        gc.enable()
