@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .delay_model import DelaySpec
-from .event_engine import MAX_EVAL_TICKS, StopConditions
+from .event_engine import MAX_EVAL_TICKS, StopConditions, check_eval_interval
+from .fedast_server import check_allocation, check_c_period, check_tau_max
 from .objectives import LogisticObjective, QuadraticObjective, TaskSpec, TinyMlpObjective
 
 
@@ -129,14 +130,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("speed_mix fractions must be nonnegative")
     if len(cfg.speed_multipliers) != 3 or any(m <= 0 for m in cfg.speed_multipliers):
         raise ConfigError("speed_multipliers must be three positive factors")
-    if cfg.c_period is not None and cfg.c_period < 1:
-        raise ConfigError("c_period must be at least 1")
+    _built("", check_c_period, cfg.c_period)
     if cfg.drop_enforcement and cfg.tau_max is None:
         raise ConfigError("drop_enforcement requires tau_max")
-    if cfg.tau_max is not None and cfg.tau_max < 0:
-        raise ConfigError("tau_max must be nonnegative")
-    if cfg.eval_interval <= 0:
-        raise ConfigError("eval_interval must be positive")
+    _built("", check_tau_max, cfg.tau_max)
+    _built("", check_eval_interval, cfg.eval_interval)
     if cfg.max_sim_time is None and cfg.max_rounds is None:
         # a target alone may never be met, and then the run never ends
         raise ConfigError("no stop condition bounds the run: set max_sim_time or max_rounds")
@@ -185,8 +183,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                               f"{t.target_metric!r} (accuracy is at most 1, loss at least 0)")
         if t.base_beta <= 0:
             raise ConfigError(f"{where}: base_beta must be positive")
-        if t.r0 < 1 or t.b0 < 1:
-            raise ConfigError(f"{where}: r0 and b0 must be at least 1")
+        _built("", check_allocation, t.task_id, t.r0, t.b0)
         if t.smoothness <= 0:
             raise ConfigError(f"{where}: smoothness must be positive")
         if t.l2 < 0:

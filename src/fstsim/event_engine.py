@@ -56,9 +56,17 @@ logger = logging.getLogger(__name__)
 
 #: Iteration cap for the availability-rejection sampler.
 SAMPLER_ITERATION_CAP = 1_000_000
+#: Raw server-stream words per block the sampler serves (two loop iterations
+#: per three words), chosen by microbenchmark.
+SAMPLER_BLOCK_WORDS = 192
 #: Most evaluation ticks after the one at time 0, whether a config asks for
 #: them up to max_sim_time or a run without one takes them.
 MAX_EVAL_TICKS = 100_000
+
+
+def check_eval_interval(eval_interval: float | None) -> None:
+    if eval_interval is not None and not eval_interval > 0:  # NaN too
+        raise ValueError("eval_interval must be positive")
 
 
 class SimulationError(RuntimeError):
@@ -196,7 +204,9 @@ class Engine:
     every ``Event`` of the run, in order; ``policy`` is the one ``run``
     drives. ``shards`` holds each task's client data as one
     ``ClientShards``, one client per profile, and ``profiles.base_betas`` a
-    base beta per task."""
+    base beta per task. ``sample_clients`` draws from the server stream
+    through a replayed block, equal to its rejection loop; ``server_stream``
+    settles the stream before any other read."""
 
     def __init__(
         self,
@@ -214,8 +224,7 @@ class Engine:
         self.tasks: dict[int, TaskSpec] = {t.task_id: t for t in tasks}
         if not 0.0 < availability_p <= 1.0:
             raise ValueError("availability_p must lie in (0, 1]")
-        if eval_interval is not None and not eval_interval > 0:
-            raise ValueError("eval_interval must be positive")
+        check_eval_interval(eval_interval)
         n_clients = len(profiles)
         self.models: dict[int, np.ndarray] = {}
         for tid, task in self.tasks.items():
@@ -244,8 +253,9 @@ class Engine:
         #: (time, seq, handler, arg); seq is unique, so ties never reach handler
         self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
-        #: the server-side decision stream (sampling, availability, shuffles)
-        self.server_stream = rng_tree.server_rng(seed)
+        #: read through ``server_stream``; the sampler's first block is drawn lazily
+        self._stream = rng_tree.server_rng(seed)
+        self._hold_block(None, (), (), 0, 0)
         #: re-keyed to a request's delay stream at its dispatch and to its
         #: training stream when a server step or replan trains it
         self.streams = rng_tree.request_generator()
@@ -287,21 +297,69 @@ class Engine:
 
     def sample_clients(self, k: int) -> list[int]:
         """Draw k client ids uniformly with replacement, each accepted by an
-        independent availability coin flip. Hard error if the rejection loop
-        exceeds SAMPLER_ITERATION_CAP iterations."""
+        independent availability coin flip, so the accepted client is uniform
+        for any p. Hard error if the rejection loop exceeds
+        SAMPLER_ITERATION_CAP iterations. The loop's server-stream draws are
+        served from a replayed block of SAMPLER_BLOCK_WORDS raw words, equal
+        to the loop's own."""
+        cap = SAMPLER_ITERATION_CAP  # read per call: tests patch it
         out: list[int] = []
         iterations = 0
         while len(out) < k:
-            iterations += 1
-            if iterations > SAMPLER_ITERATION_CAP:
-                raise SimulationError(
-                    f"availability sampler exceeded {SAMPLER_ITERATION_CAP} iterations "
-                    f"(availability_p={self.availability_p})"
-                )
-            candidate = int(self.server_stream.integers(self.n_clients))
-            if self.server_stream.random() < self.availability_p:
-                out.append(candidate)
+            served = self._served
+            if served < len(self._at):
+                end = int(self._at[served]) + 1  # the block's next acceptance
+            elif self._done < self._valid:
+                end = self._valid  # the rest of the block rejects
+            else:
+                self._next_block()
+                continue
+            iterations += end - self._done
+            if iterations > cap:
+                self._done = end - (iterations - cap)
+                raise SimulationError(f"availability sampler exceeded {cap} iterations "
+                                      f"(availability_p={self.availability_p})")
+            self._done = end
+            if served < len(self._at):
+                out.append(int(self._clients[served]))
+                self._served = served + 1
         return out
+
+    def _next_block(self) -> None:
+        """Draw a replayed block, or one iteration of the loop itself where
+        the replay cannot serve (see ``rng.sampler_replay``)."""
+        cut = self._valid < self._drawn
+        stream, n, p = self.server_stream, self.n_clients, self.availability_p
+        state = stream.bit_generator.state
+        if cut or not 2 <= n < 2**32 or state["has_uint32"]:
+            candidate = int(stream.integers(n))
+            accepted = [0] if stream.random() < p else []
+            self._hold_block(state, accepted, [candidate] * len(accepted), 1, 1)
+        else:
+            words = stream.bit_generator.random_raw(SAMPLER_BLOCK_WORDS)
+            self._hold_block(state, *rng_tree.sampler_replay(words, n, p),
+                             2 * SAMPLER_BLOCK_WORDS // 3)
+
+    def _hold_block(self, state: dict | None, at, clients, valid: int, drawn: int) -> None:
+        """Serve the first ``valid`` of ``drawn`` loop iterations drawn from ``state``."""
+        self._block, self._at, self._clients = state, at, clients
+        self._valid, self._drawn, self._done, self._served = valid, drawn, 0, 0
+
+    @property
+    def server_stream(self) -> np.random.Generator:
+        """The server-side decision stream (sampling, availability, shuffles),
+        settled first to just after the sampler's last served iteration."""
+        if self._done < self._drawn:
+            bits = self._stream.bit_generator
+            bits.state = self._block
+            pairs, odd = divmod(self._done, 2)
+            words = bits.random_raw(3 * pairs + 2 * odd)
+            if odd:  # the high half of the last pair's first word is stashed
+                state = bits.state
+                state["has_uint32"], state["uinteger"] = 1, int(words[-2]) >> 32
+                bits.state = state
+        self._hold_block(None, (), (), 0, 0)
+        return self._stream
 
     def draw_available(self) -> list[int]:
         """Round-style availability: one Bernoulli coin per client."""

@@ -41,6 +41,21 @@ DEFAULT_RATIO_CAP = 37.0
 HISTORY_SIZE = 8
 
 
+def check_allocation(task_id: int, r0: int, b0: int) -> None:
+    if r0 < 1 or b0 < 1:
+        raise ValueError(f"task {task_id}: r0 and b0 must be at least 1")
+
+
+def check_tau_max(tau_max: int | None) -> None:
+    if tau_max is not None and tau_max < 0:
+        raise ValueError("tau_max must be nonnegative")
+
+
+def check_c_period(c_period: int | None) -> None:
+    if c_period is not None and c_period < 1:
+        raise ValueError("c_period must be at least 1")
+
+
 def _bound_terms(
     smoothness: float,
     tau: int,
@@ -198,8 +213,7 @@ class FedAstServer:
             raise ValueError("option must be 'S' (static) or 'D' (dynamic)")
         if not tasks:
             raise ValueError("need at least one task")
-        if tau_max is not None and tau_max < 0:
-            raise ValueError("tau_max must be nonnegative")
+        check_tau_max(tau_max)
         self.option = option
         self.tau_max = tau_max
         self.warnings: list[str] = []
@@ -212,8 +226,7 @@ class FedAstServer:
             tid = task.task_id
             if tid not in r0 or tid not in b0:
                 raise ValueError(f"task {tid} is missing r0 or b0")
-            if r0[tid] < 1 or b0[tid] < 1:
-                raise ValueError(f"task {tid}: r0 and b0 must be at least 1")
+            check_allocation(tid, r0[tid], b0[tid])
             if r0[tid] > DEFAULT_RATIO_CAP * b0[tid]:
                 msg = (
                     f"task {tid}: r0={r0[tid]} exceeds {DEFAULT_RATIO_CAP:g} x b0={b0[tid]}; "
@@ -228,8 +241,7 @@ class FedAstServer:
         self.r_total = sum(r0[t.task_id] for t in tasks)
         self.c_period = c_period if c_period is not None else default_c_period(len(tasks),
                                                                               self.r_total)
-        if self.c_period < 1:
-            raise ValueError("c_period must be at least 1")
+        check_c_period(self.c_period)
 
     # -- policy interface ----------------------------------------------------
 

@@ -17,7 +17,8 @@ before local training draws; no stream is built per request.
 A stream is also a pure function of its key and counter, so
 ``minibatch_picks`` takes each training stream's raw words in one block and
 replays numpy's ``Generator.choice`` on the blocks of a whole stack at
-once, giving exactly the minibatches that ``choice`` would.
+once, giving exactly the minibatches that ``choice`` would; ``sampler_replay``
+does the same for the engine's client-sampler loop on the server stream.
 """
 
 from __future__ import annotations
@@ -167,6 +168,28 @@ def minibatch_picks(generator: Generator, keys: Sequence[RequestKey], sizes: Seq
         for step in range(tau):
             out[r, step] = stream.choice(sizes[r], size=n, replace=False)
     return out
+
+
+def sampler_replay(words: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(at, clients, valid)``: the loop ``c = integers(n); accept c if
+    random() < p``, replayed on the ``3m`` raw words a stream with no stashed
+    half-word draws next (``2 <= n < 2**32``, numpy 2.4), accepts
+    ``clients[j]`` at iteration ``at[j]`` of its first ``valid`` of ``2m``.
+
+    ``integers(n)`` is Lemire's ``(u * n) >> 32`` on the next 32-bit half u of
+    a word, low half first, and ``random()`` is ``(w >> 11) * 2**-53`` on a
+    whole word w: iterations 2i and 2i + 1 read the halves of word 3i and the
+    coins of words 3i + 1 and 3i + 2. A rejection, ``(u * n) % 2**32 < 2**32 %
+    n``, draws again and shifts every later read, so ``valid`` stops there.
+    """
+    triples = words.reshape(-1, 3)
+    halves = triples[:, 0].astype("<u8").view("<u4")
+    # (low, high) halves of u * n: the high one is the candidate
+    product = (halves * np.uint64(n)).astype("<u8", copy=False).view("<u4").reshape(-1, 2)
+    rejected = np.flatnonzero(product[:, 0] < 2**32 % n)
+    valid = int(rejected[0]) if len(rejected) else len(product)
+    at = np.flatnonzero(((triples[:, 1:] >> 11) * 2.0**-53).ravel()[:valid] < p)
+    return at, product[at, 1], valid
 
 
 def request_rngs(

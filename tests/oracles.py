@@ -11,6 +11,10 @@ model's gradient, the batch of one of ``Objective.grad``.
 that unpacks each family's flat parameter vector on its own. In
 ``fstsim.objectives`` one forward pass serves loss, accuracy and gradient,
 so a finite-difference check cannot catch a wrong forward pass; this can.
+
+``sample_clients_loop`` is the availability sampler as a plain rejection
+loop on the server stream, one ``sampler_iteration`` at a time; the engine
+serves the same draws from a replayed block.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from fstsim.event_engine import SimulationError
 from fstsim.objectives import (
     Dataset,
     LogisticObjective,
@@ -127,3 +132,25 @@ def reference_loss_accuracy(
         losses.append(top + math.log(sum(math.exp(v - top) for v in z)) - z[label])
         hits += z.index(top) == label  # the first maximum: the lowest class
     return sum(losses) / len(losses) + l2_term, hits / len(losses)
+
+
+def sampler_iteration(stream: np.random.Generator, n_clients: int, p: float) -> tuple[int, bool]:
+    """One iteration of the availability sampler: a uniform candidate and its coin."""
+    candidate = int(stream.integers(n_clients))
+    return candidate, bool(stream.random() < p)
+
+
+def sample_clients_loop(stream: np.random.Generator, n_clients: int, p: float, k: int,
+                        cap: int) -> list[int]:
+    """k candidates accepted by the rejection loop; SimulationError once the
+    call would start iteration ``cap + 1``."""
+    out: list[int] = []
+    iterations = 0
+    while len(out) < k:
+        iterations += 1
+        if iterations > cap:
+            raise SimulationError(f"availability sampler exceeded {cap} iterations")
+        candidate, accepted = sampler_iteration(stream, n_clients, p)
+        if accepted:
+            out.append(candidate)
+    return out

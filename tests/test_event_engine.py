@@ -1,9 +1,12 @@
 """Discrete-event loop: ordering, FIFO client queues, sampling, stops."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fstsim.event_engine as engine_mod
 import fstsim.rng
@@ -22,6 +25,7 @@ from fstsim.event_engine import (
 from fstsim.fedast_server import FedAstServer
 from fstsim.harness import run_single
 from fstsim.objectives import ClientShards, Dataset, QuadraticObjective, TaskSpec
+from oracles import sample_clients_loop
 
 
 def quad_task(tid=0, target_kind="accuracy", target=0.99, tau=1, eta_c=0.1):
@@ -297,6 +301,95 @@ class TestSampling:
             self.make_engine(2, availability=0.0)
         with pytest.raises(ValueError):
             self.make_engine(2, availability=1.5)
+
+
+def sampling_engine(n_clients, availability, seed):
+    return Engine(
+        tasks=[quad_task()], shards=zero_shards([0], n_clients), eval_sets=zero_evals([0]),
+        profiles=pool([1.0] * n_clients, {0: 1.0}), seed=seed, availability_p=availability,
+        eval_interval=None, stop=StopConditions(stop_on_targets=False, max_rounds=1),
+    )
+
+
+def stream_state(stream):
+    """A stream's whole state, less the value of a stashed half-word already
+    drawn: numpy keeps it, but never reads it again."""
+    state = stream.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = 0
+    return repr(state)
+
+
+#: A direct read of the server stream, as a policy might make one.
+READS = {
+    "integers": lambda stream, m: int(stream.integers(m)),  # a half-word when m < 2**32
+    "random": lambda stream, m: stream.random(m).tolist(),
+    "permutation": lambda stream, m: stream.permutation(m).tolist(),
+    "random_raw": lambda stream, m: stream.bit_generator.random_raw(m).tolist(),
+}
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("sample"), st.integers(1, 60)),
+    st.tuples(st.just("available"), st.just(0)),
+    st.tuples(st.sampled_from(sorted(READS)), st.integers(1, 9)),
+), max_size=12)
+
+
+class TestServedSampler:
+    """``sample_clients`` serves its draws from a replayed block; every value
+    and every later draw of the server stream equal the rejection loop's."""
+
+    @given(n_clients=st.integers(1, 50), availability=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2**16), ops=OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_draws_equal_the_loop(self, n_clients, availability, seed, ops):
+        engine = sampling_engine(n_clients, availability, seed)
+        loop = fstsim.rng.server_rng(seed)
+        for op, arg in ops:
+            if op == "sample":
+                assert engine.sample_clients(arg) == sample_clients_loop(
+                    loop, n_clients, availability, arg, engine_mod.SAMPLER_ITERATION_CAP)
+            elif op == "available":
+                assert engine.draw_available() == [
+                    int(i) for i in np.flatnonzero(loop.random(n_clients) < availability)]
+            else:
+                assert READS[op](engine.server_stream, arg) == READS[op](loop, arg)
+        assert stream_state(engine.server_stream) == stream_state(loop)
+        assert engine.sample_clients(3) == sample_clients_loop(loop, n_clients, availability,
+                                                               3, 10**6)
+        assert READS["integers"](engine.server_stream, 7) == READS["integers"](loop, 7)
+
+    @pytest.mark.parametrize("n_clients", [2**31 + 1, 2**32 - 1, 2**32, 2**33 + 1])
+    def test_pools_too_large_to_build_equal_the_loop(self, n_clients):
+        """About half of the candidate draws for 2**31 + 1 clients meet a
+        Lemire rejection, which cuts blocks short; from 2**32 clients numpy
+        draws whole words, which the replay leaves to the loop."""
+        engine = sampling_engine(1, 0.3, 5)
+        engine.n_clients = n_clients  # the sampler reads only the pool size
+        loop = fstsim.rng.server_rng(5)
+        for k in (1, 3, 40, 2, 100):
+            assert engine.sample_clients(k) == sample_clients_loop(loop, n_clients, 0.3, k, 10**6)
+        assert READS["integers"](engine.server_stream, 7) == READS["integers"](loop, 7)
+        assert engine.sample_clients(5) == sample_clients_loop(loop, n_clients, 0.3, 5, 10**6)
+        assert stream_state(engine.server_stream) == stream_state(loop)
+
+    @pytest.mark.parametrize("cap", [0, 5, 50])
+    @given(n_clients=st.integers(1, 50), seed=st.integers(0, 2**16),
+           ks=st.lists(st.integers(1, 3), min_size=1, max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_cap_raises_on_the_loops_call(self, cap, n_clients, seed, ks):
+        engine = sampling_engine(n_clients, 0.05, seed)
+        loop = fstsim.rng.server_rng(seed)
+        with mock.patch.object(engine_mod, "SAMPLER_ITERATION_CAP", cap):
+            for k in ks:
+                try:
+                    want = sample_clients_loop(loop, n_clients, 0.05, k, cap)
+                except SimulationError:
+                    with pytest.raises(SimulationError, match="sampler"):
+                        engine.sample_clients(k)
+                    break
+                assert engine.sample_clients(k) == want
+        assert stream_state(engine.server_stream) == stream_state(loop)
 
 
 class TestPolicyCallback:

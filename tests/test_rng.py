@@ -9,6 +9,7 @@ from fstsim import rng
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.event_engine import Dispatched
 from fstsim.harness import run_single
+from oracles import sampler_iteration
 
 #: (task_id, client_id, dispatch_no), including counter words past 32 bits.
 GRID = [(t, c, d) for t in (0, 1, 2) for c in (0, 1, 999) for d in (0, 1, 41, 2**40)]
@@ -171,3 +172,51 @@ def test_minibatch_picks_equal_generator_choice():
             f"minibatch_picks differs from Generator.choice under numpy {np.__version__} "
             f"(it replays numpy 2.4's algorithm): n={n}, tau={tau}, "
             f"rows {bad[:5]} of sizes {[int(sizes[r]) for r in bad[:5]]}")
+
+
+def generator_at(state):
+    stream = np.random.Generator(np.random.Philox())
+    stream.bit_generator.state = state
+    return stream
+
+
+def position(stream):
+    """Where a Philox stream stands: its counter, buffer place and stashed half."""
+    state = stream.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+#: (n_clients, availability): 2**31 + 1 rejects about half of its candidate
+#: draws; 2**32 - 1 is the largest bound drawn from a 32-bit half.
+SAMPLER_CASES = [(n, p) for n in (2, 3, 7, 1000, 2**31 + 1, 2**32 - 1)
+                 for p in (1e-3, 0.3, 0.9, 1.0)]
+
+
+def test_sampler_replay_equals_the_rejection_loop():
+    """Every replayed block's iterations are the loop's own, over more than
+    10^5 iterations, and a block stops short only where the loop's candidate
+    draw meets a Lemire rejection: it then takes more than the one half-word
+    that an unbounded 32-bit draw takes."""
+    iterations = 0
+    for case, (n, p) in enumerate(SAMPLER_CASES):
+        stream = np.random.Generator(np.random.Philox(case))
+        for _ in range(50):
+            start = stream.bit_generator.state
+            words = stream.bit_generator.random_raw(event_engine.SAMPLER_BLOCK_WORDS)
+            at, clients, valid = rng.sampler_replay(words, n, p)
+            loop = generator_at(start)
+            draws = [sampler_iteration(loop, n, p) for _ in range(valid)]
+            want = [(i, c) for i, (c, accepted) in enumerate(draws) if accepted]
+            assert list(zip(at.tolist(), clients.tolist())) == want, (
+                f"sampler_replay differs from the rejection loop under numpy "
+                f"{np.__version__} (it replays numpy 2.4's algorithms): n={n}, p={p}")
+            if valid < 2 * len(words) // 3:
+                bounded, unbounded = generator_at(loop.bit_generator.state), loop
+                bounded.integers(n)
+                unbounded.integers(2**32)
+                assert position(bounded) != position(unbounded), (
+                    f"sampler_replay stopped at iteration {valid} of a block without a "
+                    f"rejection under numpy {np.__version__}: n={n}, p={p}")
+            iterations += valid
+    assert iterations >= 100_000
