@@ -55,6 +55,9 @@ class MmSyncServer:
     round durations are ``np.diff([0, *its Aggregated times])``.
     """
 
+    #: a round discards its stragglers, so requests train only when collected
+    trains_ahead = False
+
     def __init__(self, tasks: list[TaskSpec], allocation: Mapping[int, int], k: int):
         if not tasks:
             raise ValueError("need at least one task")

@@ -21,7 +21,12 @@ consumes (a full buffer or a sync barrier) with one ``train_updates``
 call, which reads each request's client and key off the engine and trains
 them stacked on the task's ``ClientShards``, re-keying the same generator
 to each training stream, so every result is what training at dispatch
-would have produced; updates no server step or replan reads are never
+would have produced. Under a policy that ``trains_ahead`` (every arrival
+of a live task enters a server step), the engine also registers each
+request that arrives by ``max_sim_time``, and the same call trains the
+task's registered requests after the consumed ones, up to
+``AHEAD_STACK_ROWS`` rows: fewer, larger stacks, with the same bits.
+Under any other policy, updates no server step or replan reads are never
 trained.
 
 A policy's decision to send new requests is itself realized as a
@@ -59,6 +64,10 @@ SAMPLER_ITERATION_CAP = 1_000_000
 #: Raw server-stream words per block the sampler serves (two loop iterations
 #: per three words), chosen by microbenchmark.
 SAMPLER_BLOCK_WORDS = 192
+#: Most rows a call that trains ahead stacks, unless the requested rows alone
+#: are more. A stack's temporaries grow by about 10 kB a row (tiny_mlp, 16
+#: hidden units), and past about 64 rows the cost per row barely falls.
+AHEAD_STACK_ROWS = 64
 #: Most evaluation ticks after the one at time 0, whether a config asks for
 #: them up to max_sim_time or a run without one takes them.
 MAX_EVAL_TICKS = 100_000
@@ -123,16 +132,34 @@ def train_updates(engine: "Engine", updates: Collection[Update]) -> np.ndarray:
     """Give every untrained update among ``updates``, all of one task, its
     delta, with at most one call of this module's ``local_train`` on the
     engine's task, shards and request generator; return all their deltas in
-    order, (B, d)."""
+    order, (B, d).
+
+    Where the engine keeps ``untrained`` requests, the same call trains the
+    task's registered ones after ``updates``, each into its own copy, so an
+    in-flight request never holds the whole stack. A diverged one leaves the
+    registry untrained, to raise if a server step reads it; the ones after
+    it stay registered."""
     pending = [u for u in updates if u.delta is None]
     if pending:
         tid = pending[0].task_id
-        deltas = local_train(engine.tasks[tid], [u.snapshot for u in pending], engine.shards[tid],
-                             [u.client_id for u in pending],
-                             [(engine.seed, tid, u.client_id, u.dispatch_no) for u in pending],
-                             engine.streams)
+        rows, registry = pending, engine.untrained
+        if registry is not None:
+            ids = {id(u) for u in pending}
+            others = [u for u in registry[tid] if id(u) not in ids]
+            room = max(0, AHEAD_STACK_ROWS - len(pending))
+            rows, registry[tid] = pending + others[:room], others[room:]
+        deltas = local_train(engine.tasks[tid], [u.snapshot for u in rows], engine.shards[tid],
+                             [u.client_id for u in rows],
+                             [(engine.seed, tid, u.client_id, u.dispatch_no) for u in rows],
+                             engine.streams, ahead_from=len(pending))
         for update, delta in zip(pending, deltas):
             update.delta, update.snapshot = delta, None
+        if len(rows) > len(pending):
+            ahead = rows[len(pending):]
+            for update, delta in zip(ahead, deltas[len(pending):]):
+                update.delta, update.snapshot = delta.copy(), None
+            registry[tid] = ahead[len(deltas) - len(pending) + 1:] + registry[tid]
+            deltas = deltas[:len(pending)]
         if len(pending) == len(updates):
             return deltas
     # A replan trained some of them before.
@@ -171,6 +198,10 @@ class ServerPolicy(Protocol):
     ``task_metrics`` returns exactly the ``MetricsRecord`` fields r, b,
     staleness_mean, staleness_max, c and dropped, as Python numbers."""
 
+    #: Every arrival of a live task enters a server step (read by ``Engine.run``;
+    #: absent means False), so the engine trains its requests ahead.
+    trains_ahead: bool
+
     def start(self, engine: "Engine") -> None: ...
 
     def handle_update(self, engine: "Engine", update: Update) -> None: ...
@@ -206,7 +237,9 @@ class Engine:
     ``ClientShards``, one client per profile, and ``profiles.base_betas`` a
     base beta per task. ``sample_clients`` draws from the server stream
     through a replayed block, equal to its rejection loop; ``server_stream``
-    settles the stream before any other read."""
+    settles the stream before any other read. ``untrained`` is the registry
+    ``train_updates`` trains ahead from, kept only for a policy that
+    ``trains_ahead``."""
 
     def __init__(
         self,
@@ -271,6 +304,9 @@ class Engine:
         self.records: list[MetricsRecord] = []
         self.observer = observer
         self.policy: ServerPolicy | None = None
+        #: None, or per task (for a policy that trains ahead) the requests
+        #: dispatched, untrained and arriving by max_sim_time, in dispatch order
+        self.untrained: dict[int, list[Update]] | None = None
         self.skipped_dispatches = 0
         self._events_processed = 0
 
@@ -391,6 +427,8 @@ class Engine:
         completion = self.busy_until[client_id] = start + duration
         update = Update(task_id, client_id, self.rounds[task_id], dispatch_no,
                         snapshot=self.models[task_id])
+        if self.untrained is not None and completion <= self._horizon:
+            self.untrained[task_id].append(update)
         self._push(completion, self._do_arrival, update)
         if self.observer is not None:
             self.observer(Dispatched(self.now, task_id, client_id, update.dispatch_round,
@@ -432,6 +470,9 @@ class Engine:
 
     def run(self, policy: ServerPolicy) -> RunLog:
         self.policy = policy
+        if getattr(policy, "trains_ahead", False):
+            self.untrained = {tid: [] for tid in self.tasks}
+            self._horizon = self.stop.max_sim_time if self.stop.max_sim_time is not None else np.inf
         if self.eval_interval is not None and self.tasks:
             self.call_at(0.0, type(self)._do_eval)
         policy.start(self)

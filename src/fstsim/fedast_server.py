@@ -197,7 +197,8 @@ class FedAstServer:
     whose ``r0`` exceeds ``DEFAULT_RATIO_CAP * b0`` draws a warning. The
     server keeps only buffers, targets and counters: each full buffer is one
     ``server_step`` of the engine's model, and each arrival's dispatch count
-    reads the task's ``Engine.in_flight``.
+    reads the task's ``Engine.in_flight``. Without ``tau_max`` it
+    ``trains_ahead``: a step also trains the task's requests still in flight.
     """
 
     def __init__(
@@ -216,6 +217,8 @@ class FedAstServer:
         check_tau_max(tau_max)
         self.option = option
         self.tau_max = tau_max
+        #: uncapped, every arrival of a live task is buffered and stepped on
+        self.trains_ahead = tau_max is None
         self.warnings: list[str] = []
         self.c = 0
         #: (sim_time, c, new request targets, sigma_sq estimates) per trigger

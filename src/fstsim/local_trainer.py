@@ -20,6 +20,7 @@ by ``rng.rekey``) give.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,9 +55,12 @@ class Update:
     trained on, and servers measure staleness against it at arrival. An
     update holds either its ``delta`` or the ``snapshot`` it trains from (the
     task's read-only model at dispatch, by reference), until
-    ``event_engine.train_updates`` trains it at the server step (or replan)
-    that reads it and drops the snapshot. An update that no server step or
-    replan reads is never trained; a DivergenceError surfaces where one is.
+    ``event_engine.train_updates`` trains it and drops the snapshot: at the
+    server step (or replan) that reads it, or, under a policy that trains
+    ahead, at an earlier step of its task while it is still in flight. Under
+    a policy that does not, an update that no server step or replan reads is
+    never trained. Either way a DivergenceError surfaces only where a server
+    step or replan reads the diverged update.
     """
 
     task_id: int
@@ -78,6 +82,7 @@ def local_train(
     clients: Sequence[int],
     keys: Sequence[RequestKey],
     streams: np.random.Generator,
+    ahead_from: int | None = None,
 ) -> np.ndarray:
     """Run tau local SGD steps per request; return each one's mean gradient, (B, d).
 
@@ -87,7 +92,9 @@ def local_train(
     A shard that is the minibatch draws nothing. One request is the batch of
     one. If an iterate goes non-finite or beyond DIVERGENCE_LIMIT, raises
     DivergenceError for the first such request and its step, as training one
-    request at a time in order would.
+    request at a time in order would. Requests from ``ahead_from`` on are
+    trained ahead of need: if the first to diverge is one of them, returns
+    the deltas of the requests before it instead, (ahead_from or more, d).
     """
     # One-sample minibatches stack apart: numpy computes a one-row matrix
     # product as a vector product, which rounds unlike a padded stack.
@@ -102,15 +109,18 @@ def local_train(
     results = [_train_rows(task, rows, spans, snapshots, shards, keys, streams)
                for rows in groups]
     failures = [failure for _, failure in results if failure is not None]
+    n = len(spans)
     if failures:
-        row, step = min(failures)
-        raise DivergenceError(task.task_id, clients[row], step)
-    if len(results) == 1:
+        n, step = min(failures)
+        if ahead_from is None or n < ahead_from:
+            raise DivergenceError(task.task_id, clients[n], step)
+    if len(results) == 1 and not failures:
         return results[0][0]
     # Assembled last, so it never sits beside a stack's temporaries.
-    out = np.empty((len(spans), task.dim))
+    out = np.empty((n, task.dim))
     for rows, (deltas, _) in zip(groups, results):
-        out[rows] = deltas
+        kept = bisect_left(rows, n)  # a group trains the rows before its first failure
+        out[rows[:kept]] = deltas[:kept]
     return out
 
 

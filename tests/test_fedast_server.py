@@ -37,6 +37,7 @@ class FakeEngine:
         self.finished = {t.task_id: None for t in tasks}
         self.in_flight = {t.task_id: 0 for t in tasks}
         self.streams = request_generator()
+        self.untrained = None  # no requests are trained ahead
 
     def send(self, task_id, client_id=None):
         self.sent.append(task_id)

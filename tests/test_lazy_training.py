@@ -1,8 +1,11 @@
-"""Lazy request training: an update is trained only when a server consumes it
-(a server step aggregates it, or the planner reads it), and the delta it gets
-is the one training at dispatch would have produced."""
+"""Lazy request training: an update is trained by the time a server consumes
+it (a server step aggregates it, or the planner reads it), and the delta it
+gets is the one training at dispatch would have produced. A policy that does
+not train ahead trains only the updates it consumes; uncapped FedAST also
+trains a task's requests still in flight, but none arriving after
+max_sim_time, and a diverged one raises only where a step reads it."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.event_engine import Aggregated, Engine, StopConditions
 from fstsim.fedast_server import server_step
 from fstsim.harness import build_policy, build_scenario, run_experiment, run_single
-from fstsim.local_trainer import local_train
+import fstsim.local_trainer as trainer
+from fstsim.local_trainer import DIVERGENCE_LIMIT, DivergenceError, local_train
 from fstsim.realloc import compute_plan
 from fstsim import rng
 
@@ -28,8 +32,11 @@ ALGORITHMS = {
     "fedast_static": dict(algorithm="fedast_static"),
     "fedast_dynamic": dict(algorithm="fedast_dynamic", c_period=10),
     "no_buffer": dict(algorithm="no_buffer", tau_max=1, drop_enforcement=True),
+    "no_buffer_uncapped": dict(algorithm="no_buffer"),
     "mm_sync": dict(algorithm="mm_sync", k_sync=3),
 }
+#: The cases without a staleness cap, whose policy trains ahead.
+TRAINS_AHEAD = {"fedast_static", "fedast_dynamic", "no_buffer_uncapped"}
 
 
 @pytest.mark.parametrize(
@@ -90,27 +97,49 @@ def small_config(algorithm: str, **extra) -> ExperimentConfig:
                             max_rounds=12, **extra)
 
 
-def small_engine(name):
-    """A fresh (engine, policy) pair for one small simulation, not yet run."""
+def small_engine(name, stop=None):
+    """A fresh (engine, policy) pair for one small simulation, not yet run;
+    ``stop`` replaces the config's max_rounds stop."""
     cfg = small_config(**ALGORITHMS[name])
     scenario = build_scenario(cfg, SEED)
     engine = Engine(
         tasks=scenario.tasks, shards=scenario.shards, eval_sets=scenario.eval_sets,
         profiles=scenario.profiles, seed=SEED, availability_p=cfg.availability,
         delay=scenario.delay, eval_interval=cfg.eval_interval,
-        stop=StopConditions(stop_on_targets=False, max_rounds=cfg.max_rounds),
+        stop=stop or StopConditions(stop_on_targets=False, max_rounds=cfg.max_rounds),
     )
     return engine, build_policy(cfg, scenario.tasks)
 
 
-def instrumented_run(name, monkeypatch):
-    """Run one small simulation and return (engine, policy, updates, eager
-    deltas by update id, ids of the consumed updates, number of requests the
-    run trained). An update is consumed when a server step aggregates it or
-    the planner reads it from a history."""
-    engine, policy = small_engine(name)
+@dataclass
+class Instrumented:
+    """One instrumented run: every update in dispatch order, with its delta
+    trained at dispatch and its arrival time by update id; the time and
+    round of the server step that aggregated it, by update id; the ids of
+    the consumed updates (aggregated by a server step or read by the
+    planner); the number of rows ``local_train`` trained and, per call, the
+    keys it trained and how many of them were requested."""
 
-    updates, eager, dispatch_counts = [], {}, {}
+    engine: Engine
+    policy: object
+    updates: list
+    eager: dict
+    arrivals: dict
+    steps: dict
+    consumed: set
+    trained: int
+    calls: list
+
+    def trained_ids(self):
+        return {id(u) for u in self.updates if u.snapshot is None}
+
+
+def instrumented_run(name, monkeypatch, stop=None, local_train=local_train):
+    """Run one small simulation, training a copy of every request at its
+    dispatch, and record what the run trained and consumed."""
+    engine, policy = small_engine(name, stop)
+
+    updates, eager, arrivals, dispatch_counts = [], {}, {}, {}
     push = engine._push
 
     def push_training_eagerly(time, handler, arg):
@@ -122,23 +151,26 @@ def instrumented_run(name, monkeypatch):
             dispatch_counts[(tid, cid)] = dispatch_no + 1
             assert arg.dispatch_no == dispatch_no
             updates.append(arg)
-            eager[id(arg)] = local_train(
+            arrivals[id(arg)] = time
+            eager[id(arg)] = trainer.local_train(
                 engine.tasks[tid], [np.array(engine.models[tid])], engine.shards[tid], [cid],
                 [(SEED, tid, cid, dispatch_no)], rng.request_generator(),
             )[0]
         push(time, handler, arg)
 
-    trained = 0
+    trained, calls = 0, []
 
-    def counted_local_train(task, snapshots, shards, clients, keys, streams):
+    def counted_local_train(task, snapshots, shards, clients, keys, streams, ahead_from=None):
         nonlocal trained
-        trained += len(clients)
-        return local_train(task, snapshots, shards, clients, keys, streams)
+        calls.append((list(keys), len(keys) if ahead_from is None else ahead_from))
+        deltas = local_train(task, snapshots, shards, clients, keys, streams, ahead_from)
+        trained += len(deltas)
+        return deltas
 
-    aggregated, n_updates, planner_reads = [], [], []
+    steps, n_updates, planner_reads = {}, [], []
 
     def recorded_server_step(engine, spec, step_updates):
-        aggregated.extend(id(u) for u in step_updates)
+        steps.update((id(u), (engine.now, engine.rounds[spec.task_id])) for u in step_updates)
         server_step(engine, spec, step_updates)
 
     def recorded_compute_plan(views, budget):
@@ -157,26 +189,31 @@ def instrumented_run(name, monkeypatch):
     monkeypatch.setattr(fedast_server, "compute_plan", recorded_compute_plan)
     engine.run(policy)
 
-    assert len(aggregated) == sum(n_updates)
+    assert len(steps) == sum(n_updates)
     by_delta = {id(u.delta): id(u) for u in updates if u.delta is not None}
-    consumed = set(aggregated) | {by_delta[d] for d in planner_reads}
-    return engine, policy, updates, eager, consumed, trained
+    consumed = set(steps) | {by_delta[d] for d in planner_reads}
+    return Instrumented(engine, policy, updates, eager, arrivals, steps, consumed, trained,
+                        calls)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_consumed_deltas_equal_training_at_dispatch(name, monkeypatch):
-    _, _, updates, eager, consumed, trained = instrumented_run(name, monkeypatch)
-    trained_updates = [u for u in updates if u.snapshot is None]
-    assert len(trained_updates) == trained > 0
-    assert {id(u) for u in trained_updates} == consumed
+    run = instrumented_run(name, monkeypatch)
+    trained_updates = [u for u in run.updates if u.snapshot is None]
+    assert len(trained_updates) == run.trained > 0
+    if name in TRAINS_AHEAD:
+        assert run.consumed <= run.trained_ids()
+    else:
+        assert run.trained_ids() == run.consumed
     for update in trained_updates:
-        assert update.delta.tobytes() == eager[id(update)].tobytes()
+        assert update.delta.tobytes() == run.eager[id(update)].tobytes()
 
 
-@pytest.mark.parametrize("name", ALGORITHMS)
+@pytest.mark.parametrize("name", sorted(set(ALGORITHMS) - TRAINS_AHEAD))
 def test_only_consumed_updates_are_trained(name, monkeypatch):
-    _, policy, updates, _, consumed, trained = instrumented_run(name, monkeypatch)
-    assert trained == len(consumed) < len(updates)
+    run = instrumented_run(name, monkeypatch)
+    policy, trained, consumed = run.policy, run.trained, run.consumed
+    assert trained == len(consumed) < len(run.updates)
     states = [policy.state(tid) for tid in (0, 1)]
     if name == "mm_sync":
         assert trained == sum(st.aggregated_total for st in states)
@@ -187,12 +224,93 @@ def test_only_consumed_updates_are_trained(name, monkeypatch):
         assert sum(st.dropped for st in states) > 0
 
 
+@pytest.mark.parametrize("name", sorted(TRAINS_AHEAD))
+def test_uncapped_fedast_trains_in_flight_requests_ahead(name, monkeypatch):
+    """Every consumed update is trained, and so are requests still in flight
+    when their task steps, in fewer calls than the steps that read them."""
+    run = instrumented_run(name, monkeypatch)
+    assert run.consumed < run.trained_ids()
+    assert any(len(keys) > requested for keys, requested in run.calls)
+    assert len(run.calls) < sum(run.engine.rounds.values())
+    assert sum(run.policy.state(tid).late_discards for tid in (0, 1)) > 0
+
+
 def test_updates_buffered_at_the_horizon_are_not_trained():
-    cfg = replace(small_config("fedast_static", seed=SEED), max_rounds=None, max_sim_time=7.5)
+    """Under a staleness cap no request is trained ahead: what is left in a
+    buffer at max_sim_time was never trained."""
+    cfg = replace(small_config("fedast_static", seed=SEED), max_rounds=None, max_sim_time=7.5,
+                  tau_max=100, drop_enforcement=True)
     log, policy = run_single(cfg, SEED)
     assert log.stop_reason == "max_sim_time"
     left = [u for tid in (0, 1) for u in policy.state(tid).buffer]
     assert left and all(u.delta is None and u.snapshot is not None for u in left)
+
+
+@pytest.mark.parametrize("name", sorted(TRAINS_AHEAD))
+def test_no_request_arriving_after_the_horizon_is_trained(name, monkeypatch):
+    horizon = StopConditions(stop_on_targets=False, max_sim_time=7.5)
+    run = instrumented_run(name, monkeypatch, stop=horizon)
+    assert run.engine.now == 7.5
+    late = {id(u) for u in run.updates if run.arrivals[id(u)] > 7.5}
+    trained = run.trained_ids()
+    assert late and not late & trained
+    assert run.consumed <= trained
+    for update in run.updates:
+        if id(update) in trained:
+            assert update.delta.tobytes() == run.eager[id(update)].tobytes()
+
+
+def poisoning(key):
+    """``local_train`` with request ``key``'s snapshot replaced by one far past
+    DIVERGENCE_LIMIT, so that request, and only it, diverges at its first
+    step."""
+
+    def poisoned(task, snapshots, shards, clients, keys, streams, ahead_from=None):
+        snapshots = [np.full(task.dim, 10 * DIVERGENCE_LIMIT) if k == key else s
+                     for s, k in zip(snapshots, keys)]
+        return local_train(task, snapshots, shards, clients, keys, streams, ahead_from)
+
+    return poisoned
+
+
+def key_of(update):
+    return (SEED, update.task_id, update.client_id, update.dispatch_no)
+
+
+def test_a_diverged_request_no_step_reads_never_raises(monkeypatch):
+    """A request trained ahead that diverges, but that no server step reads,
+    lets the run finish as it would had it converged, and stays untrained."""
+    clean = instrumented_run("fedast_static", monkeypatch)
+    unread = [u for u in clean.updates
+              if id(u) in clean.trained_ids() - clean.consumed and u.task_id == 1]
+    key = key_of(unread[0])
+
+    poisoned = instrumented_run("fedast_static", monkeypatch, local_train=poisoning(key))
+    assert poisoned.engine.rounds == clean.engine.rounds
+    for tid in (0, 1):
+        assert poisoned.engine.models[tid].tobytes() == clean.engine.models[tid].tobytes()
+    update = next(u for u in poisoned.updates if key_of(u) == key)
+    assert id(update) not in poisoned.consumed
+    assert update.delta is None and update.snapshot is not None
+    assert any(key in keys[requested:] for keys, requested in poisoned.calls)
+
+
+def test_a_diverged_request_a_step_reads_raises_at_that_step(monkeypatch):
+    """A request trained ahead that diverges raises DivergenceError only at
+    the server step that reads it, naming its task, client and step."""
+    clean = instrumented_run("fedast_static", monkeypatch)
+    ahead = {k for keys, requested in clean.calls for k in keys[requested:]}
+    read = [u for u in clean.updates if id(u) in clean.steps and key_of(u) in ahead
+            and u.task_id == 1]
+    target = read[len(read) // 2]
+
+    engine, policy = small_engine("fedast_static")
+    monkeypatch.setattr(event_engine, "local_train", poisoning(key_of(target)))
+    with pytest.raises(DivergenceError) as raised:
+        engine.run(policy)
+    assert (raised.value.task_id, raised.value.client_id, raised.value.step_index) == (
+        1, target.client_id, 1)
+    assert (engine.now, engine.rounds[1]) == clean.steps[id(target)]
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
@@ -200,7 +318,7 @@ def test_server_models_are_read_only(name, monkeypatch):
     fresh, _ = small_engine(name)
     with pytest.raises(ValueError):
         fresh.models[0][0] = 1.0
-    engine, *_ = instrumented_run(name, monkeypatch)
+    engine = instrumented_run(name, monkeypatch).engine
     assert engine.rounds[0] > 0
     for tid in (0, 1):
         with pytest.raises(ValueError):

@@ -204,13 +204,20 @@ def check_stacked_rows_train_alone(family, l2, b, batch_size, sizes):
     assert all(x.tobytes() == y.tobytes() for x, y in zip(snapshots, before))
 
 
-def test_stacked_divergence_names_the_first_row_in_order():
-    """Row 1 diverges at a later step than row 3, and in another minibatch
-    group; training one at a time in order stops at row 1."""
+def diverging_rows():
+    """A task, shards and four snapshots: rows 1 and 3 diverge, row 1 at a
+    later step and in the other minibatch group (rows 0, 2 and 3 draw one
+    sample)."""
     task = TaskSpec(task_id=4, objective=QuadraticObjective(dim=1), tau=40, eta_c=1e3,
                     eta_s=1.0, target_metric=0.9, batch_size=2)
     shards = ClientShards(np.zeros((5, 1)), None, [0, 1, 3, 4, 5])  # sizes 1, 2, 1, 1
-    snapshots = [np.array([x]) for x in (0.0, 1e-3, 0.0, 1e6)]
+    return task, shards, [np.array([x]) for x in (0.0, 1e-3, 0.0, 1e6)]
+
+
+def test_stacked_divergence_names_the_first_row_in_order():
+    """Row 1 diverges at a later step than row 3, and in another minibatch
+    group; training one at a time in order stops at row 1."""
+    task, shards, snapshots = diverging_rows()
     first = None
     for c, x in enumerate(snapshots):
         try:
@@ -226,6 +233,30 @@ def test_stacked_divergence_names_the_first_row_in_order():
         local_train(task, snapshots, shards, [0, 1, 2, 3], [NO_DRAW] * 4, request_generator())
     got = (err.value.task_id, err.value.client_id, err.value.step_index)
     assert got == (first.task_id, first.client_id, first.step_index)
+
+
+def test_a_diverged_row_trained_ahead_cuts_the_stack_before_it():
+    """Rows from ``ahead_from`` on are trained ahead: if the first row to
+    diverge is one of them, the result is the rows before it, each as it
+    trains alone; if it is a requested row, the error is the same."""
+    task, shards, snapshots = diverging_rows()
+    alone = [local_train(task, [np.array([0.0])], shards, [c], [NO_DRAW], request_generator())
+             for c in range(3)]
+    clients, keys = [0, 1, 2, 3], [NO_DRAW] * 4
+
+    got = local_train(task, snapshots, shards, clients, keys, request_generator(), ahead_from=1)
+    assert got.tobytes() == alone[0].tobytes()
+    calm = [snapshots[0], np.array([0.0]), *snapshots[2:]]
+    got = local_train(task, calm, shards, clients, keys, request_generator(), ahead_from=3)
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+    with pytest.raises(DivergenceError) as plain:
+        local_train(task, snapshots, shards, clients, keys, request_generator())
+    with pytest.raises(DivergenceError) as err:
+        local_train(task, snapshots, shards, clients, keys, request_generator(), ahead_from=2)
+    assert (err.value.client_id, err.value.step_index) == (1, plain.value.step_index)
+    with pytest.raises(DivergenceError) as err:
+        local_train(task, calm, shards, clients, keys, request_generator(), ahead_from=4)
+    assert err.value.client_id == 3
 
 
 def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
