@@ -19,6 +19,7 @@ from pathlib import Path
 from .delay_model import DelaySpec
 from .event_engine import MAX_EVAL_TICKS, StopConditions, check_eval_interval
 from .fedast_server import check_allocation, check_c_period, check_tau_max
+from .local_trainer import DIVERGENCE_LIMIT
 from .objectives import LogisticObjective, QuadraticObjective, TaskSpec, TinyMlpObjective
 
 
@@ -158,10 +159,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if t.kind == "quadratic":
             if t.dim < 1:
                 raise ConfigError(f"{where}: dim must be at least 1")
-            if t.sigma_g < 0 or t.local_spread < 0:
-                raise ConfigError(f"{where}: spread parameters must be nonnegative")
             if t.points_per_client < 1:
                 raise ConfigError(f"{where}: points_per_client must be at least 1")
+            scales = {"|mu|": abs(t.mu), "sigma_g": t.sigma_g, "local_spread": t.local_spread}
         else:
             if t.n_features < 1 or t.n_classes < 2:
                 raise ConfigError(f"{where}: need n_features >= 1 and n_classes >= 2")
@@ -177,6 +177,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"{where}: alpha must be positive")
             if t.n_train < t.n_classes or t.n_eval < t.n_classes:
                 raise ConfigError(f"{where}: need at least one sample per class per split")
+            scales = {"center_scale": t.center_scale, "cluster_std": t.cluster_std}
+        for name, scale in scales.items():  # data past the iterate bound cannot be fit
+            if not 0 <= scale <= DIVERGENCE_LIMIT:
+                raise ConfigError(f"{where}: {name} must lie in [0, {DIVERGENCE_LIMIT:g}]")
         _built(f"{where}: ", task_spec, t)
         if t.target_metric > 1 if t.target_kind == "accuracy" else t.target_metric < 0:
             raise ConfigError(f"{where}: no {t.target_kind} can meet target_metric "

@@ -13,9 +13,9 @@ own. Each row is bit for bit what training that request alone, as a batch
 of one, gives. An ``Update`` names its request by task, client and
 dispatch number; with the run seed that is the request's key. Before the
 first step, one ``rng.minibatch_picks`` call draws every minibatch of the
-stack's drawing requests, each exactly what tau ``Generator.choice`` calls
-on the request's training stream (the run's one request generator re-keyed
-by ``rng.rekey``) give.
+stack's drawing requests: at each step, the indices of the ``batch_size``
+smallest of the next shard-size raw words of the request's training stream
+(the run's one request generator re-keyed by ``rng.rekey``).
 """
 
 from __future__ import annotations

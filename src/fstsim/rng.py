@@ -14,11 +14,11 @@ owns one request generator, and ``rekey`` points it at a request's delay
 stream at dispatch (through ``request_rngs``) and at its training stream
 before local training draws; no stream is built per request.
 
-A stream is also a pure function of its key and counter, so
-``minibatch_picks`` takes each training stream's raw words in one block and
-replays numpy's ``Generator.choice`` on the blocks of a whole stack at
-once, giving exactly the minibatches that ``choice`` would; ``sampler_replay``
-does the same for the engine's client-sampler loop on the server stream.
+Raw Philox words are fixed by key and counter, so a request's minibatches
+are defined on them: ``minibatch_picks`` takes the indices of the smallest
+of each step's words of the request's training stream. ``sampler_replay``
+replays the engine's client-sampler loop on a block of the server stream's
+raw words.
 """
 
 from __future__ import annotations
@@ -105,69 +105,20 @@ def rekey(generator: Generator, key: RequestKey, stream: int) -> Generator:
     return generator
 
 
-#: Stacks with fewer rows than this draw every row with ``Generator.choice``:
-#: below it the lockstep pass's fixed cost exceeds what it saves per row.
-LOCKSTEP_MIN_ROWS = 5
-
-
 def minibatch_picks(generator: Generator, keys: Sequence[RequestKey], sizes: Sequence[int],
                     n: int, tau: int) -> np.ndarray:
     """Row r's ``tau`` minibatches of ``n`` of ``range(sizes[r])``, (R, tau, n).
 
-    Exactly what ``tau`` successive ``rekey(generator, keys[r],
-    TRAIN).choice(sizes[r], n, replace=False)`` calls give under numpy 2.4,
-    drawn for all rows at once from one ``random_raw`` block per row. Such a
-    call takes ``2n - 1`` bounded uint32s, each Lemire's method on the next
-    half of a Philox word (low half first): n for Floyd's algorithm, which
-    takes j whenever its draw from ``[0, j]`` was taken before, then n - 1
-    for a Fisher-Yates shuffle. A row that could meet a Lemire rejection, or
-    that ``choice`` draws another way (a tail shuffle of a large population,
-    or 64-bit bounds), calls ``choice`` itself, as does every row of a stack
-    of fewer than LOCKSTEP_MIN_ROWS.
+    Step s of row r reads the next ``sizes[r]`` raw Philox words of the
+    request's training stream (``rekey(generator, keys[r], TRAIN)``) and
+    picks the indices of the ``n`` smallest, smallest first, a tie going to
+    the lower index. The picks are distinct, depend only on the request's key
+    and size, and so are the same in a stack of any size.
     """
-    rows, halves = len(keys), 2 * n - 1
-    if rows < LOCKSTEP_MIN_ROWS:
-        out, scalar = np.empty((rows, tau, n), dtype=np.int64), range(rows)
-    else:
-        sizes = np.asarray(sizes, dtype=np.int64)
-        words = np.array([rekey(generator, key, TRAIN).bit_generator.random_raw(
-            -(-tau * halves // 2)) for key in keys])
-        draws = words.astype("<u8", copy=False).view("<u4")[:, :tau * halves]
-        k = np.arange(halves)
-        bounds = np.empty((rows, 1, halves), dtype=np.uint64)
-        bounds[:, 0, :n] = sizes[:, None] + (k[:n] + 1 - n)
-        bounds[:, 0, n:] = 2 * n - k[n:]
-        # (low, high) halves of draw * bound: the high one is the value, and a
-        # low one below the bound may be a rejection, which shifts later draws.
-        # Every low half is below a bound past 2**32 - 1, where choice draws
-        # 64-bit words.
-        m = (draws.reshape(rows, tau, halves) * bounds).astype("<u8", copy=False).view("<u4")
-        m = m.reshape(rows, tau, halves, 2)
-        scalar = (sizes > 10000) & (sizes < 50 * n)
-        scalar = np.flatnonzero(scalar | (m[..., 0] < bounds).reshape(rows, -1).any(axis=1))
-        draw = m[..., 1].astype(np.int64)
-        # Floyd: draw k was taken before if an earlier draw equals it, or if it
-        # is the j of an earlier draw (draw - first j) that was.
-        val, first_j = draw[..., :n], sizes[:, None, None] - n
-        taken = (val[..., :, None] == val[..., None, :]).argmax(axis=-1) < k[:n]
-        base = np.arange(0, rows * tau * n, n).reshape(rows, tau, 1)
-        # draw 0 is never taken, so it stands in for "no earlier j"
-        taken, link = taken.ravel(), (np.maximum(val - first_j, 0) + base).ravel()
-        for _ in range((n - 1).bit_length()):
-            taken = taken | taken[link]
-            link = link[link]
-        out = np.maximum(val, taken.reshape(val.shape) * (first_j + k[:n]))
-        # Fisher-Yates: draw n + s swaps place i = n - 1 - s with place draw.
-        flat, swap = out.ravel(), (base + draw[..., n:]).reshape(rows * tau, n - 1).T
-        for s, i in enumerate(range(n - 1, 0, -1)):
-            held = flat[swap[s]]
-            flat[swap[s]] = out[..., i].ravel()
-            out[..., i] = held.reshape(rows, tau)
-    for r in scalar:
-        stream = rekey(generator, keys[r], TRAIN)
-        for step in range(tau):
-            out[r, step] = stream.choice(sizes[r], size=n, replace=False)
-    return out
+    return np.array([
+        np.argsort(rekey(generator, key, TRAIN).bit_generator.random_raw((tau, size)),
+                   axis=-1, kind="stable")[:, :n]
+        for key, size in zip(keys, sizes)])
 
 
 def sampler_replay(words: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray, int]:

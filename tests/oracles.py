@@ -69,11 +69,13 @@ def global_grad(task: TaskSpec, shards: Sequence[Dataset], x: np.ndarray) -> np.
 def local_stoch_grad(
     task: TaskSpec, shard: Dataset, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gradient of the client loss on a uniformly sampled minibatch.
+    """Gradient of the client loss on a minibatch sampled without replacement.
 
-    Sampling is without replacement within the batch. When ``batch_size``
-    covers the whole shard the full shard is used and no randomness is
-    consumed, so the result is deterministic.
+    The minibatch is the indices of the ``batch_size`` smallest of the next
+    ``shard.size`` raw words of ``rng``'s bit generator, smallest first, a tie
+    going to the lower index. When ``batch_size`` covers the whole shard the
+    full shard is used and no randomness is consumed, so the result is
+    deterministic.
     """
     x = _check_model(task, x)
     if shard.size == 0:
@@ -81,7 +83,8 @@ def local_stoch_grad(
     if task.batch_size >= shard.size:
         feats, labs = shard.features, shard.labels
     else:
-        idx = rng.choice(shard.size, size=task.batch_size, replace=False)
+        words = rng.bit_generator.random_raw(shard.size)
+        idx = np.argsort(words, kind="stable")[: task.batch_size]
         feats = shard.features[idx]
         labs = shard.labels[idx] if shard.labels is not None else None
     return grad_one(task.objective, x, feats, labs)

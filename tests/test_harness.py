@@ -203,6 +203,29 @@ class TestConfigRoundTrip:
         validate_config(dataclasses.replace(cfg, eval_interval=1e-12, max_sim_time=None,
                                             max_rounds=3))
 
+    @pytest.mark.parametrize("kind", ["logistic", "tiny_mlp"])
+    @pytest.mark.parametrize("field", ["center_scale", "cluster_std"])
+    def test_negative_blob_scales_are_config_errors(self, kind, field):
+        # each validated, and build_scenario then raised numpy's bare
+        # "ValueError: scale < 0"
+        task = quad_task_config(kind=kind, target_kind="accuracy", target_metric=0.8,
+                                n_train=64, n_eval=16, **{field: -1.0})
+        with pytest.raises(ConfigError, match=rf"task 0: {field} must lie in \[0, 1e\+12\]"):
+            build_scenario(quad_config(tasks=(task,)), seed=1)
+
+    @pytest.mark.parametrize("field", ["sigma_g", "local_spread", "mu"])
+    def test_overflowing_quadratic_data_is_a_config_error(self, field):
+        # each validated, and the first evaluation's squared distances then
+        # overflowed with a RuntimeWarning
+        def config(value):
+            task = quad_task_config(points_per_client=2, **{field: value})
+            return quad_config(tasks=(task,), max_rounds=None, max_sim_time=3.0)
+
+        with pytest.raises(ConfigError, match=rf"task 0: \|?{field}\|? must lie in \[0, 1e\+12\]"):
+            run_single(config(-1e300 if field == "mu" else 1e300), seed=1)
+        log, _ = run_single(config(-1e12 if field == "mu" else 1e12), seed=1)
+        assert all(math.isfinite(r.loss) for r in log.records)
+
     def test_task_id_must_fit_a_counter_word(self):
         d = config_to_dict(quad_config())
         d["tasks"][0]["task_id"] = 2**64

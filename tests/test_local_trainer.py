@@ -296,10 +296,10 @@ def test_rows_train_the_same_in_any_batch_on_the_paper_scenario():
                 assert alone.tobytes() == stacked[i].tobytes()
 
 
-def train_alone_by_choice(task, shard, x0, key):
+def train_alone_by_oracle(task, shard, x0, key):
     """One request as the oracle trains it: tau ``local_stoch_grad`` steps
-    on its training stream, each drawing with ``Generator.choice``. Returns
-    the delta, or the step at which the iterate diverged."""
+    on its training stream, each drawing its minibatch from the stream's raw
+    words. Returns the delta, or the step at which the iterate diverged."""
     stream = rekey(request_generator(), key, TRAIN)
     x, grad_sum = x0.copy(), np.zeros_like(x0)
     for step in range(1, task.tau + 1):
@@ -322,11 +322,11 @@ def train_alone_by_choice(task, shard, x0, key):
     seed=st.integers(min_value=0, max_value=2**20),
 )
 @settings(max_examples=120, deadline=None)
-def test_a_random_stack_trains_as_each_row_alone_by_choice(family, batch_size, tau, rows,
-                                                           eta_c, seed):
+def test_a_random_stack_trains_as_each_row_alone(family, batch_size, tau, rows, eta_c, seed):
     """Shards around the batch size (drawn, whole, one-sample), snapshots
     that diverge at step 1 or later: the stack's deltas, or the divergence it
-    names, are those of training each row alone with ``Generator.choice``."""
+    names, are those of training each row alone by the oracle: a row's
+    picks do not depend on the stack it trains in."""
     gen = np.random.default_rng(seed)
     obj = STACKED_FAMILIES[family](0.0)
     task = TaskSpec(task_id=1, objective=obj, tau=tau, eta_c=eta_c, eta_s=1.0,
@@ -337,7 +337,7 @@ def test_a_random_stack_trains_as_each_row_alone_by_choice(family, batch_size, t
                           np.concatenate([[0], np.cumsum(sizes)]))
     snapshots = [scale * gen.normal(size=obj.dim) for _, scale in rows]
     keys = [(seed, 1, c, int(gen.integers(2**40))) for c in range(len(rows))]
-    alone = [train_alone_by_choice(task, shards[c], x, key)
+    alone = [train_alone_by_oracle(task, shards[c], x, key)
              for c, (x, key) in enumerate(zip(snapshots, keys))]
     diverged = [(c, step) for c, step in enumerate(alone) if isinstance(step, int)]
     if diverged:

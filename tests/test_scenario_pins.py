@@ -9,7 +9,7 @@ with several points per client and local spread.
 
 Every hash depends on numpy's ``Generator`` algorithms (``dirichlet``,
 ``shuffle``, ``permutation``, ``standard_normal``), so a mismatch names the
-numpy version it ran under.
+platform the pins were recorded on and the one it ran on.
 """
 
 import hashlib
@@ -20,10 +20,12 @@ import pytest
 from fstsim.delay_model import SPEED_CLASSES
 from fstsim.harness import build_scenario
 from fstsim.objectives import Dataset, generate_blobs, generate_quadratic_shards, partition_dirichlet
+from numeric_platform import platform_note
 from test_workload_pins import load_workloads
 
 #: Seed 1, full horizon: first 16 hex of the sha256 of every shard in task
 #: and client order, of the eval sets in task order, and of the profiles.
+#: Recorded on ``numeric_platform.RECORDED``; bound to its numpy version.
 PINNED = {
     "drop_unit": ("df3b74dd8d57ee11", "e14ba1a752f9218e", "04c3b7be3115d080"),
     "paper_async": ("f54f7fb55a77c8bb", "e183aa6fc8fca11f", "fc322fc0f19666ba"),
@@ -80,7 +82,7 @@ def scenario_shas(scenario) -> tuple[str, str, str]:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_built_scenario_is_pinned(name):
     cfg = load_workloads().build(name)
-    assert scenario_shas(build_scenario(cfg, seed=1)) == PINNED[name], f"numpy {np.__version__}"
+    assert scenario_shas(build_scenario(cfg, seed=1)) == PINNED[name], platform_note()
 
 
 def test_dirichlet_donor_path_is_pinned():
@@ -89,7 +91,7 @@ def test_dirichlet_donor_path_is_pinned():
     # at this skew each class lands on about one client, so most clients
     # start empty and each takes one sample from the largest shard
     assert sum(s.size == 1 for s in shards) >= 30
-    assert shards_sha(shards) == DONOR_PIN, f"numpy {np.__version__}"
+    assert shards_sha(shards) == DONOR_PIN, platform_note()
 
 
 def test_quadratic_spread_path_is_pinned():
@@ -99,4 +101,4 @@ def test_quadratic_spread_path_is_pinned():
     )
     assert [s.features.shape for s in shards] == [(4, 3)] * 7
     got = (shards_sha(shards), sha16(dataset_bytes(eval_set)))
-    assert got == SPREAD_PIN, f"numpy {np.__version__}"
+    assert got == SPREAD_PIN, platform_note()

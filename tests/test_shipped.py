@@ -6,21 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fstsim.config import load_config
 from fstsim.harness import run_experiment
+from numeric_platform import RECORDED, numeric_platform, platform_note
 
 ROOT = Path(__file__).resolve().parents[1]
 
 #: ``cat run_*.csv | sha256sum | cut -c1-16`` after ``fstsim run`` on each
 #: shipped config at its own seed, then the same for ``run_*.jsonl`` and for
-#: ``summary.json``. A change that moves one must say why.
+#: ``summary.json``. A change that moves one must say why. Recorded on
+#: ``numeric_platform.RECORDED``; the two-task configs train a classifier,
+#: so theirs are bound to its SIMD targets and BLAS core as well.
 SHIPPED_HASHES = {
     "quickstart": ("12722d49fd504833", "59084db463c4a157", "281345228e46e22d"),
-    "two_task_async": ("a9dbc7a6c1eb6a17", "f8382f48a2237ed4", "89126775e6947ec2"),
-    "two_task_sync": ("54805e21b5bb48d6", "e2cc36ac77a587e8", "123a1db43419add4"),
+    "two_task_async": ("67b93e51077d6eed", "7347b3ab8a0dd338", "2e1088d9f9da189f"),
+    "two_task_sync": ("475ccba05a3a289c", "a2ccedecba07afab", "5beb50122ceacee9"),
     "dynamic_realloc": ("252f4d0251405eba", "d9a05cdef0eefb60", "390b3f46e17870e3"),
 }
 
@@ -33,7 +35,16 @@ def test_shipped_config_metrics_are_pinned(name, tmp_path):
         .hexdigest()[:16]
         for pattern in ("run_*.csv", "run_*.jsonl", "summary.json")
     )
-    assert got == SHIPPED_HASHES[name], f"numpy {np.__version__}"
+    assert got == SHIPPED_HASHES[name], platform_note()
+
+
+def test_a_pin_mismatch_names_the_recorded_and_the_running_platform():
+    running = numeric_platform()
+    assert running.keys() == RECORDED.keys() and running["simd"].keys() == RECORDED["simd"].keys()
+    assert all(isinstance(v, str) for v in (running["numpy"], running["blas_core"],
+                                            *running["simd"].values()))
+    note = platform_note()
+    assert str(RECORDED) in note and str(running) in note
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
