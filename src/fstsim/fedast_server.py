@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .event_engine import Aggregated, Engine, SimulationError, train_updates
-from .local_trainer import DIVERGENCE_LIMIT, Update
+from .local_trainer import Update, bounded
 from .objectives import TaskSpec
 from .realloc import TaskAllocView, compute_plan, default_c_period
 
@@ -152,12 +152,13 @@ def server_step(engine: Engine, spec: TaskSpec, updates: list[Update]) -> None:
     ``Aggregated``.
     """
     tid = spec.task_id
-    deltas = train_updates(engine, updates)
-    mean_delta = np.add.reduce(deltas, axis=0) / len(updates)
-    model = engine.models[tid] - spec.step_scale * mean_delta
+    step = np.add.reduce(train_updates(engine, updates), axis=0)
+    if len(updates) > 1:  # dividing by 1 changes no bit
+        step /= len(updates)
+    step *= spec.step_scale
+    model = engine.models[tid] - step
     model.setflags(write=False)
-    # NaN propagates through max, so a non-finite model fails too.
-    if not np.abs(model).max() <= DIVERGENCE_LIMIT:
+    if not bounded(model):
         raise SimulationError(
             f"aggregate produced non-finite or runaway model on task {tid} "
             f"at round {engine.rounds[tid]} ({len(updates)} updates)"
@@ -216,6 +217,8 @@ class FedAstServer:
             raise ValueError("need at least one task")
         check_tau_max(tau_max)
         self.option = option
+        #: replan every c_period received updates; read per arrival
+        self._dynamic = option == "D"
         self.tau_max = tau_max
         #: uncapped, every arrival of a live task is buffered and stepped on
         self.trains_ahead = tau_max is None
@@ -273,14 +276,17 @@ class FedAstServer:
             if staleness > st.staleness_max:
                 st.staleness_max = staleness
 
-        if self.option == "D" and self.c % self.c_period == 0:
+        if self._dynamic and self.c % self.c_period == 0:
             self._replan(engine)
 
         if len(st.buffer) >= st.b:
             self._aggregate(engine, st)
 
-        for _ in range(min(2, max(0, st.r_target - engine.in_flight[tid]))):
+        short = st.r_target - engine.in_flight[tid]
+        if short > 0:
             engine.send(tid)
+            if short > 1:
+                engine.send(tid)
 
     def task_metrics(self, task_id: int) -> dict[str, float | int]:
         st = self._states[task_id]

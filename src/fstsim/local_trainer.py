@@ -31,6 +31,16 @@ from .rng import RequestKey, minibatch_picks
 
 #: Any iterate coordinate beyond this magnitude aborts the request.
 DIVERGENCE_LIMIT = 1e12
+#: Most entries ``bounded`` compares in Python, faster than numpy's fixed cost.
+BOUNDED_PYTHON_SIZE = 8
+
+
+def bounded(x: np.ndarray) -> bool:
+    """Every entry of ``x`` finite and at most DIVERGENCE_LIMIT in magnitude;
+    a NaN fails every comparison, and propagates through the maximum."""
+    if x.size <= BOUNDED_PYTHON_SIZE:
+        return all(-DIVERGENCE_LIMIT <= v <= DIVERGENCE_LIMIT for v in x.ravel().tolist())
+    return bool(np.maximum.reduce(np.abs(x), axis=None) <= DIVERGENCE_LIMIT)
 
 
 class DivergenceError(RuntimeError):
@@ -103,22 +113,26 @@ def local_train(
         a, b = int(shards.starts[c]), int(shards.starts[c + 1])
         if a == b:
             raise ValueError(f"client {c} has an empty shard")
-        spans.append((a, b - a, min(task.batch_size, b - a)))
-        groups[spans[-1][2] > 1].append(i)
-    groups = [rows for rows in groups if rows]
-    results = [_train_rows(task, rows, spans, snapshots, shards, keys, streams)
-               for rows in groups]
-    failures = [failure for _, failure in results if failure is not None]
+        n = min(task.batch_size, b - a)
+        spans.append((a, b - a, n))
+        groups[n > 1].append(i)
+    results, failures = [], []
+    for rows in groups:
+        if rows:
+            deltas, failure = _train_rows(task, rows, spans, snapshots, shards, keys, streams)
+            results.append((rows, deltas))
+            if failure is not None:
+                failures.append(failure)
     n = len(spans)
     if failures:
         n, step = min(failures)
         if ahead_from is None or n < ahead_from:
             raise DivergenceError(task.task_id, clients[n], step)
     if len(results) == 1 and not failures:
-        return results[0][0]
+        return results[0][1]
     # Assembled last, so it never sits beside a stack's temporaries.
     out = np.empty((n, task.dim))
-    for rows, (deltas, _) in zip(groups, results):
+    for rows, deltas in results:
         kept = bisect_left(rows, n)  # a group trains the rows before its first failure
         out[rows[:kept]] = deltas[:kept]
     return out
@@ -128,30 +142,39 @@ def _train_rows(task, rows, spans, snapshots, shards, keys,
                 streams) -> tuple[np.ndarray, tuple | None]:
     """Train ``rows`` stacked, each minibatch zero-padded to the largest: their
     deltas, and None or (row, step) of the first of them to diverge."""
-    x = np.array([snapshots[i] for i in rows], dtype=np.float64)
-    if x.shape[1:] != (task.dim,):
-        raise ValueError(f"task {task.task_id} expects models of shape ({task.dim},)")
-    grad_sum = np.zeros(x.shape)
-    counts = [spans[i][2] for i in rows]
-    features = np.zeros((len(rows), max(counts), shards.features.shape[1]))
-    labels = None if shards.labels is None else np.zeros(features.shape[:2], dtype=np.int64)
-    counts = np.array(counts)
     # A whole shard is every step's minibatch; a drawn row, always as wide as
     # the stack, is refilled each step from the tau minibatches its stream
     # gives, drawn for all drawn rows in one pass.
-    drawn = []  # (stack row, request key, shard size, first shard row) per drawn row
+    stack, counts, drawn = [], [], []
     for j, i in enumerate(rows):
-        a, size, n = spans[i]
+        _, size, n = spans[i]
+        stack.append(snapshots[i])
+        counts.append(n)
         if size > n:
-            drawn.append((j, keys[i], size, a))
-        else:
-            features[j, :n] = shards.features[a:a + n]
-            if labels is not None:
-                labels[j, :n] = shards.labels[a:a + n]
+            drawn.append(j)
+    x = np.array(stack[0] if len(stack) == 1 else stack, dtype=np.float64, ndmin=2)
+    if x.shape != (len(rows), task.dim):
+        raise ValueError(f"task {task.task_id} expects models of shape ({task.dim},)")
+    grad_sum = np.zeros(x.shape)
+    if len(rows) == 1 and not drawn:  # one whole shard: its own rows, unpadded
+        a, _, n = spans[rows[0]]
+        features = shards.features[None, a:a + n]
+        labels = None if shards.labels is None else shards.labels[None, a:a + n]
+    else:
+        features = np.zeros((len(rows), max(counts), shards.features.shape[1]))
+        labels = None if shards.labels is None else np.zeros(features.shape[:2], dtype=np.int64)
+        for j, i in enumerate(rows):
+            a, size, n = spans[i]
+            if size == n:
+                features[j, :n] = shards.features[a:a + n]
+                if labels is not None:
+                    labels[j, :n] = shards.labels[a:a + n]
+    # as floats, exactly: the gradients divide by them with no cast
+    counts = np.array(counts, dtype=np.float64)
     if drawn:
-        drawn, drawn_keys, sizes, starts = zip(*drawn)
-        picks = minibatch_picks(streams, drawn_keys, sizes, task.batch_size, task.tau)
-        picks += np.array(starts)[:, None, None]
+        picks = minibatch_picks(streams, [keys[rows[j]] for j in drawn],
+                                [spans[rows[j]][1] for j in drawn], task.batch_size, task.tau)
+        picks += np.array([spans[rows[j]][0] for j in drawn])[:, None, None]
         drawn = np.array(drawn)
     failure = None
     for step in range(1, task.tau + 1):
@@ -164,8 +187,7 @@ def _train_rows(task, rows, spans, snapshots, shards, keys,
         g *= task.eta_c
         x -= g
         del g
-        # NaN propagates through max, so non-finite rows count as bad too.
-        if not np.abs(x).max() <= DIVERGENCE_LIMIT:
+        if not bounded(x):
             # Only the rows before the first diverged one still matter.
             keep = int((np.abs(x).max(axis=1) <= DIVERGENCE_LIMIT).argmin())
             failure = (rows[keep], step)
@@ -175,5 +197,6 @@ def _train_rows(task, rows, spans, snapshots, shards, keys,
             features, labels = features[:keep], None if labels is None else labels[:keep]
             if len(drawn):
                 picks, drawn = picks[drawn < keep], drawn[drawn < keep]
-    grad_sum /= task.tau
+    if task.tau > 1:  # dividing by 1 changes no bit
+        grad_sum /= task.tau
     return grad_sum, failure

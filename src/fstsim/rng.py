@@ -81,6 +81,13 @@ def request_generator() -> Generator:
     return Generator(Philox(0))
 
 
+#: The Philox state ``rekey`` writes: one dict, refilled for every request
+#: (the setter copies it at once, so one thread at a time may re-key).
+_STATE = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+          # buffer_pos at the end of Philox's 4-word output buffer: nothing left
+          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def rekey(generator: Generator, key: RequestKey, stream: int) -> Generator:
     """Re-key ``generator`` to one stream (TRAIN or DELAY) of the request
     ``key`` and return it.
@@ -92,16 +99,10 @@ def rekey(generator: Generator, key: RequestKey, stream: int) -> Generator:
     fresh ``Philox`` at that key and counter would.
     """
     seed, task_id, client_id, dispatch_no = key
-    generator.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, task_id, client_id, dispatch_no),
-                  "key": _run_key(seed, stream)},
-        # buffer_pos at the end of Philox's 4-word output buffer: nothing left
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = _STATE["state"]
+    state["counter"] = (0, task_id, client_id, dispatch_no)
+    state["key"] = _run_key(seed, stream)
+    generator.bit_generator.state = _STATE
     return generator
 
 
@@ -115,10 +116,11 @@ def minibatch_picks(generator: Generator, keys: Sequence[RequestKey], sizes: Seq
     the lower index. The picks are distinct, depend only on the request's key
     and size, and so are the same in a stack of any size.
     """
-    return np.array([
-        np.argsort(rekey(generator, key, TRAIN).bit_generator.random_raw((tau, size)),
-                   axis=-1, kind="stable")[:, :n]
-        for key, size in zip(keys, sizes)])
+    picks = np.empty((len(keys), tau, n), dtype=np.intp)
+    for row, key, size in zip(picks, keys, sizes):
+        words = rekey(generator, key, TRAIN).bit_generator.random_raw((tau, size))
+        row[...] = words.argsort(kind="stable")[:, :n]
+    return picks
 
 
 def sampler_replay(words: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray, int]:

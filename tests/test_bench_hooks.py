@@ -57,3 +57,35 @@ def test_finished_policy_has_what_layer_metrics_reads(algorithm, extra, policy_a
         state = policy.state(tid)
         for attr in state_attrs:
             assert hasattr(state, attr), attr
+
+
+#: The spans ``bench/run.py`` counts as events, by kind: a dispatch, an
+#: update arrival at either server, an evaluation tick, a sync barrier.
+EVENT_SPANS = ("event_engine._do_dispatch", "fedast_server.handle_update",
+               "baselines.handle_update", "event_engine._do_eval", "baselines.handle_barrier")
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("fedast_static", {}),
+    ("fedast_dynamic", {"c_period": 5}),
+    ("no_buffer", {"drop_enforcement": True, "tau_max": 1}),
+    ("mm_sync", {"k_sync": 3}),
+])
+def test_traced_events_by_kind_sum_to_the_events_processed(algorithm, extra):
+    """The traced bench run fails unless every event the engine processes is
+    one of its counted spans, so each event handler must keep calling a
+    traced name."""
+    b0 = 1 if algorithm == "no_buffer" else 2
+    tasks = tuple(
+        TaskConfig(task_id=tid, kind="quadratic", tau=1, eta_c=0.05, dim=2, r0=4, b0=b0,
+                   target_kind="loss", target_metric=1e-12)
+        for tid in (0, 1)
+    )
+    cfg = ExperimentConfig(tasks=tasks, algorithm=algorithm, n_clients=10, availability=0.9,
+                           stop_on_targets=False, max_sim_time=6.0, **extra)
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        log, _ = run_single(cfg, seed=1)
+    counted = sum(tracer.names.count(name) for name in EVENT_SPANS)
+    assert tracer.names.count("event_engine._do_dispatch") > 0
+    assert counted == log.events_processed

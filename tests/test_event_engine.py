@@ -638,9 +638,15 @@ class TestEngineIntegration:
         assert log.stop_reason == "max_rounds"
 
 
-@pytest.mark.parametrize("algorithm, extra", [("fedast_static", {}), ("mm_sync", {"k_sync": 3})])
+@pytest.mark.parametrize("algorithm, extra", [
+    ("fedast_static", {}),
+    ("mm_sync", {"k_sync": 3}),
+    ("fedast_dynamic", {"c_period": 5}),  # replans
+    ("no_buffer", {"drop_enforcement": True, "tau_max": 1}),  # capped: drops, one-row steps
+])
 def test_request_rngs_is_called_once_per_traced_dispatch(algorithm, extra, monkeypatch):
     """Throughput benchmarks count requests as calls to rng.request_rngs."""
+    b0 = 1 if algorithm == "no_buffer" else 2
     calls = 0
     request_rngs = fstsim.rng.request_rngs
 
@@ -652,15 +658,19 @@ def test_request_rngs_is_called_once_per_traced_dispatch(algorithm, extra, monke
     monkeypatch.setattr(fstsim.rng, "request_rngs", counted)
     cfg = ExperimentConfig(
         tasks=(
-            TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=2, r0=4, b0=2,
+            TaskConfig(task_id=0, kind="quadratic", tau=2, eta_c=0.05, dim=2, r0=4, b0=b0,
                        target_kind="loss", target_metric=1e-12),
-            TaskConfig(task_id=1, kind="quadratic", tau=1, eta_c=0.05, dim=3, r0=4, b0=2,
+            TaskConfig(task_id=1, kind="quadratic", tau=1, eta_c=0.05, dim=3, r0=4, b0=b0,
                        target_kind="loss", target_metric=1e-12),
         ),
         algorithm=algorithm, n_clients=10, availability=0.9, eval_interval=1.0,
         stop_on_targets=False, max_rounds=8, **extra,
     )
     events = []
-    run_single(cfg, seed=4, observer=events.append)
+    _, policy = run_single(cfg, seed=4, observer=events.append)
     dispatches = sum(1 for ev in events if isinstance(ev, Dispatched))
     assert calls == dispatches > 0
+    if algorithm == "fedast_dynamic":
+        assert policy.realloc_events
+    if algorithm == "no_buffer":
+        assert sum(policy.state(tid).dropped for tid in (0, 1)) > 0

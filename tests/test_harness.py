@@ -226,6 +226,37 @@ class TestConfigRoundTrip:
         log, _ = run_single(config(-1e12 if field == "mu" else 1e12), seed=1)
         assert all(math.isfinite(r.loss) for r in log.records)
 
+    @pytest.mark.parametrize("overrides, task_overrides", [
+        ({}, {"base_beta": 1e-6}),  # validated and ran past 5 s: about 10^7 requests
+        ({"shift_factor": 0.0, "scale_factor": 1e-300}, {}),
+        ({}, {"base_beta": 1e-300}),
+        ({"speed_multipliers": (1.0, 1.0, 1e-300)}, {}),
+    ])
+    def test_unbounded_work_within_the_horizon_is_a_config_error(self, overrides,
+                                                                  task_overrides):
+        cfg = quad_config(tasks=(quad_task_config(**task_overrides),), max_rounds=None,
+                          max_sim_time=15.0, **overrides)
+        with pytest.raises(ConfigError, match="requests expected up to max_sim_time 15.0, "
+                                              "more than 1e"):
+            validate_config(cfg)
+
+    def test_expected_requests_bound_admits_the_bench_workloads(self):
+        # sum over tasks of max_sim_time * r0 / (tau * (shift + scale) * base_beta
+        # * fastest multiplier): 4 * 15 / (3 * 0.7) on one task here
+        validate_config(quad_config(max_rounds=None, max_sim_time=15.0))
+        at_bound = 10**7 * 3 * 0.7 / 4
+        for factor, valid in ((1 - 1e-9, True), (1 + 1e-9, False)):
+            cfg = quad_config(max_rounds=None, max_sim_time=at_bound * factor,
+                              eval_interval=1e3)
+            if valid:
+                validate_config(cfg)
+            else:
+                with pytest.raises(ConfigError, match="requests expected"):
+                    validate_config(cfg)
+        workloads = load_workloads()
+        for name in workloads.BY_NAME:
+            validate_config(workloads.build(name))
+
     def test_task_id_must_fit_a_counter_word(self):
         d = config_to_dict(quad_config())
         d["tasks"][0]["task_id"] = 2**64

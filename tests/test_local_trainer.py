@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fstsim.harness import build_scenario
-from fstsim.local_trainer import DIVERGENCE_LIMIT, DivergenceError, local_train
+from fstsim.local_trainer import (
+    BOUNDED_PYTHON_SIZE,
+    DIVERGENCE_LIMIT,
+    DivergenceError,
+    bounded,
+    local_train,
+)
 from fstsim.objectives import (
     ClientShards,
     LogisticObjective,
@@ -150,6 +156,20 @@ def test_divergence_aborts_with_step_index():
     assert err.value.client_id == 3
     assert 1 <= err.value.step_index <= 200
     assert "step" in str(err.value)
+
+
+@pytest.mark.parametrize("size", [1, 2, BOUNDED_PYTHON_SIZE, BOUNDED_PYTHON_SIZE + 1, 40])
+def test_bounded_is_the_finite_magnitude_check_on_either_side_of_its_cutoff(size):
+    """Small arrays are compared in Python, larger ones by numpy: both read
+    NaN and anything past DIVERGENCE_LIMIT as unbounded."""
+    rng = np.random.default_rng(size)
+    beyond = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+    for bad in (None, np.nan, np.inf, -np.inf, DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT, beyond,
+                -beyond, -0.0):
+        x = rng.normal(size=(1, size)) * 1e11
+        if bad is not None:
+            x[0, rng.integers(size)] = bad
+        assert bounded(x) is bool(np.abs(x).max() <= DIVERGENCE_LIMIT), bad
 
 
 STACKED_FAMILIES = {
