@@ -99,15 +99,15 @@ class ExperimentConfig:
     runs: int = 1
 
 
-#: Most requests a config may be expected to dispatch (a run of minutes): each
-#: task keeps r0 in flight, of mean duration tau * (shift + scale) * beta.
-MAX_EXPECTED_REQUESTS = 10**7
+#: Most local steps a config may be expected to train (a run of minutes): each
+#: task keeps r0 requests in flight, of mean duration (shift + scale) * beta a step.
+MAX_EXPECTED_STEPS = 10**7
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError on any hard inconsistency. A valid config has a
     horizon (max_sim_time or max_rounds), at most MAX_EVAL_TICKS evaluation
-    ticks and at most MAX_EXPECTED_REQUESTS expected requests up to
+    ticks and at most MAX_EXPECTED_STEPS expected local steps up to
     max_sim_time."""
     if not cfg.tasks:
         raise ConfigError("config defines no tasks")
@@ -203,12 +203,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"{where}: the no-buffer baseline aggregates every update alone; set b0=1"
             )
     if cfg.max_sim_time is not None:
-        expected = sum(cfg.max_sim_time * t.r0 / t.tau / (cfg.shift_factor + cfg.scale_factor)
-                       / t.base_beta / min(cfg.speed_multipliers) for t in cfg.tasks)
-        if not expected <= MAX_EXPECTED_REQUESTS:
-            raise ConfigError(f"about {expected:.3g} requests expected up to max_sim_time "
-                              f"{cfg.max_sim_time!r}, more than {MAX_EXPECTED_REQUESTS:.0e}; "
-                              f"raise base_beta or lower max_sim_time or r0")
+        steps = sum(cfg.max_sim_time * t.r0 / (cfg.shift_factor + cfg.scale_factor)
+                    / t.base_beta / min(cfg.speed_multipliers) for t in cfg.tasks)
+        if not steps <= MAX_EXPECTED_STEPS:
+            raise ConfigError(f"about {steps:.3g} local steps of the requests expected up to "
+                              f"max_sim_time {cfg.max_sim_time!r}, more than "
+                              f"{MAX_EXPECTED_STEPS:.0e}; raise base_beta or lower "
+                              "max_sim_time or r0")
 
 
 def _built(where: str, make, *args):

@@ -72,9 +72,6 @@ logger = logging.getLogger(__name__)
 
 #: Iteration cap for the availability-rejection sampler.
 SAMPLER_ITERATION_CAP = 1_000_000
-#: Raw server-stream words per block the sampler serves (two loop iterations
-#: per three words), chosen by microbenchmark.
-SAMPLER_BLOCK_WORDS = 192
 #: Most rows a call that trains ahead stacks, unless the requested rows alone
 #: are more. A stack's temporaries grow by about 10 kB a row (tiny_mlp, 16
 #: hidden units), and past about 64 rows the cost per row barely falls.
@@ -246,9 +243,10 @@ class Engine:
     every ``Event`` of the run, in order; ``policy`` is the one ``run``
     drives. ``shards`` holds each task's client data as one
     ``ClientShards``, one client per profile, and ``profiles.base_betas`` a
-    base beta per task. ``sample_clients`` draws from the server stream
-    through a replayed block, equal to its rejection loop; ``server_stream``
-    settles the stream before any other read. ``untrained`` is the registry
+    base beta per task. ``server_stream`` has one reader per run: the async
+    servers read it through ``sample_clients``, one ``rng.sampler_block`` at
+    a time, and ``mm_sync`` through ``draw_available`` and its round
+    shuffle. ``untrained`` is the registry
     ``train_updates`` trains ahead from, kept only for a policy that
     ``trains_ahead``."""
 
@@ -299,9 +297,12 @@ class Engine:
         self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._soon: deque[tuple[float, int, Callable[[Any], None], Any]] = deque()
         self._seq = 0
-        #: read through ``server_stream``; the sampler's first block is drawn lazily
-        self._stream = rng_tree.server_rng(seed)
-        self._hold_block(None, (), (), 0, 0)
+        self.server_stream = rng_tree.server_rng(seed)
+        #: the sampler's block (the first drawn lazily): its unserved acceptances
+        #: and their clients, both last first, and its iterations served
+        self._at: list[int] = []
+        self._clients: list[int] = []
+        self._done = rng_tree.SAMPLER_BLOCK_ITERATIONS
         #: re-keyed to a request's delay stream at its dispatch and to its
         #: training stream when a server step or replan trains it
         self.streams = rng_tree.request_generator()
@@ -349,75 +350,37 @@ class Engine:
     def sample_clients(self, k: int) -> list[int]:
         """Draw k client ids uniformly with replacement, each accepted by an
         independent availability coin flip, so the accepted client is uniform
-        for any p. Hard error if the rejection loop exceeds
-        SAMPLER_ITERATION_CAP iterations. The loop's server-stream draws are
-        served from a replayed block of SAMPLER_BLOCK_WORDS raw words, equal
-        to the loop's own."""
+        for any p. Hard error if the call runs more than
+        SAMPLER_ITERATION_CAP iterations. The iterations run on the server
+        stream a block at a time (``rng.sampler_block``), over a pool of
+        ``1 <= n_clients < 2**32``."""
         cap = SAMPLER_ITERATION_CAP  # read per call: tests patch it
-        served = self._served
-        if k == 1 and served < len(self._at) and self._at[served] + 1 - self._done <= cap:
+        at, clients = self._at, self._clients
+        if k == 1 and at and at[-1] + 1 - self._done <= cap:
             # the common call: the block's next acceptance, within the cap
-            self._done, self._served = self._at[served] + 1, served + 1
-            return [self._clients[served]]
+            self._done = at.pop() + 1
+            return [clients.pop()]
         out: list[int] = []
         iterations = 0
         while len(out) < k:
-            served = self._served
-            if served < len(self._at):
-                end = self._at[served] + 1  # the block's next acceptance
-            elif self._done < self._valid:
-                end = self._valid  # the rest of the block rejects
-            else:
-                self._next_block()
-                continue
+            if not at and self._done == rng_tree.SAMPLER_BLOCK_ITERATIONS:
+                found, offered = rng_tree.sampler_block(self.server_stream, self.n_clients,
+                                                        self.availability_p)
+                at = self._at = found[::-1].tolist()
+                clients = self._clients = offered[::-1].tolist()
+                self._done = 0
+            # up to the block's next acceptance, or through its end
+            end = at[-1] + 1 if at else rng_tree.SAMPLER_BLOCK_ITERATIONS
             iterations += end - self._done
             if iterations > cap:
                 self._done = end - (iterations - cap)
                 raise SimulationError(f"availability sampler exceeded {cap} iterations "
                                       f"(availability_p={self.availability_p})")
             self._done = end
-            if served < len(self._at):
-                out.append(self._clients[served])
-                self._served = served + 1
+            if at:
+                at.pop()
+                out.append(clients.pop())
         return out
-
-    def _next_block(self) -> None:
-        """Draw a replayed block, or one iteration of the loop itself where
-        the replay cannot serve (see ``rng.sampler_replay``)."""
-        cut = self._valid < self._drawn
-        stream, n, p = self.server_stream, self.n_clients, self.availability_p
-        state = stream.bit_generator.state
-        if cut or not 2 <= n < 2**32 or state["has_uint32"]:
-            candidate = int(stream.integers(n))
-            accepted = [0] if stream.random() < p else []
-            self._hold_block(state, accepted, [candidate] * len(accepted), 1, 1)
-        else:
-            words = stream.bit_generator.random_raw(SAMPLER_BLOCK_WORDS)
-            at, clients, valid = rng_tree.sampler_replay(words, n, p)
-            self._hold_block(state, at.tolist(), clients.tolist(), valid,
-                             2 * SAMPLER_BLOCK_WORDS // 3)
-
-    def _hold_block(self, state: dict | None, at, clients, valid: int, drawn: int) -> None:
-        """Serve the first ``valid`` of ``drawn`` loop iterations drawn from
-        ``state``: ``clients[j]``, accepted at iteration ``at[j]``, Python ints."""
-        self._block, self._at, self._clients = state, at, clients
-        self._valid, self._drawn, self._done, self._served = valid, drawn, 0, 0
-
-    @property
-    def server_stream(self) -> np.random.Generator:
-        """The server-side decision stream (sampling, availability, shuffles),
-        settled first to just after the sampler's last served iteration."""
-        if self._done < self._drawn:
-            bits = self._stream.bit_generator
-            bits.state = self._block
-            pairs, odd = divmod(self._done, 2)
-            words = bits.random_raw(3 * pairs + 2 * odd)
-            if odd:  # the high half of the last pair's first word is stashed
-                state = bits.state
-                state["has_uint32"], state["uinteger"] = 1, int(words[-2]) >> 32
-                bits.state = state
-        self._hold_block(None, (), (), 0, 0)
-        return self._stream
 
     def draw_available(self) -> list[int]:
         """Round-style availability: one Bernoulli coin per client."""

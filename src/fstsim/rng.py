@@ -15,10 +15,10 @@ stream at dispatch (through ``request_rngs``) and at its training stream
 before local training draws; no stream is built per request.
 
 Raw Philox words are fixed by key and counter, so a request's minibatches
-are defined on them: ``minibatch_picks`` takes the indices of the smallest
-of each step's words of the request's training stream. ``sampler_replay``
-replays the engine's client-sampler loop on a block of the server stream's
-raw words.
+and the engine's client sampler are defined on them: ``minibatch_picks``
+takes the indices of the smallest of each step's words of the request's
+training stream, and ``sampler_block`` runs a block of the sampler's
+iterations on the server stream's next words.
 """
 
 from __future__ import annotations
@@ -123,26 +123,32 @@ def minibatch_picks(generator: Generator, keys: Sequence[RequestKey], sizes: Seq
     return picks
 
 
-def sampler_replay(words: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(at, clients, valid)``: the loop ``c = integers(n); accept c if
-    random() < p``, replayed on the ``3m`` raw words a stream with no stashed
-    half-word draws next (``2 <= n < 2**32``, numpy 2.4), accepts
-    ``clients[j]`` at iteration ``at[j]`` of its first ``valid`` of ``2m``.
+#: Server-stream words per sampler block, chosen by microbenchmark.
+SAMPLER_BLOCK_WORDS = 192
+SAMPLER_BLOCK_ITERATIONS = 2 * SAMPLER_BLOCK_WORDS // 3
 
-    ``integers(n)`` is Lemire's ``(u * n) >> 32`` on the next 32-bit half u of
-    a word, low half first, and ``random()`` is ``(w >> 11) * 2**-53`` on a
-    whole word w: iterations 2i and 2i + 1 read the halves of word 3i and the
-    coins of words 3i + 1 and 3i + 2. A rejection, ``(u * n) % 2**32 < 2**32 %
-    n``, draws again and shifts every later read, so ``valid`` stops there.
+
+def sampler_block(stream: Generator, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, clients)``: the availability sampler's next
+    SAMPLER_BLOCK_ITERATIONS iterations over ``n`` clients (``1 <= n <
+    2**32``), run on the next SAMPLER_BLOCK_WORDS raw words of ``stream``;
+    ``clients[j]`` is accepted at iteration ``at[j]``.
+
+    Iterations 2i and 2i + 1 offer client ``(u * n) >> 32`` (Lemire's bounded
+    draw), u the low and the high 32-bit half of word 3i, and accept it on
+    the coin ``(w >> 11) * 2**-53 < p`` of word 3i + 1 and 3i + 2. An offer
+    with ``(u * n) % 2**32 < 2**32 % n``, a Lemire rejection, is not
+    accepted, so every accepted client is exactly uniform. Where no offer is
+    rejected, this is numpy's loop ``c = integers(n); accept c if random() <
+    p`` bit for bit.
     """
-    triples = words.reshape(-1, 3)
+    triples = stream.bit_generator.random_raw(SAMPLER_BLOCK_WORDS).reshape(-1, 3)
     halves = triples[:, 0].astype("<u8").view("<u4")
-    # (low, high) halves of u * n: the high one is the candidate
+    # (low, high) halves of u * n: the high one is the offer
     product = (halves * np.uint64(n)).astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-    rejected = np.flatnonzero(product[:, 0] < 2**32 % n)
-    valid = int(rejected[0]) if len(rejected) else len(product)
-    at = np.flatnonzero(((triples[:, 1:] >> 11) * 2.0**-53).ravel()[:valid] < p)
-    return at, product[at, 1], valid
+    coins = ((triples[:, 1:] >> 11) * 2.0**-53).ravel() < p
+    at = np.flatnonzero(coins & (product[:, 0] >= 2**32 % n))
+    return at, product[at, 1]
 
 
 def request_rngs(

@@ -12,15 +12,16 @@ that unpacks each family's flat parameter vector on its own. In
 ``fstsim.objectives`` one forward pass serves loss, accuracy and gradient,
 so a finite-difference check cannot catch a wrong forward pass; this can.
 
-``sample_clients_loop`` is the availability sampler as a plain rejection
-loop on the server stream, one ``sampler_iteration`` at a time; the engine
-serves the same draws from a replayed block.
+``sampler_offers`` is the availability sampler's rule in plain Python ints,
+one iteration at a time over the server stream's raw words, and
+``sample_clients_loop`` its rejection loop; the engine runs the same
+iterations a numpy block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -137,23 +138,30 @@ def reference_loss_accuracy(
     return sum(losses) / len(losses) + l2_term, hits / len(losses)
 
 
-def sampler_iteration(stream: np.random.Generator, n_clients: int, p: float) -> tuple[int, bool]:
-    """One iteration of the availability sampler: a uniform candidate and its coin."""
-    candidate = int(stream.integers(n_clients))
-    return candidate, bool(stream.random() < p)
+def sampler_offers(stream: np.random.Generator, n_clients: int,
+                   p: float) -> Iterator[tuple[int, bool]]:
+    """The sampler's iterations on ``stream``'s raw words, as (offered client,
+    accepted): iterations 2i and 2i + 1 offer ``(u * n) >> 32``, u the low and
+    the high half of word 3i, on the coins of words 3i + 1 and 3i + 2; an
+    offer that meets a Lemire rejection is not accepted."""
+    threshold = 2**32 % n_clients
+    while True:
+        first, *coins = (int(w) for w in stream.bit_generator.random_raw(3))
+        for half, coin in zip((first & 0xFFFFFFFF, first >> 32), coins):
+            product = half * n_clients
+            yield product >> 32, product % 2**32 >= threshold and (coin >> 11) * 2.0**-53 < p
 
 
-def sample_clients_loop(stream: np.random.Generator, n_clients: int, p: float, k: int,
-                        cap: int) -> list[int]:
-    """k candidates accepted by the rejection loop; SimulationError once the
-    call would start iteration ``cap + 1``."""
+def sample_clients_loop(offers: Iterator[tuple[int, bool]], k: int, cap: int) -> list[int]:
+    """k clients accepted by the rejection loop over ``offers``;
+    SimulationError once the call would start iteration ``cap + 1``."""
     out: list[int] = []
     iterations = 0
     while len(out) < k:
         iterations += 1
         if iterations > cap:
             raise SimulationError(f"availability sampler exceeded {cap} iterations")
-        candidate, accepted = sampler_iteration(stream, n_clients, p)
+        client, accepted = next(offers)
         if accepted:
-            out.append(candidate)
+            out.append(client)
     return out

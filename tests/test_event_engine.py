@@ -25,7 +25,7 @@ from fstsim.event_engine import (
 from fstsim.fedast_server import FedAstServer
 from fstsim.harness import run_single
 from fstsim.objectives import ClientShards, Dataset, QuadraticObjective, TaskSpec
-from oracles import sample_clients_loop
+from oracles import sample_clients_loop, sampler_offers
 
 
 def quad_task(tid=0, target_kind="accuracy", target=0.99, tau=1, eta_c=0.1):
@@ -311,85 +311,28 @@ def sampling_engine(n_clients, availability, seed):
     )
 
 
-def stream_state(stream):
-    """A stream's whole state, less the value of a stashed half-word already
-    drawn: numpy keeps it, but never reads it again."""
-    state = stream.bit_generator.state
-    if not state["has_uint32"]:
-        state["uinteger"] = 0
-    return repr(state)
-
-
-#: A direct read of the server stream, as a policy might make one.
-READS = {
-    "integers": lambda stream, m: int(stream.integers(m)),  # a half-word when m < 2**32
-    "random": lambda stream, m: stream.random(m).tolist(),
-    "permutation": lambda stream, m: stream.permutation(m).tolist(),
-    "random_raw": lambda stream, m: stream.bit_generator.random_raw(m).tolist(),
-}
-
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("sample"), st.integers(1, 60)),
-    st.tuples(st.just("available"), st.just(0)),
-    st.tuples(st.sampled_from(sorted(READS)), st.integers(1, 9)),
-), max_size=12)
-
-
-class TestServedSampler:
-    """``sample_clients`` serves its draws from a replayed block; every value
-    and every later draw of the server stream equal the rejection loop's."""
-
-    @given(n_clients=st.integers(1, 50), availability=st.floats(0.05, 1.0),
-           seed=st.integers(0, 2**16), ops=OPS)
-    @settings(max_examples=200, deadline=None)
-    def test_interleaved_draws_equal_the_loop(self, n_clients, availability, seed, ops):
-        engine = sampling_engine(n_clients, availability, seed)
-        loop = fstsim.rng.server_rng(seed)
-        for op, arg in ops:
-            if op == "sample":
-                assert engine.sample_clients(arg) == sample_clients_loop(
-                    loop, n_clients, availability, arg, engine_mod.SAMPLER_ITERATION_CAP)
-            elif op == "available":
-                assert engine.draw_available() == [
-                    int(i) for i in np.flatnonzero(loop.random(n_clients) < availability)]
+@given(n_clients=st.one_of(st.integers(1, 50), st.just(2**31 + 1)),
+       availability=st.floats(0.05, 1.0), seed=st.integers(0, 2**16),
+       cap=st.sampled_from([0, 5, 50, engine_mod.SAMPLER_ITERATION_CAP]),
+       ks=st.lists(st.integers(1, 60), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_sample_clients_is_the_sampler_on_raw_words(n_clients, availability, seed, cap, ks):
+    """Every call returns the oracle's clients, or raises where the oracle's
+    call passes the cap after exactly ``cap`` iterations, whatever came before.
+    About half of the offers to 2**31 + 1 clients meet a Lemire rejection; the
+    sampler reads only the pool size, so that pool is set, not built."""
+    engine = sampling_engine(min(n_clients, 50), availability, seed)
+    engine.n_clients = n_clients
+    offers = sampler_offers(fstsim.rng.server_rng(seed), n_clients, availability)
+    with mock.patch.object(engine_mod, "SAMPLER_ITERATION_CAP", cap):
+        for k in ks:
+            try:
+                want = sample_clients_loop(offers, k, cap)
+            except SimulationError:
+                with pytest.raises(SimulationError, match="sampler"):
+                    engine.sample_clients(k)
             else:
-                assert READS[op](engine.server_stream, arg) == READS[op](loop, arg)
-        assert stream_state(engine.server_stream) == stream_state(loop)
-        assert engine.sample_clients(3) == sample_clients_loop(loop, n_clients, availability,
-                                                               3, 10**6)
-        assert READS["integers"](engine.server_stream, 7) == READS["integers"](loop, 7)
-
-    @pytest.mark.parametrize("n_clients", [2**31 + 1, 2**32 - 1, 2**32, 2**33 + 1])
-    def test_pools_too_large_to_build_equal_the_loop(self, n_clients):
-        """About half of the candidate draws for 2**31 + 1 clients meet a
-        Lemire rejection, which cuts blocks short; from 2**32 clients numpy
-        draws whole words, which the replay leaves to the loop."""
-        engine = sampling_engine(1, 0.3, 5)
-        engine.n_clients = n_clients  # the sampler reads only the pool size
-        loop = fstsim.rng.server_rng(5)
-        for k in (1, 3, 40, 2, 100):
-            assert engine.sample_clients(k) == sample_clients_loop(loop, n_clients, 0.3, k, 10**6)
-        assert READS["integers"](engine.server_stream, 7) == READS["integers"](loop, 7)
-        assert engine.sample_clients(5) == sample_clients_loop(loop, n_clients, 0.3, 5, 10**6)
-        assert stream_state(engine.server_stream) == stream_state(loop)
-
-    @pytest.mark.parametrize("cap", [0, 5, 50])
-    @given(n_clients=st.integers(1, 50), seed=st.integers(0, 2**16),
-           ks=st.lists(st.integers(1, 3), min_size=1, max_size=40))
-    @settings(max_examples=25, deadline=None)
-    def test_cap_raises_on_the_loops_call(self, cap, n_clients, seed, ks):
-        engine = sampling_engine(n_clients, 0.05, seed)
-        loop = fstsim.rng.server_rng(seed)
-        with mock.patch.object(engine_mod, "SAMPLER_ITERATION_CAP", cap):
-            for k in ks:
-                try:
-                    want = sample_clients_loop(loop, n_clients, 0.05, k, cap)
-                except SimulationError:
-                    with pytest.raises(SimulationError, match="sampler"):
-                        engine.sample_clients(k)
-                    break
                 assert engine.sample_clients(k) == want
-        assert stream_state(engine.server_stream) == stream_state(loop)
 
 
 class TestPolicyCallback:
@@ -674,3 +617,35 @@ def test_request_rngs_is_called_once_per_traced_dispatch(algorithm, extra, monke
         assert policy.realloc_events
     if algorithm == "no_buffer":
         assert sum(policy.state(tid).dropped for tid in (0, 1)) > 0
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("fedast_static", {}),
+    ("mm_sync", {"k_sync": 3}),
+    ("fedast_dynamic", {"c_period": 5}),
+    ("no_buffer", {"drop_enforcement": True, "tau_max": 1}),
+])
+def test_the_server_stream_has_one_reader(algorithm, extra, monkeypatch):
+    """The async servers read the server stream only through the sampler and
+    ``mm_sync`` only through its rounds, so neither read has to leave the
+    stream where the other expects it."""
+    calls = {"sample_clients": 0, "draw_available": 0}
+    for name in calls:
+        method = getattr(Engine, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Engine, name, counted)
+    cfg = ExperimentConfig(
+        tasks=tuple(TaskConfig(task_id=tid, kind="quadratic", tau=1, eta_c=0.05, dim=2, r0=4,
+                               b0=1 if algorithm == "no_buffer" else 2)
+                    for tid in (0, 1)),
+        algorithm=algorithm, n_clients=10, availability=0.5, eval_interval=1.0,
+        stop_on_targets=False, max_rounds=8, **extra,
+    )
+    run_single(cfg, seed=4)
+    sync = algorithm == "mm_sync"
+    assert (calls["sample_clients"] == 0) == sync
+    assert (calls["draw_available"] == 0) != sync

@@ -257,6 +257,14 @@ class TestConfigRoundTrip:
         for name in workloads.BY_NAME:
             validate_config(workloads.build(name))
 
+    def test_expected_work_counts_local_steps(self):
+        # validated as about 38 expected requests, each of 10^9 steps, and ran
+        # past 10 s; a request's mean duration grows with tau, its steps too
+        cfg = dataclasses.replace(quickstart_with(True, "tau", 10**9), max_sim_time=1e10,
+                                  eval_interval=1e5)
+        with pytest.raises(ConfigError, match=r"about 3.81e\+10 local steps"):
+            validate_config(cfg)
+
     def test_task_id_must_fit_a_counter_word(self):
         d = config_to_dict(quad_config())
         d["tasks"][0]["task_id"] = 2**64

@@ -9,7 +9,6 @@ from fstsim import rng
 from fstsim.config import ExperimentConfig, TaskConfig
 from fstsim.event_engine import Dispatched
 from fstsim.harness import run_single
-from oracles import sampler_iteration
 
 #: (task_id, client_id, dispatch_no), including counter words past 32 bits.
 GRID = [(t, c, d) for t in (0, 1, 2) for c in (0, 1, 999) for d in (0, 1, 41, 2**40)]
@@ -174,43 +173,62 @@ def generator_at(state):
     return stream
 
 
-def position(stream):
-    """Where a Philox stream stands: its counter, buffer place and stashed half."""
-    state = stream.bit_generator.state
-    return (state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"])
+def offers(words, n):
+    """Per iteration of a block, its offered client and whether the offer
+    meets a Lemire rejection, in Python ints."""
+    for first in words[::3].tolist():
+        for half in (first & 0xFFFFFFFF, first >> 32):
+            yield half * n >> 32, half * n % 2**32 < 2**32 % n
 
 
-#: (n_clients, availability): 2**31 + 1 rejects about half of its candidate
-#: draws; 2**32 - 1 is the largest bound drawn from a 32-bit half.
-SAMPLER_CASES = [(n, p) for n in (2, 3, 7, 1000, 2**31 + 1, 2**32 - 1)
-                 for p in (1e-3, 0.3, 0.9, 1.0)]
+#: (n_clients, availability); 2**32 - 1 is the largest pool the rule takes.
+SAMPLER_CASES = [(n, p) for n in (2, 3, 7, 1000, 2**32 - 1) for p in (1e-3, 0.3, 0.9, 1.0)]
 
 
-def test_sampler_replay_equals_the_rejection_loop():
-    """Every replayed block's iterations are the loop's own, over more than
-    10^5 iterations, and a block stops short only where the loop's candidate
-    draw meets a Lemire rejection: it then takes more than the one half-word
-    that an unbounded 32-bit draw takes."""
+def test_a_sampler_block_without_a_rejection_is_numpys_loop():
+    """On a block where no offer meets a Lemire rejection, ``sampler_block``
+    accepts what numpy's loop ``c = integers(n); accept c if random() < p``
+    accepts, at the same iterations, and leaves the stream where the loop
+    does, over more than 10^5 iterations."""
     iterations = 0
     for case, (n, p) in enumerate(SAMPLER_CASES):
         stream = np.random.Generator(np.random.Philox(case))
         for _ in range(50):
-            start = stream.bit_generator.state
-            words = stream.bit_generator.random_raw(event_engine.SAMPLER_BLOCK_WORDS)
-            at, clients, valid = rng.sampler_replay(words, n, p)
-            loop = generator_at(start)
-            draws = [sampler_iteration(loop, n, p) for _ in range(valid)]
-            want = [(i, c) for i, (c, accepted) in enumerate(draws) if accepted]
+            loop = generator_at(stream.bit_generator.state)
+            at, clients = rng.sampler_block(stream, n, p)
+            words = generator_at(loop.bit_generator.state).bit_generator.random_raw(
+                rng.SAMPLER_BLOCK_WORDS)
+            if any(rejected for _, rejected in offers(words, n)):
+                continue
+            want = []
+            for i in range(rng.SAMPLER_BLOCK_ITERATIONS):
+                client = int(loop.integers(n))
+                if loop.random() < p:
+                    want.append((i, client))
             assert list(zip(at.tolist(), clients.tolist())) == want, (
-                f"sampler_replay differs from the rejection loop under numpy "
-                f"{np.__version__} (it replays numpy 2.4's algorithms): n={n}, p={p}")
-            if valid < 2 * len(words) // 3:
-                bounded, unbounded = generator_at(loop.bit_generator.state), loop
-                bounded.integers(n)
-                unbounded.integers(2**32)
-                assert position(bounded) != position(unbounded), (
-                    f"sampler_replay stopped at iteration {valid} of a block without a "
-                    f"rejection under numpy {np.__version__}: n={n}, p={p}")
-            iterations += valid
+                f"sampler_block differs from numpy {np.__version__}'s loop: n={n}, p={p}")
+            assert (loop.bit_generator.state["state"]["counter"].tolist()
+                    == stream.bit_generator.state["state"]["counter"].tolist())
+            iterations += rng.SAMPLER_BLOCK_ITERATIONS
     assert iterations >= 100_000
+
+
+@pytest.mark.parametrize("n", [2**31 + 1, 2**32 - 1])
+def test_sampler_block_accepts_no_rejected_offer(n):
+    """Every accepted client is an offer below ``n`` that met no Lemire
+    rejection, on the coin of its iteration; about half of the offers to
+    2**31 + 1 clients are rejected."""
+    stream = np.random.Generator(np.random.Philox(n))
+    rejections = 0
+    for _ in range(200):
+        words = generator_at(stream.bit_generator.state).bit_generator.random_raw(
+            rng.SAMPLER_BLOCK_WORDS)
+        at, clients = rng.sampler_block(stream, n, 0.5)
+        block = list(offers(words, n))
+        coins = [(w >> 11) * 2.0**-53 < 0.5 for w in words.reshape(-1, 3)[:, 1:].ravel().tolist()]
+        want = [(i, c) for i, ((c, rejected), coin) in enumerate(zip(block, coins))
+                if coin and not rejected]
+        assert list(zip(at.tolist(), clients.tolist())) == want
+        assert all(c < n for c in clients.tolist())
+        rejections += sum(rejected for _, rejected in block)
+    assert rejections > 0 if n == 2**31 + 1 else rejections == 0
